@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -135,6 +136,14 @@ def read_config_text(text: str) -> dict:
     return values
 
 
+def _finite(value) -> bool:
+    """Return whether a number converts to a finite float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 _KNOWN_KEYS = {
     "params.n",
     "params.m",
@@ -186,6 +195,9 @@ def config_from_values(values: dict) -> RunConfig:
             return None
         if integer and not isinstance(raw, int):
             problems.append(f"{key} must be an integer, got {raw!r}")
+            return None
+        if not _finite(raw):
+            problems.append(f"{key} must be finite, got {raw!r}")
             return None
         return raw
 
@@ -275,9 +287,14 @@ def config_from_values(values: dict) -> RunConfig:
         problems.append(f"flow.record_interval must be positive, got {record_interval}")
     if snapshot_interval in (0, None):
         snapshot_interval = None
-    elif not isinstance(snapshot_interval, (int, float)) or snapshot_interval <= 0:
+    elif (
+        not isinstance(snapshot_interval, (int, float))
+        or not _finite(snapshot_interval)
+        or snapshot_interval <= 0
+    ):
         problems.append(
-            f"flow.snapshot_interval must be positive (or 0 to disable), got {snapshot_interval}"
+            f"flow.snapshot_interval must be positive and finite (or 0 to disable), "
+            f"got {snapshot_interval}"
         )
     if not isinstance(renormalize, bool):
         problems.append(f"flow.renormalize_volume must be a boolean, got {renormalize!r}")

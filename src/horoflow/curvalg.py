@@ -23,9 +23,10 @@ in it, which is what makes the sampled bounds valid along the flow.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,23 +91,6 @@ class FlowParams:
         return math.comb(self.n, self.m)
 
 
-@dataclass(frozen=True)
-class CurvatureSpectrum:
-    """A principal-curvature spectrum, sorted ascending, with its shift."""
-
-    values: np.ndarray
-    shifted: np.ndarray
-
-    @classmethod
-    def from_values(cls, lam, ac: AmbientCurvature) -> "CurvatureSpectrum":
-        lam = np.sort(np.asarray(lam, dtype=float), axis=-1)
-        return cls(values=lam, shifted=lam - ac.a)
-
-    @property
-    def is_h_convex(self):
-        return np.min(self.shifted, axis=-1) > 0.0
-
-
 def _as_batch(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 0 or lam.shape[-1] < 2:
@@ -168,37 +152,25 @@ def speed(lam, params: FlowParams):
     return hm**params.beta
 
 
-def speed_gradient(lam, params: FlowParams):
-    """Return dF/dlambda_i, shape (..., n); positive on the positive cone."""
-    lam = _as_batch(lam)
-    n = params.n
-    e = _esym_table(lam)
-    hm = e[..., params.m] / params.binom
-    if np.any(~(hm > 0.0)):
-        raise ParabolicityLostError(f"H_m <= 0 (min {np.min(hm):.6g}); gradient undefined")
-    prefactor = params.beta * hm ** (params.beta - 1.0) / params.binom
-    grad = np.empty_like(lam)
-    for i in range(n):
-        reduced = _esym_drop(e, lam[..., i], params.m - 1)
-        grad[..., i] = prefactor * reduced[..., params.m - 1]
-    return grad
-
-
-def speed_second_partials(lam, params: FlowParams):
-    """Return the matrix d^2F/dlambda_i dlambda_j, shape (..., n, n)."""
-    lam = _as_batch(lam)
+def _speed_derivatives(lam: np.ndarray, params: FlowParams, hessian: bool):
+    """Return dF/dlambda and, if hessian, d^2F/dlambda^2 from one set of tables."""
     n, m, beta = params.n, params.m, params.beta
     e = _esym_table(lam)
     hm = e[..., m] / params.binom
     if np.any(~(hm > 0.0)):
-        raise ParabolicityLostError(f"H_m <= 0 (min {np.min(hm):.6g}); Hessian undefined")
-    dhm = np.empty_like(lam)
-    reduced_tables = []
+        what = "Hessian" if hessian else "gradient"
+        raise ParabolicityLostError(f"H_m <= 0 (min {np.min(hm):.6g}); {what} undefined")
+    reduced = [_esym_drop(e, lam[..., i], m - 1) for i in range(n)]
+    prefactor = beta * hm ** (beta - 1.0) / params.binom
+    grad = np.empty_like(lam)
     for i in range(n):
-        reduced = _esym_drop(e, lam[..., i], m - 1)
-        reduced_tables.append(reduced)
-        dhm[..., i] = reduced[..., m - 1] / params.binom
+        grad[..., i] = prefactor * reduced[i][..., m - 1]
+    if not hessian:
+        return grad, None
 
+    dhm = np.empty_like(lam)
+    for i in range(n):
+        dhm[..., i] = reduced[i][..., m - 1] / params.binom
     out = np.zeros(lam.shape + (n,), dtype=float)
     # Rank-one part from the outer power; vanishes identically when beta = 1.
     if beta != 1.0:
@@ -206,14 +178,23 @@ def speed_second_partials(lam, params: FlowParams):
         out += coef[..., None, None] * dhm[..., :, None] * dhm[..., None, :]
     # Mixed second derivatives of H_m itself: remove two distinct roots.
     if m >= 2:
-        coef = beta * hm ** (beta - 1.0) / params.binom
         for i in range(n):
             for j in range(i + 1, n):
-                twice_reduced = _esym_drop(reduced_tables[i], lam[..., j], m - 2)
-                val = coef * twice_reduced[..., m - 2]
+                twice_reduced = _esym_drop(reduced[i], lam[..., j], m - 2)
+                val = prefactor * twice_reduced[..., m - 2]
                 out[..., i, j] += val
                 out[..., j, i] += val
-    return out
+    return grad, out
+
+
+def speed_gradient(lam, params: FlowParams):
+    """Return dF/dlambda_i, shape (..., n); positive on the positive cone."""
+    return _speed_derivatives(_as_batch(lam), params, hessian=False)[0]
+
+
+def speed_second_partials(lam, params: FlowParams):
+    """Return the matrix d^2F/dlambda_i dlambda_j, shape (..., n, n)."""
+    return _speed_derivatives(_as_batch(lam), params, hessian=True)[1]
 
 
 def _difference_quotients(lam, grad, second):
@@ -242,8 +223,7 @@ def speed_hessian_quadform(lam, params: FlowParams, B):
     """
     lam = _as_batch(lam)
     B = np.asarray(B, dtype=float)
-    second = speed_second_partials(lam, params)
-    grad = speed_gradient(lam, params)
+    grad, second = _speed_derivatives(lam, params, hessian=True)
     d = np.diagonal(B, axis1=-2, axis2=-1)
     term_diag = np.einsum("...ij,...i,...j->...", second, d, d)
     q = _difference_quotients(lam, grad, second)
@@ -366,19 +346,21 @@ class ConeSampler:
 
 def project_to_cone(x: np.ndarray, eps: float) -> np.ndarray:
     """Shift rows along the umbilic direction onto the cone, then normalize."""
-    x = np.maximum(np.atleast_2d(np.asarray(x, dtype=float)), 0.0)
-    n = x.shape[-1]
-    total = x.sum(axis=-1)
-    lowest = x.min(axis=-1)
+    y = np.maximum(np.atleast_2d(np.asarray(x, dtype=float)), 0.0)
+    n = y.shape[-1]
+    total = y.sum(axis=-1)
+    lowest = y.min(axis=-1)
     shift = np.maximum(0.0, (eps * total - lowest) / (1.0 - n * eps))
-    y = x + shift[..., None]
+    # In place: for the sample cloud these are the largest arrays of the solve.
+    y += shift[..., None]
     norm = np.linalg.norm(y, axis=-1, keepdims=True)
     # A zero row can only come from an all-zero input; replace by umbilic.
     bad = norm[..., 0] <= 0.0
     if np.any(bad):
         y[bad] = 1.0
         norm = np.linalg.norm(y, axis=-1, keepdims=True)
-    return y / norm
+    y /= norm
+    return y
 
 
 @dataclass(frozen=True)
@@ -392,64 +374,89 @@ class SampledBound:
 
 
 def _coordinate_descent(objective, y0: np.ndarray, eps: float, minimize: bool) -> tuple[np.ndarray, float]:
-    """Polish a sampled extremum by projected coordinate descent on the cone."""
+    """Polish a sampled extremum by projected coordinate descent on the cone.
+
+    A sweep tries coordinate j ascending, +step before -step, projects each
+    trial onto the cone and accepts it when it beats the best value by more
+    than 1e-15.  A sweep that accepted a move repeats at the same step; one
+    that did not halves the step, from 0.25 while it stays above 1e-9.
+
+    The trials are scored speculatively: every trial the sweeps would make
+    from the current point if none improved is projected with one
+    project_to_cone call and scored with one objective call.  The first
+    improving trial in sweep order is exactly the move the one-at-a-time
+    loop accepts, since the trials before it are the same points scored
+    against the same best value.  The later trials are dropped and rebuilt
+    from the new point.  The projection and the objectives act row by row,
+    so the result is bitwise that of the one-at-a-time loop.
+    """
     y = np.array(y0, dtype=float)
     best = float(objective(y[None, :])[0])
     sign = 1.0 if minimize else -1.0
-    step = 0.25
     n = y.shape[0]
+    steps = []
+    step = 0.25
     while step > 1e-9:
-        improved = False
-        for j in range(n):
-            for direction in (1.0, -1.0):
-                trial = y.copy()
-                trial[j] += direction * step
-                trial = project_to_cone(trial, eps)[0]
-                val = float(objective(trial[None, :])[0])
-                if sign * val < sign * best - 1e-15:
-                    y, best, improved = trial, val, True
-        if not improved:
-            step *= 0.5
-    return y, best
+        steps.append(step)
+        step *= 0.5
+    steps = np.array(steps)
+    # Trial k of a sweep moves coordinate k // 2, by +step if k is even.
+    # Pending trials are numbered level * width + k: the rest of the current
+    # sweep, its repeat once it accepted a move, then every smaller step.
+    width = 2 * n
+    level, start, repeat = 0, 0, False
+    while True:
+        head = np.arange(level * width + start, (level + 1) * width)
+        tail = np.arange((level if repeat else level + 1) * width, steps.size * width)
+        trial_level, move = np.divmod(np.concatenate([head, tail]), width)
+        delta = np.where(move % 2 == 0, 1.0, -1.0) * steps[trial_level]
+        trials = np.repeat(y[None, :], move.size, axis=0)
+        trials[np.arange(move.size), move // 2] += delta
+        trials = project_to_cone(trials, eps)
+        vals = objective(trials)
+        hits = np.flatnonzero(sign * vals < sign * best - 1e-15)
+        if hits.size == 0:
+            return y, best
+        k = hits[0]
+        y, best = trials[k], float(vals[k])
+        level, start, repeat = int(trial_level[k]), int(move[k]) + 1, True
 
 
-def gradient_floor(eps: float, params: FlowParams, sampler: ConeSampler) -> SampledBound:
-    """Return the sampled minimum of the speed gradient's components on the cone.
-
-    This is the constructive constant in the lower bound
-    dF_i(lambda) >= floor * |lambda|^{m beta - 1} on pinched spectra;
-    increasing in eps, and exactly 1/n for the linear speed (m = beta = 1).
-    """
-    if sampler.n != params.n:
-        raise DomainError("sampler dimension does not match params.n")
-    pts = sampler.points(eps)
-
-    def batch_min_component(block):
-        return np.min(speed_gradient(block, params), axis=-1)
-
-    vals = map_rows(batch_min_component, pts)
-    k = int(np.argmin(vals))
-    y, best = _coordinate_descent(batch_min_component, pts[k], eps, minimize=True)
-    if best > vals[k]:
+def _polish(objective, pts, vals, eps: float, minimize: bool) -> SampledBound:
+    """Refine the extremum of vals over pts by coordinate descent, keeping the better one."""
+    k = int(np.argmin(vals)) if minimize else int(np.argmax(vals))
+    y, best = _coordinate_descent(objective, pts[k], eps, minimize)
+    if (best > vals[k]) if minimize else (best < vals[k]):
         y, best = pts[k], float(vals[k])
     return SampledBound(value=best, argpoint=y, n_points=pts.shape[0], refined=True)
 
 
-def _quadform_operator_norm(lam: np.ndarray, params: FlowParams) -> np.ndarray:
-    """Return sup over unit-Frobenius symmetric B of |quadform(B, B)| per spectrum.
+def _gradient_floor_values(lam: np.ndarray, params: FlowParams) -> np.ndarray:
+    """Return the smallest component of the speed gradient per spectrum."""
+    return np.min(speed_gradient(lam, params), axis=-1)
 
-    The quadratic form block-diagonalizes: an n x n block of second partials
-    acting on diag(B), plus independent 1-D blocks with the difference
-    quotients on each off-diagonal entry.  The operator norm is therefore
-    the max of the spectral radius of the small block and the largest
-    absolute quotient; no sampling over B is needed.
+
+def _bound_values(lam: np.ndarray, params: FlowParams) -> np.ndarray:
+    """Return the floor and ceiling objectives per spectrum, shape (..., 2).
+
+    Column 0 is the smallest gradient component.  Column 1 is the sup over
+    unit-Frobenius symmetric B of |quadform(B, B)|.  The quadratic form
+    block-diagonalizes: an n x n block of second partials acting on
+    diag(B), plus independent 1-D blocks with the difference quotients on
+    each off-diagonal entry.  Its operator norm is therefore the max of the
+    spectral radius of the small block and the largest absolute quotient;
+    no sampling over B is needed.
     """
-    second = speed_second_partials(lam, params)
-    grad = speed_gradient(lam, params)
+    grad, second = _speed_derivatives(_as_batch(lam), params, hessian=True)
     q = _difference_quotients(lam, grad, second)
     q_max = np.max(np.abs(q), axis=(-2, -1))
     eig_max = np.max(np.abs(_symmetric_eigenvalues(second)), axis=-1)
-    return np.maximum(eig_max, q_max)
+    return np.stack([np.min(grad, axis=-1), np.maximum(eig_max, q_max)], axis=-1)
+
+
+def _quadform_operator_norm(lam: np.ndarray, params: FlowParams) -> np.ndarray:
+    """Return the Hessian-ceiling objective per spectrum (see _bound_values)."""
+    return _bound_values(lam, params)[..., 1]
 
 
 def _symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
@@ -500,24 +507,42 @@ def _sym_eig3(mats: np.ndarray) -> np.ndarray:
     return np.where(p[..., None] > 0.0, out, np.stack([q, q, q], axis=-1))
 
 
+def _sampled_bounds(
+    eps: float, params: FlowParams, sampler: ConeSampler
+) -> tuple[SampledBound, SampledBound]:
+    """Return the gradient floor and the Hessian ceiling at eps.
+
+    Both come from one projection of the cloud and one pass over it, which
+    shares the speed derivatives between the two objectives.
+    """
+    if sampler.n != params.n:
+        raise DomainError("sampler dimension does not match params.n")
+    pts = sampler.points(eps)
+    vals = map_rows(functools.partial(_bound_values, params=params), pts)
+    floor = functools.partial(_gradient_floor_values, params=params)
+    ceiling = functools.partial(_quadform_operator_norm, params=params)
+    return (
+        _polish(floor, pts, vals[:, 0], eps, minimize=True),
+        _polish(ceiling, pts, vals[:, 1], eps, minimize=False),
+    )
+
+
+def gradient_floor(eps: float, params: FlowParams, sampler: ConeSampler) -> SampledBound:
+    """Return the sampled minimum of the speed gradient's components on the cone.
+
+    This is the constructive constant in the lower bound
+    dF_i(lambda) >= floor * |lambda|^{m beta - 1} on pinched spectra;
+    increasing in eps, and exactly 1/n for the linear speed (m = beta = 1).
+    """
+    return _sampled_bounds(eps, params, sampler)[0]
+
+
 def hessian_ceiling(eps: float, params: FlowParams, sampler: ConeSampler) -> SampledBound:
     """Return the sampled supremum of the quadform operator norm on the cone.
 
     Decreasing in eps; identically zero for the linear speed m = beta = 1.
     """
-    if sampler.n != params.n:
-        raise DomainError("sampler dimension does not match params.n")
-    pts = sampler.points(eps)
-
-    def batch_norm(block):
-        return _quadform_operator_norm(block, params)
-
-    vals = map_rows(batch_norm, pts)
-    k = int(np.argmax(vals))
-    y, best = _coordinate_descent(batch_norm, pts[k], eps, minimize=False)
-    if best < vals[k]:
-        y, best = pts[k], float(vals[k])
-    return SampledBound(value=best, argpoint=y, n_points=pts.shape[0], refined=True)
+    return _sampled_bounds(eps, params, sampler)[1]
 
 
 def slice_constant(eps: float, n: int) -> float:
@@ -560,13 +585,17 @@ class PinchingConstants:
     degenerate: bool = False
 
 
+def _balance_terms(eps: float, params: FlowParams, sampler: ConeSampler):
+    """Return gradient_floor, hessian_ceiling and their balance at eps."""
+    n = params.n
+    w1, w2 = (bound.value for bound in _sampled_bounds(eps, params, sampler))
+    coef = (n - 1) / (2.0 * math.sqrt(n))
+    return w1, w2, coef * w1 * eps**2 - w2 * float(gap_bound(eps, n))
+
+
 def balance_function(eps: float, params: FlowParams, sampler: ConeSampler) -> float:
     """Return the pinching balance (n-1)/(2 sqrt n) * floor * eps^2 - ceiling * gap."""
-    n = params.n
-    w1 = gradient_floor(eps, params, sampler).value
-    w2 = hessian_ceiling(eps, params, sampler).value
-    coef = (n - 1) / (2.0 * math.sqrt(n))
-    return coef * w1 * eps**2 - w2 * float(gap_bound(eps, n))
+    return _balance_terms(eps, params, sampler)[2]
 
 
 def solve_pinching_constants(
@@ -590,10 +619,9 @@ def solve_pinching_constants(
     eps_hi = 1.0 / n
     eps_grid = np.linspace(eps_hi / 64.0, eps_hi * (1.0 - 1e-9), table_points)
     gap_table = gap_bound(eps_grid, n)
-    grad_floor_table = np.array([gradient_floor(e, params, sampler).value for e in eps_grid])
-    hess_ceiling_table = np.array([hessian_ceiling(e, params, sampler).value for e in eps_grid])
-    coef = (n - 1) / (2.0 * math.sqrt(n))
-    balance = coef * grad_floor_table * eps_grid**2 - hess_ceiling_table * gap_table
+    grad_floor_table, hess_ceiling_table, balance = map(
+        np.array, zip(*(_balance_terms(e, params, sampler) for e in eps_grid))
+    )
 
     degenerate = False
     if balance[0] > 0.0:

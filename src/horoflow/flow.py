@@ -280,8 +280,24 @@ def run(config, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     zeta = support_offset(v0, params)
 
     recorder = DiagnosticsRecorder(params, zeta_epsilon=zeta, c_star=constants.c_star)
+    h_convexity_warned = False
+
+    def observe(state, fields, dt):
+        # Checked per record, not per step: one warning per run, no step cost.
+        nonlocal h_convexity_warned
+        rec = recorder.observe(state, fields, dt)
+        if not rec.h_convex and not h_convexity_warned:
+            h_convexity_warned = True
+            logger.warning(
+                "h-convexity lost at t=%.6g (lambda_tilde_min = %.6g); "
+                "the convergence theorem assumes h-convex data, proceeding",
+                rec.t,
+                rec.lambda_tilde_min,
+            )
+        return rec
+
     fields = geometry_from_graph(state, params, full=False)
-    first = recorder.observe(state, fields, 0.0)
+    first = observe(state, fields, 0.0)
     initial_pinched = first.pinched
     if initial_pinched:
         logger.info("initial state is pinched against C* = %.8g", constants.c_star)
@@ -349,7 +365,7 @@ def run(config, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             fields = geometry_from_graph(state, params, full=False)
 
             if state.t + 1e-12 >= next_record:
-                recorder.observe(state, fields, last_dt)
+                observe(state, fields, last_dt)
                 next_record = record_interval * (math.floor(state.t / record_interval) + 1)
             if out_dir and state.t + 1e-12 >= next_snapshot:
                 save_snapshot(
@@ -366,7 +382,7 @@ def run(config, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
         raise
 
     if recorder.records[-1].t != state.t:
-        recorder.observe(state, fields, last_dt)
+        observe(state, fields, last_dt)
 
     result = FlowResult(
         params=params,

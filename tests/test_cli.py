@@ -170,6 +170,28 @@ def test_config_snapshot_interval_zero_disables():
     assert config.snapshot_interval == 0.5
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("flow.t_end", "inf"),
+        ("flow.t_end", "nan"),
+        ("flow.record_interval", "nan"),
+        ("control.dt_max", "inf"),
+        ("flow.f_tol", "inf"),
+        ("flow.snapshot_interval", "nan"),
+        ("flow.snapshot_interval", "inf"),
+        ("initial.r0", "inf"),
+        ("params.beta", "1e400"),
+        ("params.kappa", "-inf"),
+    ],
+)
+def test_config_rejects_non_finite_values(key, raw):
+    values = read_config_text("\n".join(f"{k} = {v}" for k, v in {**MINIMAL, key: raw}.items()))
+    with pytest.raises(ConfigurationError) as err:
+        config_from_values(values)
+    assert any(p.startswith(key) and "finite" in p for p in err.value.problems)
+
+
 def test_config_custom_snapshot(tmp_path):
     state = perturbed_sphere_state(make_grid("axisymmetric", 2, 48), 1.0, 2, 0.05)
     snap = str(tmp_path / "start.csv")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -27,8 +28,14 @@ from horoflow import (
     speed_hessian_quadform,
     tilde_quantities,
 )
+from horoflow import curvalg
 from horoflow.curvalg import (
     ConeSampler,
+    _bound_values,
+    _coordinate_descent,
+    _gradient_floor_values,
+    _quadform_operator_norm,
+    _speed_derivatives,
     balance_function,
     gradient_floor,
     hessian_ceiling,
@@ -36,6 +43,7 @@ from horoflow.curvalg import (
     slice_constant_bruteforce,
     speed_second_partials,
 )
+from horoflow.parallel import map_rows
 
 TRIPLES = [(2, 1, 1.0), (2, 2, 1.0), (3, 2, 1.0), (3, 3, 1.0 / 3.0), (3, 1, 2.0)]
 
@@ -197,6 +205,18 @@ def test_hessian_quadform_matches_eigenvalue_path(rng):
             assert abs(got - fd) < 1e-5 * max(1.0, abs(got))
 
 
+def test_shared_tables_match_separate_derivatives(rng):
+    for n, m, beta in TRIPLES:
+        params = make_params(n, m, beta)
+        lam = cone_samples(rng, n, 300)
+        grad, second = _speed_derivatives(lam, params, hessian=True)
+        assert grad.tobytes() == speed_gradient(lam, params).tobytes()
+        assert second.tobytes() == speed_second_partials(lam, params).tobytes()
+        # the one-pass floor column equals the objective its descent polishes
+        floor = _bound_values(lam, params)[:, 0]
+        assert floor.tobytes() == _gradient_floor_values(lam, params).tobytes()
+
+
 def test_hessian_quadform_continuous_at_coalescence(rng):
     params = make_params(3, 2, 1.0)
     b = rng.standard_normal((3, 3))
@@ -323,6 +343,52 @@ def test_project_to_cone_feasibility(rng):
         assert np.allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-12)
 
 
+def sequential_descent(objective, y0, eps, minimize):
+    """The one-trial-at-a-time loop that _coordinate_descent evaluates in batches."""
+    y = np.array(y0, dtype=float)
+    best = float(objective(y[None, :])[0])
+    sign = 1.0 if minimize else -1.0
+    step = 0.25
+    while step > 1e-9:
+        improved = False
+        for j in range(y.shape[0]):
+            for direction in (1.0, -1.0):
+                trial = y.copy()
+                trial[j] += direction * step
+                trial = project_to_cone(trial, eps)[0]
+                val = float(objective(trial[None, :])[0])
+                if sign * val < sign * best - 1e-15:
+                    y, best, improved = trial, val, True
+        if not improved:
+            step *= 0.5
+    return y, best
+
+
+def test_batched_descent_matches_sequential_loop(rng):
+    improved = 0
+    # beta != 1 takes the power path and the rank-one Hessian term
+    for n, m, beta in TRIPLES + [(4, 2, 1.0)]:
+        params = make_params(n, m, beta)
+        sampler = ConeSampler(n, n_samples=400, seed=n)
+        floor = functools.partial(_gradient_floor_values, params=params)
+        ceiling = functools.partial(_quadform_operator_norm, params=params)
+        for eps in (0.02, 0.4 / n, 0.9 / n):
+            pts = sampler.points(eps)
+            for objective, minimize in ((floor, True), (ceiling, False)):
+                vals = objective(pts)
+                extremum = pts[int(np.argmin(vals) if minimize else np.argmax(vals))]
+                interior = pts[int(rng.integers(pts.shape[0]))]
+                umbilic = np.full(n, 1.0 / math.sqrt(n))
+                for start in (extremum, interior, umbilic):
+                    y_ref, best_ref = sequential_descent(objective, start, eps, minimize)
+                    y, best = _coordinate_descent(objective, start, eps, minimize)
+                    assert y.tobytes() == y_ref.tobytes()
+                    assert best == best_ref
+                    improved += best_ref != float(objective(start[None, :])[0])
+    # the comparison covers descents that accept moves, not only stalled ones
+    assert improved >= 10
+
+
 def test_linear_speed_has_exact_floor_and_zero_ceiling(params_n2m1):
     sampler = ConeSampler(2, n_samples=2000, seed=0)
     w1 = gradient_floor(0.2, params_n2m1, sampler)
@@ -331,7 +397,13 @@ def test_linear_speed_has_exact_floor_and_zero_ceiling(params_n2m1):
     assert w2.value == pytest.approx(0.0, abs=1e-13)
 
 
-def test_sampled_bounds_thread_invariant(monkeypatch, params_n3m2):
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Split 5000-point clouds into 1024-row chunks, so several workers really run."""
+    monkeypatch.setattr(curvalg, "map_rows", functools.partial(map_rows, chunk_rows=1024))
+
+
+def test_sampled_bounds_thread_invariant(monkeypatch, small_chunks, params_n3m2):
     values = []
     for cap in ("1", "3"):
         monkeypatch.setenv("HOROFLOW_THREADS", cap)
@@ -343,6 +415,17 @@ def test_sampled_bounds_thread_invariant(monkeypatch, params_n3m2):
             )
         )
     assert values[0] == values[1]
+
+
+def test_solved_constants_thread_invariant(monkeypatch, small_chunks, params_n3m2):
+    solved = []
+    for cap in ("1", "2"):
+        monkeypatch.setenv("HOROFLOW_THREADS", cap)
+        solved.append(solve_pinching_constants(params_n3m2, n_samples=5000, seed=2))
+    a, b = solved
+    assert (a.epsilon0, a.c_star, a.degenerate) == (b.epsilon0, b.c_star, b.degenerate)
+    for name in ("eps_grid", "gap_table", "grad_floor_table", "hess_ceiling_table"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 # ---------------------------------------------------------------------------

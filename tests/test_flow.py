@@ -324,6 +324,25 @@ def test_record_cadence(params_n2m1):
         assert after.size and after[0] - target < 2e-2  # within a few steps
 
 
+def test_run_warns_once_when_h_convexity_is_lost(caplog, params_n2m1):
+    grid = make_grid("axisymmetric", 2, 32)
+    initial = perturbed_sphere_state(grid, 3.0, 2, 0.6)
+    config = make_config(params_n2m1, grid, initial, t_end=0.2)
+    with caplog.at_level("WARNING", logger="horoflow.flow"):
+        result = run(config)
+    assert np.all(result.arrays()["lambda_tilde_min"] < 0.0)
+    lost = [r for r in caplog.records if "h-convexity lost" in r.getMessage()]
+    assert len(lost) == 1
+    assert lost[0].levelname == "WARNING"
+
+
+def test_h_convex_run_logs_no_convexity_warning(caplog, params_n2m1):
+    with caplog.at_level("WARNING", logger="horoflow.flow"):
+        result = run(perturbed_config(params_n2m1, t_end=0.1))
+    assert np.all(result.arrays()["lambda_tilde_min"] > 0.0)
+    assert not any("h-convexity lost" in r.getMessage() for r in caplog.records)
+
+
 def test_stiff_floor_aborts(params_n2m1):
     config = perturbed_config(
         params_n2m1,
