@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from types import SimpleNamespace
 
 from horoflow import (
     AmbientCurvature,
     FlowParams,
-    StepControl,
+    RunConfig,
     analyze_diagnostics,
     make_grid,
     perturbed_sphere_state,
@@ -34,22 +33,18 @@ VARIANTS = {
 }
 
 
-def build_config(args) -> SimpleNamespace:
+def build_config(args) -> RunConfig:
     preset = VARIANTS[args.variant]
     params = FlowParams(
         n=preset["n"], m=preset["m"], beta=preset["beta"],
         ac=AmbientCurvature(kappa=args.kappa),
     )
     grid = make_grid("axisymmetric", params.n, args.n_theta)
-    return SimpleNamespace(
+    return RunConfig(
         params=params,
-        grid=grid,
         initial=perturbed_sphere_state(grid, args.radius, args.mode, args.amplitude),
-        control=StepControl(),
         t_end=args.t_end if args.t_end is not None else preset["t_end"],
-        record_interval=0.002,
         snapshot_interval=args.snapshot_interval,
-        f_tol=1e-8,
         renormalize_volume=args.renormalize,
         output_dir=args.output,
         constants_samples=args.samples,

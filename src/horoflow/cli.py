@@ -29,7 +29,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +42,9 @@ from .errors import (
     RootFindingError,
     StiffnessError,
 )
-from .flow import StepControl
-from .graphgeom import GraphState, GridSpec, make_grid
+from .flow import RunConfig, StepControl
+from .graphgeom import make_grid
 from .hypergeom import AmbientCurvature, kappa_trig
-
-logger = logging.getLogger(__name__)
 
 USAGE = """\
 usage: horoflow <subcommand> [options]
@@ -75,25 +72,6 @@ _NUMERICAL_ABORTS = (
 )
 
 INITIAL_SHAPES = ("sphere", "perturbed_sphere", "custom")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated run: constructed objects, not raw strings."""
-
-    params: FlowParams
-    grid: GridSpec
-    initial: GraphState
-    control: StepControl
-    t_end: float
-    record_interval: float
-    snapshot_interval: float | None
-    f_tol: float
-    seed: int
-    output_dir: str | None
-    renormalize_volume: bool
-    constants_samples: int
-    constants_seed: int
 
 
 def _parse_scalar(raw: str):
@@ -260,25 +238,26 @@ def config_from_values(values: dict) -> RunConfig:
         elif not os.path.exists(snapshot_path):
             problems.append(f"initial.snapshot file not found: {snapshot_path}")
 
-    scheme = take("control.scheme", "heun")
+    scheme = take("control.scheme", StepControl.scheme)
     if isinstance(scheme, str):
         scheme = scheme.lower()
     if scheme not in flow.SCHEMES:
         problems.append(f"control.scheme must be one of {flow.SCHEMES}, got {scheme!r}")
-    safety = number("control.safety", 0.2)
-    dt_min = number("control.dt_min", 1e-10)
-    dt_max = number("control.dt_max", 1e-2)
+    safety = number("control.safety", StepControl.safety)
+    dt_min = number("control.dt_min", StepControl.dt_min)
+    dt_max = number("control.dt_max", StepControl.dt_max)
     if safety is not None and not 0 < safety <= 1:
         problems.append(f"control.safety must be in (0, 1], got {safety}")
     if dt_min is not None and dt_max is not None and not 0 < dt_min <= dt_max:
         problems.append(f"need 0 < control.dt_min <= control.dt_max, got {dt_min}, {dt_max}")
 
     t_end = number("flow.t_end", 10.0)
-    f_tol = number("flow.f_tol", 1e-8)
-    record_interval = number("flow.record_interval", 0.002)
+    f_tol = number("flow.f_tol", RunConfig.f_tol)
+    record_interval = number("flow.record_interval", RunConfig.record_interval)
     snapshot_interval = take("flow.snapshot_interval")
-    renormalize = take("flow.renormalize_volume", False)
-    seed = number("flow.seed", 0, integer=True)
+    renormalize = take("flow.renormalize_volume", RunConfig.renormalize_volume)
+    # flow.seed is read only as the default of constants.seed.
+    seed = number("flow.seed", RunConfig.constants_seed, integer=True)
     if t_end is not None and t_end <= 0:
         problems.append(f"flow.t_end must be positive, got {t_end}")
     if f_tol is not None and f_tol <= 0:
@@ -299,8 +278,10 @@ def config_from_values(values: dict) -> RunConfig:
     if not isinstance(renormalize, bool):
         problems.append(f"flow.renormalize_volume must be a boolean, got {renormalize!r}")
 
-    constants_samples = number("constants.n_samples", curvalg.DEFAULT_SAMPLES, integer=True)
-    constants_seed = number("constants.seed", seed if seed is not None else 0, integer=True)
+    constants_samples = number("constants.n_samples", RunConfig.constants_samples, integer=True)
+    constants_seed = number(
+        "constants.seed", seed if seed is not None else RunConfig.constants_seed, integer=True
+    )
     if constants_samples is not None and constants_samples < 100:
         problems.append(f"constants.n_samples must be >= 100, got {constants_samples}")
 
@@ -314,10 +295,9 @@ def config_from_values(values: dict) -> RunConfig:
     params = FlowParams(n=n, m=m, beta=float(beta), ac=AmbientCurvature(kappa=float(kappa)))
     if shape == "custom":
         initial = graphgeom.load_snapshot(snapshot_path)
-        grid = initial.grid
-        if grid.n != params.n:
+        if initial.grid.n != params.n:
             raise ConfigurationError(
-                [f"snapshot dimension n={grid.n} does not match params.n={params.n}"]
+                [f"snapshot dimension n={initial.grid.n} does not match params.n={params.n}"]
             )
     else:
         grid = make_grid(mode, params.n, n_theta, n_phi if mode == "full2d" else None)
@@ -332,14 +312,12 @@ def config_from_values(values: dict) -> RunConfig:
     )
     return RunConfig(
         params=params,
-        grid=grid,
         initial=initial,
         control=control,
         t_end=float(t_end),
         record_interval=float(record_interval),
         snapshot_interval=float(snapshot_interval) if snapshot_interval else None,
         f_tol=float(f_tol),
-        seed=int(seed),
         output_dir=output_dir,
         renormalize_volume=bool(renormalize),
         constants_samples=int(constants_samples),
@@ -348,32 +326,11 @@ def config_from_values(values: dict) -> RunConfig:
 
 
 def parse_config(path: str) -> RunConfig:
-    """Read, validate, and pre-check a config file.
-
-    The initial state's pinching is evaluated against the computed C* and
-    logged; a violation warns rather than fails, since the pinched
-    hypothesis is sufficient for convergence, not necessary.
-    """
+    """Read and validate a config file; flow.run logs the initial pinching."""
     if not os.path.exists(path):
         raise ConfigurationError([f"config file not found: {path}"])
     with open(path) as fh:
-        config = config_from_values(read_config_text(fh.read()))
-    constants = flow.pinching_constants_cached(
-        config.params, config.constants_samples, config.constants_seed
-    )
-    fields = graphgeom.geometry_from_graph(config.initial, config.params, full=False)
-    pinched = bool(
-        np.all(curvalg.pinching_predicate(fields.lam, config.params, constants.c_star))
-    )
-    if pinched:
-        logger.info("%s: initial state is pinched (C* = %.8g)", path, constants.c_star)
-    else:
-        logger.warning(
-            "%s: initial state is NOT pinched against C* = %.8g; proceeding anyway",
-            path,
-            constants.c_star,
-        )
-    return config
+        return config_from_values(read_config_text(fh.read()))
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,6 @@ class SampledBound:
     value: float
     argpoint: np.ndarray
     n_points: int
-    refined: bool
 
 
 def _coordinate_descent(objective, y0: np.ndarray, eps: float, minimize: bool) -> tuple[np.ndarray, float]:
@@ -425,10 +424,14 @@ def _coordinate_descent(objective, y0: np.ndarray, eps: float, minimize: bool) -
 def _polish(objective, pts, vals, eps: float, minimize: bool) -> SampledBound:
     """Refine the extremum of vals over pts by coordinate descent, keeping the better one."""
     k = int(np.argmin(vals)) if minimize else int(np.argmax(vals))
+    if 1.0 - pts.shape[1] * eps < 1e-12:
+        # The cone is the umbilic ray alone (see ConeSampler.points): there is
+        # nothing to descend on, and project_to_cone would divide by 1 - n eps = 0.
+        return SampledBound(value=float(vals[k]), argpoint=pts[k], n_points=pts.shape[0])
     y, best = _coordinate_descent(objective, pts[k], eps, minimize)
     if (best > vals[k]) if minimize else (best < vals[k]):
         y, best = pts[k], float(vals[k])
-    return SampledBound(value=best, argpoint=y, n_points=pts.shape[0], refined=True)
+    return SampledBound(value=best, argpoint=y, n_points=pts.shape[0])
 
 
 def _gradient_floor_values(lam: np.ndarray, params: FlowParams) -> np.ndarray:

@@ -35,10 +35,6 @@ class ParabolicityLostError(HoroflowError):
         self.node_index = node_index
 
 
-class HConvexityLostError(HoroflowError):
-    """The shifted spectrum lost positivity where positivity was required."""
-
-
 class StiffnessError(HoroflowError):
     """The stable step size pinned at dt_min for too many consecutive steps."""
 

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvalg import FlowParams, PinchingConstants, solve_pinching_constants, speed_gradient
+from .curvalg import (
+    DEFAULT_SAMPLES,
+    FlowParams,
+    PinchingConstants,
+    solve_pinching_constants,
+    speed_gradient,
+)
 from .errors import (
     DomainError,
     HoroflowError,
@@ -77,6 +83,29 @@ class StepControl:
             raise DomainError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """One run: the speed, the initial hypersurface, the horizon, and the knobs.
+
+    The defaults are the config file's defaults.  Diagnostics rows are taken
+    every record_interval of flow time; snapshots (every snapshot_interval)
+    and the output files are written only when output_dir is set.  The
+    pinching constants are solved at constants_samples cone samples.
+    """
+
+    params: FlowParams
+    initial: GraphState
+    t_end: float
+    control: StepControl = StepControl()
+    record_interval: float = 0.002
+    snapshot_interval: float | None = None
+    f_tol: float = 1e-8
+    output_dir: str | None = None
+    renormalize_volume: bool = False
+    constants_samples: int = DEFAULT_SAMPLES
+    constants_seed: int = 0
+
+
 def average_speed(fields: GeometryFields) -> float:
     """Area-weighted average of the speed over the hypersurface."""
     total = float(np.sum(fields.area_weight))
@@ -97,7 +126,7 @@ def flow_rhs(state: GraphState, params: FlowParams) -> np.ndarray:
     Logs a warning when h-convexity fails (the flow is still defined while
     H_m > 0; losing parabolicity raises instead).
     """
-    fields = geometry_from_graph(state, params, full=False)
+    fields = geometry_from_graph(state, params)
     if float(np.min(fields.lam)) <= params.a:
         logger.warning(
             "h-convexity lost at t=%.6g (min lambda = %.6g <= a = %.6g)",
@@ -155,7 +184,7 @@ def step(
 ) -> StepResult:
     """Advance one explicit step, recomputing the speed average per stage."""
     if fields is None:
-        fields = geometry_from_graph(state, params, full=False)
+        fields = geometry_from_graph(state, params)
     if dt is None:
         dt = stable_dt(fields, params, control)
     shape = state.grid.shape
@@ -164,17 +193,17 @@ def step(
 
     if control.scheme == "heun":
         trial = _advance(state, state.r + dt * k1, dt)
-        k2, _ = _stage_rate(geometry_from_graph(trial, params, full=False))
+        k2, _ = _stage_rate(geometry_from_graph(trial, params))
         r_new = state.r + (0.5 * dt) * (k1 + k2.reshape(shape))
     else:
         half = _advance(state, state.r + (0.5 * dt) * k1, 0.5 * dt)
-        k2, _ = _stage_rate(geometry_from_graph(half, params, full=False))
+        k2, _ = _stage_rate(geometry_from_graph(half, params))
         k2 = k2.reshape(shape)
         half2 = _advance(state, state.r + (0.5 * dt) * k2, 0.5 * dt)
-        k3, _ = _stage_rate(geometry_from_graph(half2, params, full=False))
+        k3, _ = _stage_rate(geometry_from_graph(half2, params))
         k3 = k3.reshape(shape)
         full = _advance(state, state.r + dt * k3, dt)
-        k4, _ = _stage_rate(geometry_from_graph(full, params, full=False))
+        k4, _ = _stage_rate(geometry_from_graph(full, params))
         r_new = state.r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4.reshape(shape))
 
     return StepResult(state=_advance(state, r_new, dt), fields=fields, dt=dt, fbar=fbar)
@@ -257,22 +286,17 @@ class FlowResult:
         return self.recorder.arrays()
 
 
-def run(config, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
+def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     """Integrate a configured run to convergence, t_end, or the step cap.
 
-    `config` carries params, grid, the initial GraphState, StepControl,
-    t_end, record_interval, snapshot_interval, f_tol, renormalize_volume,
-    output_dir, and the pinching-constants sampling knobs (see the cli
-    module's RunConfig).  Diagnostics rows are appended at the record
-    cadence plus the initial and final states; snapshots and the summary
-    JSON are written only when output_dir is set.  Aborts flush what was
-    recorded before propagating.
+    Diagnostics rows are appended at the record cadence plus the initial
+    and final states; snapshots and the summary JSON are written only when
+    output_dir is set.  The initial pinching against C* is logged here, once
+    per run.  Aborts flush what was recorded before propagating.
     """
-    params: FlowParams = config.params
-    control: StepControl = config.control
-    state: GraphState = config.initial
-    if state.grid is not config.grid and state.grid.shape != config.grid.shape:
-        raise DomainError("initial state grid does not match the configured grid")
+    params = config.params
+    control = config.control
+    state = config.initial
 
     constants = pinching_constants_cached(params, config.constants_samples, config.constants_seed)
     weights = state.grid.weights
@@ -296,7 +320,7 @@ def run(config, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             )
         return rec
 
-    fields = geometry_from_graph(state, params, full=False)
+    fields = geometry_from_graph(state, params)
     first = observe(state, fields, 0.0)
     initial_pinched = first.pinched
     if initial_pinched:
@@ -308,7 +332,7 @@ def run(config, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             constants.c_star,
         )
 
-    out_dir = getattr(config, "output_dir", None)
+    out_dir = config.output_dir
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
@@ -362,7 +386,7 @@ def run(config, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             n_steps += 1
             if config.renormalize_volume:
                 state = volume_renormalize(state, params, v0)
-            fields = geometry_from_graph(state, params, full=False)
+            fields = geometry_from_graph(state, params)
 
             if state.t + 1e-12 >= next_record:
                 observe(state, fields, last_dt)

@@ -301,11 +301,7 @@ def axisym_pointwise_curvatures(r, rp, rpp, azim, ac: AmbientCurvature):
 
 @dataclass
 class GeometryFields:
-    """Per-node geometry of a state, flattened over nodes.
-
-    The tensor fields (Dr, D2r, g, g_inv, h, W) are populated only when the
-    full assembly is requested; the scalar fields always are.
-    """
+    """Per-node geometry of a state, flattened over nodes."""
 
     r: np.ndarray
     s: np.ndarray
@@ -318,19 +314,13 @@ class GeometryFields:
     Phi: np.ndarray
     area_weight: np.ndarray
     min_spacing: float
-    Dr: np.ndarray | None = None
-    D2r: np.ndarray | None = None
-    g: np.ndarray | None = None
-    g_inv: np.ndarray | None = None
-    h: np.ndarray | None = None
-    W: np.ndarray | None = None
 
 
-def geometry_from_graph(state: GraphState, params: FlowParams, full: bool = True) -> GeometryFields:
+def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields:
     """Assemble the per-node geometry of a radial graph.
 
-    full=False skips the tensor fields; the flow integrator uses that path
-    inside stages, while diagnostics and tests take the complete assembly.
+    The axisymmetric spectrum is diagonal in the adapted frame; full2d
+    assembles the 2x2 frame tensors and takes their eigenvalues.
     """
     grid = state.grid
     if grid.n != params.n:
@@ -348,39 +338,7 @@ def geometry_from_graph(state: GraphState, params: FlowParams, full: bool = True
         lam.sort(axis=1)
         H = lam_theta + (n - 1) * lam_azim
         min_spacing = grid.spacing_theta * float(np.sqrt(np.min(xi * xi)))
-        fields = _scalar_fields(state, params, lam, H, xi, s, c, min_spacing)
-        if full:
-            Dr = np.zeros((N, n))
-            Dr[:, 0] = rp
-            D2r = np.zeros((N, n, n))
-            D2r[:, 0, 0] = rpp
-            g = np.zeros((N, n, n))
-            g_inv = np.zeros((N, n, n))
-            h2 = np.zeros((N, n, n))
-            W = np.zeros((N, n, n))
-            xi_sq = xi * xi
-            s_sq = s * s
-            h_theta = lam_theta * xi_sq
-            h_azim = lam_azim * s_sq
-            g[:, 0, 0] = xi_sq
-            g_inv[:, 0, 0] = 1.0 / xi_sq
-            h2[:, 0, 0] = h_theta
-            W[:, 0, 0] = lam_theta
-            for k in range(1, n):
-                D2r[:, k, k] = azim
-                g[:, k, k] = s_sq
-                g_inv[:, k, k] = 1.0 / s_sq
-                h2[:, k, k] = h_azim
-                W[:, k, k] = lam_azim
-            fields.Dr, fields.D2r, fields.g, fields.g_inv, fields.h, fields.W = (
-                Dr,
-                D2r,
-                g,
-                g_inv,
-                h2,
-                W,
-            )
-        return fields
+        return _scalar_fields(state, params, lam, H, xi, s, c, min_spacing)
 
     # full2d: assemble 2x2 frame tensors and take closed-form eigenvalues.
     Dr, D2r = spherical_derivatives(state)
@@ -413,17 +371,7 @@ def geometry_from_graph(state: GraphState, params: FlowParams, full: bool = True
     sin_t = np.repeat(np.sin(grid.theta), grid.n_phi)
     phi_spacing = grid.spacing_phi * sin_t * np.sqrt(g[:, 1, 1])
     min_spacing = float(min(np.min(theta_spacing), np.min(phi_spacing)))
-    fields = _scalar_fields(state, params, lam, tr, xi, s, c, min_spacing)
-    if full:
-        fields.Dr, fields.D2r, fields.g, fields.g_inv, fields.h, fields.W = (
-            Dr,
-            D2r,
-            g,
-            g_inv,
-            h2,
-            W,
-        )
-    return fields
+    return _scalar_fields(state, params, lam, tr, xi, s, c, min_spacing)
 
 
 def _scalar_fields(state, params, lam, H, xi, s, c, min_spacing) -> GeometryFields:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from glob import glob
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from horoflow import (
     AmbientCurvature,
     FlowParams,
     GraphState,
+    RunConfig,
     StepControl,
     analyze_diagnostics,
     ball_volume,
@@ -62,19 +62,13 @@ def make_params(n, m, beta, kappa=-1.0):
 
 def scenario_config(params, n_theta, t_end, output_dir=None, snapshot_interval=None):
     grid = make_grid("axisymmetric", params.n, n_theta)
-    return SimpleNamespace(
+    return RunConfig(
         params=params,
-        grid=grid,
         initial=perturbed_sphere_state(grid, 1.0, 2, 0.05),
-        control=StepControl(),
         t_end=t_end,
-        record_interval=0.002,
         snapshot_interval=snapshot_interval,
-        f_tol=1e-8,
-        renormalize_volume=False,
         output_dir=output_dir,
         constants_samples=CONSTANTS_SAMPLES,
-        constants_seed=0,
     )
 
 
@@ -214,7 +208,7 @@ def lam_error_vs_analytic(n_theta, params, r0=1.0, amp=0.05, ell=3):
     azim[0] = rpp[0]
     azim[-1] = rpp[-1]
     state = GraphState(t=0.0, grid=grid, r=r)
-    fields = geometry_from_graph(state, params, full=False)
+    fields = geometry_from_graph(state, params)
     lt, la, _xi, _s, _c = axisym_pointwise_curvatures(r, rp, rpp, azim, params.ac)
     exact = np.sort(np.stack([lt] + [la] * (params.n - 1), axis=1), axis=1)
     return float(np.max(np.abs(fields.lam - exact)))

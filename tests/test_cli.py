@@ -26,6 +26,7 @@ from horoflow.cli import (
     read_config_text,
 )
 from horoflow.curvalg import DEFAULT_SAMPLES
+from horoflow.flow import run
 
 MINIMAL = {
     "params.n": 2,
@@ -96,8 +97,8 @@ def test_read_config_text_collects_all_problems():
 def test_minimal_config_defaults():
     config = config_from_values(dict(MINIMAL))
     assert config.params.n == 2
-    assert config.grid.mode == "axisymmetric"
-    assert config.grid.n_theta == 256
+    assert config.initial.grid.mode == "axisymmetric"
+    assert config.initial.grid.n_theta == 256
     assert config.control.scheme == "heun"
     assert config.control.safety == 0.2
     assert config.control.dt_min == 1e-10
@@ -159,7 +160,7 @@ def test_config_full2d_rules():
         config_from_values(values)
     assert any("even integer" in p for p in err.value.problems)
     good = config_from_values({**MINIMAL, "grid.mode": "full2d", "grid.n_theta": 32, "grid.n_phi": 16})
-    assert good.grid.mode == "full2d"
+    assert good.initial.grid.mode == "full2d"
     assert good.initial.r.shape == (32, 16)
 
 
@@ -224,9 +225,30 @@ def test_config_custom_snapshot(tmp_path):
 def test_parse_config_reads_files(tmp_path):
     path = write_config(tmp_path, **{"grid.n_theta": 48, "constants.n_samples": 2000})
     config = parse_config(path)
-    assert config.grid.n_theta == 48
+    assert config.initial.grid.n_theta == 48
     with pytest.raises(ConfigurationError):
         parse_config(str(tmp_path / "absent.cfg"))
+
+
+def test_parse_config_and_run_log_the_pinching_verdict_once(tmp_path, caplog):
+    path = write_config(
+        tmp_path,
+        **{
+            "params.m": 2,
+            "grid.n_theta": 32,
+            "initial.shape": "perturbed_sphere",
+            "initial.mode_l": 2,
+            "initial.amplitude": 0.05,
+            "flow.t_end": 0.01,
+            "constants.n_samples": 2000,
+        },
+    )
+    with caplog.at_level("INFO", logger="horoflow"):
+        result = run(parse_config(path))
+    assert result.initial_pinched is False
+    verdicts = [r for r in caplog.records if "initial state" in r.getMessage()]
+    assert len(verdicts) == 1
+    assert verdicts[0].levelname == "WARNING"
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,19 @@ def test_cone_sampler_degenerates_to_umbilic_point():
     assert np.allclose(pts[0], 1.0 / math.sqrt(3.0), rtol=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_bounds_at_the_umbilic_cone(ac, n):
+    # At eps = 1/n the cone is the umbilic ray; both bounds are its values there.
+    params = FlowParams(n=n, m=2, beta=1.0, ac=ac)
+    sampler = ConeSampler(n, n_samples=300, seed=1)
+    umbilic = np.full((1, n), 1.0 / math.sqrt(n))
+    floor = gradient_floor(1.0 / n, params, sampler).value
+    ceiling = hessian_ceiling(1.0 / n, params, sampler).value
+    assert np.isfinite(floor) and np.isfinite(ceiling)
+    assert floor == _gradient_floor_values(umbilic, params)[0]
+    assert ceiling == _quadform_operator_norm(umbilic, params)[0]
+
+
 def test_project_to_cone_feasibility(rng):
     x = rng.standard_normal((3000, 4))
     for eps in (0.01, 0.1, 0.2):
