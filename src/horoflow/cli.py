@@ -36,6 +36,7 @@ from . import curvalg, flow, graphgeom, monitors, oracle
 from .curvalg import FlowParams
 from .errors import (
     ConfigurationError,
+    DomainError,
     HoroflowError,
     NumericalBlowupError,
     ParabolicityLostError,
@@ -109,8 +110,7 @@ def read_config_text(text: str) -> dict:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
         values[key] = _parse_scalar(raw)
-    if problems:
-        raise ConfigurationError(problems)
+    ConfigurationError.raise_if(problems)
     return values
 
 
@@ -153,10 +153,11 @@ _KNOWN_KEYS = {
 
 
 def config_from_values(values: dict) -> RunConfig:
-    """Validate a parsed key/value mapping and construct the run objects.
+    """Parse a key/value mapping and construct the run objects.
 
-    Every offending field is collected before raising, so one pass over the
-    error message fixes the file.
+    Only keys and types are checked here; the owning types' `problems`
+    rules run on the parsed values, so every offending field is collected
+    before raising and one pass over the error message fixes the file.
     """
     problems = [f"unknown key {key!r}" for key in sorted(set(values) - _KNOWN_KEYS)]
 
@@ -183,130 +184,76 @@ def config_from_values(values: dict) -> RunConfig:
     m = number("params.m", integer=True)
     beta = number("params.beta")
     kappa = number("params.kappa")
-    if n is not None and n < 2:
-        problems.append(f"params.n must be >= 2, got {n}")
-    if n is not None and m is not None and not 1 <= m <= n:
-        problems.append(f"params.m must be in [1, {n}], got {m}")
-    if beta is not None and beta <= 0:
-        problems.append(f"params.beta must be positive, got {beta}")
-    if m is not None and beta is not None and m * beta < 1.0 - 1e-15:
-        problems.append(f"params.m * params.beta must be >= 1, got {m * beta}")
-    if kappa is not None and kappa >= 0:
-        problems.append(f"params.kappa must be negative (hyperbolic ambient), got {kappa}")
 
     mode = take("grid.mode", "axisymmetric")
-    if mode not in graphgeom.MODES:
-        problems.append(f"grid.mode must be one of {graphgeom.MODES}, got {mode!r}")
     n_theta = number("grid.n_theta", 256, integer=True)
     n_phi = take("grid.n_phi")
-    if n_theta is not None and n_theta < graphgeom.MIN_NODES_THETA:
-        problems.append(f"grid.n_theta must be >= {graphgeom.MIN_NODES_THETA}, got {n_theta}")
-    if mode == "full2d":
-        if n is not None and n != 2:
-            problems.append("full2d grids require params.n = 2")
-        if not isinstance(n_phi, int) or n_phi < 8 or n_phi % 2:
-            problems.append(f"grid.n_phi must be an even integer >= 8 for full2d, got {n_phi}")
 
     shape = take("initial.shape")
     if shape not in INITIAL_SHAPES:
         problems.append(f"initial.shape must be one of {INITIAL_SHAPES}, got {shape!r}")
-    r0 = mode_l = amplitude = None
+    r0 = mode_l = amplitude = snapshot = None
     mode_phi = 0
-    snapshot_path = None
     if shape in ("sphere", "perturbed_sphere"):
         r0 = number("initial.r0")
-        if r0 is not None and r0 <= 0:
-            problems.append(f"initial.r0 must be positive, got {r0}")
     if shape == "perturbed_sphere":
         mode_l = number("initial.mode_l", integer=True)
         amplitude = number("initial.amplitude")
         mode_phi = number("initial.mode_phi", 0, integer=True) or 0
-        if mode_l is not None and mode_l < 2:
-            problems.append(
-                f"initial.mode_l must be >= 2 (0 rescales, 1 translates), got {mode_l}"
-            )
-        if amplitude is not None and r0 and abs(amplitude) / r0 > 0.2:
-            problems.append(
-                f"initial.amplitude/r0 must be <= 0.2 for star-shapedness, got {abs(amplitude) / r0:.3g}"
-            )
-        if mode_phi and mode != "full2d":
-            problems.append("initial.mode_phi requires grid.mode = full2d")
     if shape == "custom":
-        snapshot_path = take("initial.snapshot")
-        if not isinstance(snapshot_path, str):
-            problems.append("initial.snapshot must be a path for custom initial data")
-        elif not os.path.exists(snapshot_path):
-            problems.append(f"initial.snapshot file not found: {snapshot_path}")
+        snapshot = _read_snapshot(take("initial.snapshot"), problems)
 
     scheme = take("control.scheme", StepControl.scheme)
     if isinstance(scheme, str):
         scheme = scheme.lower()
-    if scheme not in flow.SCHEMES:
-        problems.append(f"control.scheme must be one of {flow.SCHEMES}, got {scheme!r}")
     safety = number("control.safety", StepControl.safety)
     dt_min = number("control.dt_min", StepControl.dt_min)
     dt_max = number("control.dt_max", StepControl.dt_max)
-    if safety is not None and not 0 < safety <= 1:
-        problems.append(f"control.safety must be in (0, 1], got {safety}")
-    if dt_min is not None and dt_max is not None and not 0 < dt_min <= dt_max:
-        problems.append(f"need 0 < control.dt_min <= control.dt_max, got {dt_min}, {dt_max}")
 
     t_end = number("flow.t_end", 10.0)
     f_tol = number("flow.f_tol", RunConfig.f_tol)
     record_interval = number("flow.record_interval", RunConfig.record_interval)
-    snapshot_interval = take("flow.snapshot_interval")
+    snapshot_interval = number("flow.snapshot_interval", 0) or None  # 0 disables snapshots
     renormalize = take("flow.renormalize_volume", RunConfig.renormalize_volume)
-    # flow.seed is read only as the default of constants.seed.
-    seed = number("flow.seed", RunConfig.constants_seed, integer=True)
-    if t_end is not None and t_end <= 0:
-        problems.append(f"flow.t_end must be positive, got {t_end}")
-    if f_tol is not None and f_tol <= 0:
-        problems.append(f"flow.f_tol must be positive, got {f_tol}")
-    if record_interval is not None and record_interval <= 0:
-        problems.append(f"flow.record_interval must be positive, got {record_interval}")
-    if snapshot_interval in (0, None):
-        snapshot_interval = None
-    elif (
-        not isinstance(snapshot_interval, (int, float))
-        or not _finite(snapshot_interval)
-        or snapshot_interval <= 0
-    ):
-        problems.append(
-            f"flow.snapshot_interval must be positive and finite (or 0 to disable), "
-            f"got {snapshot_interval}"
-        )
     if not isinstance(renormalize, bool):
         problems.append(f"flow.renormalize_volume must be a boolean, got {renormalize!r}")
-
+    # flow.seed is read only as the default of constants.seed.
+    seed = number("flow.seed", RunConfig.constants_seed, integer=True)
     constants_samples = number("constants.n_samples", RunConfig.constants_samples, integer=True)
     constants_seed = number(
         "constants.seed", seed if seed is not None else RunConfig.constants_seed, integer=True
     )
-    if constants_samples is not None and constants_samples < 100:
-        problems.append(f"constants.n_samples must be >= 100, got {constants_samples}")
 
     output_dir = take("output.dir")
     if output_dir is not None and not isinstance(output_dir, str):
         problems.append(f"output.dir must be a path, got {output_dir!r}")
 
-    if problems:
-        raise ConfigurationError(problems)
+    problems += FlowParams.problems(n, m, beta)
+    problems += AmbientCurvature.problems(kappa)
+    problems += graphgeom.grid_problems(mode, n, n_theta, n_phi)
+    if shape in ("sphere", "perturbed_sphere"):
+        problems += graphgeom.initial_problems(mode, n_theta, r0, mode_l, amplitude, mode_phi)
+    problems += StepControl.problems(safety, dt_min, dt_max, scheme)
+    problems += RunConfig.problems(
+        n, snapshot.grid.n if snapshot else n, t_end, record_interval, snapshot_interval,
+        f_tol, constants_samples, constants_seed,
+    )
+    ConfigurationError.raise_if(problems)
 
     params = FlowParams(n=n, m=m, beta=float(beta), ac=AmbientCurvature(kappa=float(kappa)))
-    if shape == "custom":
-        initial = graphgeom.load_snapshot(snapshot_path)
-        if initial.grid.n != params.n:
-            raise ConfigurationError(
-                [f"snapshot dimension n={initial.grid.n} does not match params.n={params.n}"]
-            )
+    if snapshot is not None:
+        initial = snapshot
     else:
-        grid = make_grid(mode, params.n, n_theta, n_phi if mode == "full2d" else None)
-        if shape == "sphere":
-            initial = graphgeom.sphere_state(grid, float(r0))
-        else:
-            initial = graphgeom.perturbed_sphere_state(
-                grid, float(r0), int(mode_l), float(amplitude), mode_phi=int(mode_phi)
-            )
+        grid = make_grid(mode, n, n_theta, n_phi if mode == "full2d" else None)
+        try:
+            if shape == "sphere":
+                initial = graphgeom.sphere_state(grid, float(r0))
+            else:
+                initial = graphgeom.perturbed_sphere_state(
+                    grid, float(r0), mode_l, float(amplitude), mode_phi=mode_phi
+                )
+        except DomainError as exc:  # the profile overflows a float
+            raise ConfigurationError([f"initial.shape = {shape} is not representable: {exc}"])
     control = StepControl(
         safety=float(safety), dt_min=float(dt_min), dt_max=float(dt_max), scheme=scheme
     )
@@ -319,10 +266,24 @@ def config_from_values(values: dict) -> RunConfig:
         snapshot_interval=float(snapshot_interval) if snapshot_interval else None,
         f_tol=float(f_tol),
         output_dir=output_dir,
-        renormalize_volume=bool(renormalize),
-        constants_samples=int(constants_samples),
-        constants_seed=int(constants_seed),
+        renormalize_volume=renormalize,
+        constants_samples=constants_samples,
+        constants_seed=constants_seed,
     )
+
+
+def _read_snapshot(path, problems: list[str]):
+    """Load the custom initial state, or append why it cannot be loaded."""
+    if not isinstance(path, str):
+        problems.append("initial.snapshot must be a path for custom initial data")
+        return None
+    try:
+        return graphgeom.load_snapshot(path)
+    except FileNotFoundError:
+        problems.append(f"initial.snapshot file not found: {path}")
+    except (OSError, ValueError, HoroflowError) as exc:
+        problems.append(f"initial.snapshot {path} is not a readable grid snapshot: {exc}")
+    return None
 
 
 def parse_config(path: str) -> RunConfig:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     DomainError,
     FeasibilityError,
     ParabolicityLostError,
@@ -51,6 +52,8 @@ EIGEN_COALESCE_RTOL = 1.0e-8
 DEGENERATE_EPSILON_FLOOR = 1.0e-2
 
 DEFAULT_SAMPLES = 100_000
+# Fewest cone samples a sampler (and constants.n_samples) accepts.
+MIN_SAMPLES = 100
 BISECTION_TOL = 1.0e-8
 _SLICE_VALIDATION_SAMPLES = 200_000
 _SLICE_VALIDATION_RTOL = 1.0e-3
@@ -66,16 +69,24 @@ class FlowParams:
     ac: AmbientCurvature
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"hypersurface dimension n must be an integer >= 2, got {self.n}")
-        if not isinstance(self.m, int) or not 1 <= self.m <= self.n:
-            raise DomainError(f"curvature order m must be an integer in [1, n], got {self.m}")
-        if not np.isfinite(self.beta) or self.beta <= 0.0:
-            raise DomainError(f"speed power beta must be positive, got {self.beta}")
-        if self.m * self.beta < 1.0 - 1e-15:
-            raise DomainError(
-                f"degree m*beta must be >= 1 for the flow to contract properly, got {self.m * self.beta}"
-            )
+        ConfigurationError.raise_if(self.problems(self.n, self.m, self.beta))
+
+    @staticmethod
+    def problems(n, m=None, beta=None) -> list[str]:
+        """The rules on params.n, params.m and params.beta."""
+        problems = []
+        if n is not None and not (isinstance(n, int) and n >= 2):
+            problems.append(f"params.n must be >= 2 and an integer, got {n!r}")
+        m_ok = isinstance(m, int) and 1 <= m <= (n if isinstance(n, int) else m)
+        if m is not None and not m_ok:
+            problems.append(f"params.m must be an integer in [1, params.n = {n}], got {m!r}")
+        beta_ok = beta is not None and math.isfinite(beta) and beta > 0.0
+        if beta is not None and not beta_ok:
+            problems.append(f"params.beta must be positive and finite, got {beta}")
+        # The degree m*beta >= 1 makes the flow contract properly.
+        if m_ok and beta_ok and m * beta < 1.0 - 1e-15:
+            problems.append(f"params.m * params.beta must be >= 1, got {m * beta}")
+        return problems
 
     @property
     def mbeta(self) -> float:
@@ -300,8 +311,8 @@ class ConeSampler:
     def __init__(self, n: int, n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
         if n < 2:
             raise DomainError("sampler needs n >= 2")
-        if n_samples < 100:
-            raise DomainError("sampler needs at least 100 points")
+        if n_samples < MIN_SAMPLES:
+            raise DomainError(f"sampler needs at least {MIN_SAMPLES} points")
         self.n = n
         self.n_samples = int(n_samples)
         self.seed = int(seed)

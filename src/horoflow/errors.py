@@ -15,16 +15,25 @@ class SingularityError(DomainError):
     """A quantity was requested exactly at a pole of its formula."""
 
 
-class ConfigurationError(HoroflowError, ValueError):
+class ConfigurationError(DomainError):
     """A run configuration failed validation.
 
     Carries the full list of offending fields so a user can fix a config
-    file in one pass instead of replaying the parser error by error.
+    file in one pass instead of replaying the parser error by error.  The
+    types that own config fields state their rules once, in `problems`
+    functions over plain values whose messages lead with the config key; a
+    None value (one that failed to parse) skips the rules that read it.
     """
 
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("invalid configuration: " + "; ".join(self.problems))
+
+    @classmethod
+    def raise_if(cls, problems: list[str]) -> None:
+        """Raise one error listing every problem, if there are any."""
+        if problems:
+            raise cls(problems)
 
 
 class ParabolicityLostError(HoroflowError):

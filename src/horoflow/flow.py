@@ -25,12 +25,14 @@ import numpy as np
 
 from .curvalg import (
     DEFAULT_SAMPLES,
+    MIN_SAMPLES,
     FlowParams,
     PinchingConstants,
     solve_pinching_constants,
     speed_gradient,
 )
 from .errors import (
+    ConfigurationError,
     DomainError,
     HoroflowError,
     NumericalBlowupError,
@@ -45,7 +47,7 @@ from .graphgeom import (
     save_snapshot,
 )
 from .hypergeom import generalized_sine
-from .monitors import DiagnosticsRecorder, fit_exponential
+from .monitors import DiagnosticsRecorder, average_speed, fit_exponential, pinching_minimum
 from .oracle import support_offset
 
 logger = logging.getLogger(__name__)
@@ -75,12 +77,21 @@ class StepControl:
     scheme: str = "heun"
 
     def __post_init__(self):
-        if not 0.0 < self.safety <= 1.0:
-            raise DomainError(f"safety factor must be in (0, 1], got {self.safety}")
-        if not 0.0 < self.dt_min <= self.dt_max:
-            raise DomainError("need 0 < dt_min <= dt_max")
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        ConfigurationError.raise_if(
+            self.problems(self.safety, self.dt_min, self.dt_max, self.scheme)
+        )
+
+    @staticmethod
+    def problems(safety, dt_min, dt_max, scheme) -> list[str]:
+        """The rules on the control.* keys."""
+        problems = []
+        if safety is not None and not 0.0 < safety <= 1.0:
+            problems.append(f"control.safety must be in (0, 1], got {safety}")
+        if dt_min is not None and dt_max is not None and not 0.0 < dt_min <= dt_max:
+            problems.append(f"control.dt_min must be in (0, control.dt_max], got {dt_min}, {dt_max}")
+        if scheme not in SCHEMES:
+            problems.append(f"control.scheme must be one of {SCHEMES}, got {scheme!r}")
+        return problems
 
 
 @dataclass(frozen=True)
@@ -105,13 +116,38 @@ class RunConfig:
     constants_samples: int = DEFAULT_SAMPLES
     constants_seed: int = 0
 
+    def __post_init__(self):
+        ConfigurationError.raise_if(
+            self.problems(
+                self.params.n, self.initial.grid.n, self.t_end, self.record_interval,
+                self.snapshot_interval, self.f_tol, self.constants_samples, self.constants_seed,
+            )
+        )
 
-def average_speed(fields: GeometryFields) -> float:
-    """Area-weighted average of the speed over the hypersurface."""
-    total = float(np.sum(fields.area_weight))
-    if total <= 0.0:
-        raise DomainError("total area is not positive; cannot average the speed")
-    return float(np.sum(fields.F * fields.area_weight)) / total
+    @staticmethod
+    def problems(
+        params_n, grid_n, t_end, record_interval, snapshot_interval, f_tol,
+        constants_samples, constants_seed,
+    ) -> list[str]:
+        """The rules on flow.*, constants.* and the grid dimension; None disables snapshots."""
+        positive = {
+            "flow.t_end": t_end,
+            "flow.record_interval": record_interval,
+            "flow.snapshot_interval": snapshot_interval,
+            "flow.f_tol": f_tol,
+        }
+        problems = [
+            f"{key} must be positive and finite, got {value}"
+            for key, value in positive.items()
+            if value is not None and not (math.isfinite(value) and value > 0.0)
+        ]
+        if constants_samples is not None and constants_samples < MIN_SAMPLES:
+            problems.append(f"constants.n_samples must be >= {MIN_SAMPLES}, got {constants_samples}")
+        if constants_seed is not None and constants_seed < 0:
+            problems.append(f"constants.seed must be >= 0, got {constants_seed}")
+        if params_n is not None and grid_n is not None and grid_n != params_n:
+            problems.append(f"initial.grid.n = {grid_n} does not match params.n = {params_n}")
+        return problems
 
 
 def _stage_rate(fields: GeometryFields) -> tuple[np.ndarray, float]:
@@ -121,20 +157,8 @@ def _stage_rate(fields: GeometryFields) -> tuple[np.ndarray, float]:
 
 
 def flow_rhs(state: GraphState, params: FlowParams) -> np.ndarray:
-    """Evaluate dr/dt = (Fbar - F) |xi| / s on the grid's natural shape.
-
-    Logs a warning when h-convexity fails (the flow is still defined while
-    H_m > 0; losing parabolicity raises instead).
-    """
-    fields = geometry_from_graph(state, params)
-    if float(np.min(fields.lam)) <= params.a:
-        logger.warning(
-            "h-convexity lost at t=%.6g (min lambda = %.6g <= a = %.6g)",
-            state.t,
-            float(np.min(fields.lam)),
-            params.a,
-        )
-    rate, _fbar = _stage_rate(fields)
+    """Evaluate dr/dt = (Fbar - F) |xi| / s on the grid's natural shape."""
+    rate, _fbar = _stage_rate(geometry_from_graph(state, params))
     return rate.reshape(state.grid.shape)
 
 
@@ -242,16 +266,6 @@ def volume_renormalize(state: GraphState, params: FlowParams, v0: float) -> Grap
     raise RootFindingError("volume renormalization Newton did not converge in 50 iterations")
 
 
-def _roundness_deficit(fields: GeometryFields, params: FlowParams) -> float:
-    """Max over nodes of 1/n^n - Qtilde; NaN when the shifted trace dips <= 0."""
-    shifted = fields.lam - params.a
-    htilde = np.sum(shifted, axis=-1)
-    if float(np.min(htilde)) <= 0.0:
-        return math.nan
-    qtilde_min = float(np.min(np.prod(shifted, axis=-1) / htilde**params.n))
-    return 1.0 / params.n**params.n - qtilde_min
-
-
 _CONSTANTS_CACHE: dict[tuple, PinchingConstants] = {}
 
 
@@ -351,7 +365,8 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     status = "max_steps"
     try:
         while True:
-            deficit = _roundness_deficit(fields, params)
+            # Roundness deficit 1/n^n - Qtilde_min; NaN when Htilde dips <= 0.
+            deficit = 1.0 / params.n**params.n - pinching_minimum(fields, params)[1]
             r = state.r
             oscillation = float((np.max(r) - np.min(r)) / np.mean(r))
             if (

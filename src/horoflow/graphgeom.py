@@ -32,7 +32,7 @@ from io import StringIO
 import numpy as np
 
 from .curvalg import FlowParams, speed
-from .errors import DomainError, HoroflowError
+from .errors import ConfigurationError, DomainError, HoroflowError
 from .hypergeom import AmbientCurvature
 
 logger = logging.getLogger(__name__)
@@ -50,7 +50,11 @@ _TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
 
 def _sphere_area(dim: int) -> float:
     """Total measure of the round unit sphere S^dim."""
-    return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
+    half = (dim + 1) / 2.0
+    try:
+        return 2.0 * math.pi**half / math.gamma(half)
+    except OverflowError:  # dim > 340: the measure tends to 0 through log space
+        return 2.0 * math.exp(half * math.log(math.pi) - math.lgamma(half))
 
 
 @dataclass(frozen=True)
@@ -68,24 +72,31 @@ class GridSpec:
     spacing_phi: float | None
 
     @property
-    def n_nodes(self) -> int:
-        return self.weights.size
-
-    @property
     def shape(self) -> tuple[int, ...]:
         if self.mode == "axisymmetric":
             return (self.n_theta,)
         return (self.n_theta, self.n_phi)
 
 
+def grid_problems(mode, n, n_theta, n_phi=None) -> list[str]:
+    """The rules on grid.mode, grid.n_theta and grid.n_phi."""
+    problems = []
+    if mode not in MODES:
+        problems.append(f"grid.mode must be one of {MODES}, got {mode!r}")
+    if n_theta is not None and n_theta < MIN_NODES_THETA:
+        problems.append(f"grid.n_theta must be >= {MIN_NODES_THETA}, got {n_theta}")
+    if mode == "full2d":
+        if n is not None and n != 2:
+            problems.append(f"grid.mode = full2d requires params.n = 2, got {n}")
+        # Pole ghost rows shift by pi, so n_phi must be even.
+        if not isinstance(n_phi, int) or n_phi < 8 or n_phi % 2:
+            problems.append(f"grid.n_phi must be an even integer >= 8 for full2d, got {n_phi}")
+    return problems
+
+
 def make_grid(mode: str, n: int, n_theta: int, n_phi: int | None = None) -> GridSpec:
     """Build a grid specification with precomputed nodes and quadrature weights."""
-    if mode not in MODES:
-        raise DomainError(f"unknown grid mode {mode!r}; expected one of {MODES}")
-    if n < 2:
-        raise DomainError(f"hypersurface dimension n must be >= 2, got {n}")
-    if n_theta < MIN_NODES_THETA:
-        raise DomainError(f"n_theta must be >= {MIN_NODES_THETA}, got {n_theta}")
+    ConfigurationError.raise_if(FlowParams.problems(n) + grid_problems(mode, n, n_theta, n_phi))
 
     if mode == "axisymmetric":
         h = math.pi / (n_theta - 1)
@@ -105,10 +116,6 @@ def make_grid(mode: str, n: int, n_theta: int, n_phi: int | None = None) -> Grid
             spacing_phi=None,
         )
 
-    if n != 2:
-        raise DomainError("full2d mode is only defined for n = 2")
-    if n_phi is None or n_phi < 8 or n_phi % 2 != 0:
-        raise DomainError("full2d needs an even n_phi >= 8 (pole ghosts shift by pi)")
     h_t = math.pi / n_theta
     theta = (np.arange(n_theta) + 0.5) * h_t
     h_p = 2.0 * math.pi / n_phi
@@ -150,10 +157,34 @@ class GraphState:
         return self.r.reshape(-1)
 
 
+def initial_problems(grid_mode, n_theta, r0, mode_l=None, amplitude=None, mode_phi=0) -> list[str]:
+    """The rules on initial.r0 and the perturbation fields (None for a sphere)."""
+    problems = []
+    r0_ok = r0 is not None and math.isfinite(r0) and r0 > 0.0
+    if r0 is not None and not r0_ok:
+        problems.append(f"initial.r0 must be positive and finite, got {r0}")
+    if mode_l is not None and mode_l < 2:
+        problems.append(f"initial.mode_l must be >= 2 (0 rescales, 1 translates), got {mode_l}")
+    elif mode_l is not None and n_theta is not None and mode_l >= n_theta:
+        problems.append(
+            f"initial.mode_l must be < grid.n_theta = {n_theta} (higher degrees alias), got {mode_l}"
+        )
+    if amplitude is not None and r0_ok and not abs(amplitude) / r0 <= 0.2:
+        problems.append(
+            f"initial.amplitude/r0 must be <= 0.2 for star-shapedness, got {abs(amplitude) / r0:.3g}"
+        )
+    if mode_phi and grid_mode != "full2d":
+        problems.append("initial.mode_phi requires grid.mode = full2d")
+    elif mode_phi and mode_l is not None and abs(mode_phi) > mode_l:
+        problems.append(
+            f"initial.mode_phi must be <= initial.mode_l in magnitude, got {mode_phi}, {mode_l}"
+        )
+    return problems
+
+
 def sphere_state(grid: GridSpec, r0: float, t: float = 0.0) -> GraphState:
     """Return the geodesic sphere of radius r0 as a state."""
-    if r0 <= 0.0:
-        raise DomainError("sphere radius must be positive")
+    ConfigurationError.raise_if(initial_problems(grid.mode, grid.n_theta, r0))
     return GraphState(t=t, grid=grid, r=np.full(grid.shape, float(r0)))
 
 
@@ -167,21 +198,14 @@ def perturbed_sphere_state(
 ) -> GraphState:
     """Return r = r0 + amplitude * (smooth degree-l profile), optionally with
     azimuthal dependence (full2d only, via an associated Legendre factor)."""
-    if r0 <= 0.0:
-        raise DomainError("base radius must be positive")
-    if mode_l < 2:
-        raise DomainError("perturbation mode must have l >= 2 (l < 2 shifts or translates)")
-    if abs(amplitude) / r0 > 0.2:
-        raise DomainError("relative perturbation amplitude capped at 0.2")
-    if mode_phi != 0 and grid.mode != "full2d":
-        raise DomainError("azimuthal perturbations require a full2d grid")
+    ConfigurationError.raise_if(
+        initial_problems(grid.mode, grid.n_theta, r0, mode_l, amplitude, mode_phi)
+    )
     if mode_phi == 0:
         profile = np.cos(mode_l * grid.theta)
         if grid.mode == "full2d":
             profile = np.repeat(profile[:, None], grid.n_phi, axis=1)
     else:
-        if mode_phi > mode_l:
-            raise DomainError("azimuthal order cannot exceed l")
         from scipy.special import lpmv
 
         leg = lpmv(mode_phi, mode_l, np.cos(grid.theta))
@@ -303,13 +327,10 @@ def axisym_pointwise_curvatures(r, rp, rpp, azim, ac: AmbientCurvature):
 class GeometryFields:
     """Per-node geometry of a state, flattened over nodes."""
 
-    r: np.ndarray
     s: np.ndarray
-    c: np.ndarray
     xi_norm: np.ndarray
     lam: np.ndarray
     H: np.ndarray
-    Hm: np.ndarray
     F: np.ndarray
     Phi: np.ndarray
     area_weight: np.ndarray
@@ -330,7 +351,7 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
     if grid.mode == "axisymmetric":
         r = state.r
         rp, rpp, azim = _axisym_scalar_derivatives(grid, r)
-        lam_theta, lam_azim, xi, s, c = axisym_pointwise_curvatures(r, rp, rpp, azim, params.ac)
+        lam_theta, lam_azim, xi, s, _c = axisym_pointwise_curvatures(r, rp, rpp, azim, params.ac)
         N = r.size
         lam = np.empty((N, n))
         lam[:, 0] = lam_theta
@@ -338,7 +359,7 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
         lam.sort(axis=1)
         H = lam_theta + (n - 1) * lam_azim
         min_spacing = grid.spacing_theta * float(np.sqrt(np.min(xi * xi)))
-        return _scalar_fields(state, params, lam, H, xi, s, c, min_spacing)
+        return _scalar_fields(state, params, lam, H, xi, s, min_spacing)
 
     # full2d: assemble 2x2 frame tensors and take closed-form eigenvalues.
     Dr, D2r = spherical_derivatives(state)
@@ -371,21 +392,18 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
     sin_t = np.repeat(np.sin(grid.theta), grid.n_phi)
     phi_spacing = grid.spacing_phi * sin_t * np.sqrt(g[:, 1, 1])
     min_spacing = float(min(np.min(theta_spacing), np.min(phi_spacing)))
-    return _scalar_fields(state, params, lam, tr, xi, s, c, min_spacing)
+    return _scalar_fields(state, params, lam, tr, xi, s, min_spacing)
 
 
-def _scalar_fields(state, params, lam, H, xi, s, c, min_spacing) -> GeometryFields:
+def _scalar_fields(state, params, lam, H, xi, s, min_spacing) -> GeometryFields:
     F = speed(lam, params)
     Phi = s * s / xi
     area_weight = s ** (params.n - 1) * xi * state.grid.weights
     return GeometryFields(
-        r=state.r_flat,
         s=s,
-        c=c,
         xi_norm=xi,
         lam=lam,
         H=H,
-        Hm=F ** (1.0 / params.beta) if params.beta != 1.0 else F,
         F=F,
         Phi=Phi,
         area_weight=area_weight,
@@ -411,37 +429,6 @@ def mean_curvature_direct(state: GraphState, params: FlowParams) -> np.ndarray:
     lap = np.trace(D2r, axis1=1, axis2=2)
     hess_rad = np.einsum("nij,ni,nj->n", D2r, Dr, Dr)
     return -(lap - hess_rad / xi_sq) / (xi * s) + (c / xi) * (params.n + dr_sq / xi_sq)
-
-
-def christoffel_difference(state: GraphState, params: FlowParams) -> np.ndarray:
-    """Difference tensor between the induced and round-sphere connections.
-
-    Frame components T^k_ij = g^{kl}[Hess_ij r D_l r + s c (D_i r delta_lj
-    + D_j r delta_il - D_l r delta_ij)], shape (N, n, k, i, j) collapsed to
-    (N, n, n, n).  Vanishes identically on geodesic spheres, where the
-    induced metric is a constant multiple of the round one and the two
-    connections coincide.
-    """
-    Dr, D2r = spherical_derivatives(state)
-    r = state.r_flat
-    a = params.a
-    s = np.sinh(a * r) / a
-    c = np.cosh(a * r)
-    dr_sq = np.einsum("ni,ni->n", Dr, Dr)
-    xi_sq = s * s + dr_sq
-    n = params.n
-    eye = np.eye(n)
-    sc = s * c
-    inner = (
-        np.einsum("nij,nl->nlij", D2r, Dr)
-        + np.einsum("n,ni,lj->nlij", sc, Dr, eye)
-        + np.einsum("n,nj,il->nlij", sc, Dr, eye)
-        - np.einsum("n,nl,ij->nlij", sc, Dr, eye)
-    )
-    g_up = (eye[None, :, :] - Dr[:, :, None] * Dr[:, None, :] / xi_sq[:, None, None]) / (
-        s * s
-    )[:, None, None]
-    return np.einsum("nkl,nlij->nkij", g_up, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +515,9 @@ def load_snapshot(path: str) -> GraphState:
         t = float(match.group(3))
         body = fh.read()
     data = np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
+    columns = 2 if mode == "axisymmetric" else 3
+    if data.shape[1] != columns:
+        raise HoroflowError(f"{path} has {data.shape[1]} columns, expected {columns}")
     if mode == "axisymmetric":
         grid = make_grid(mode, n, data.shape[0])
         if not np.allclose(data[:, 0], grid.theta, atol=1e-12):

@@ -17,11 +17,12 @@ All evaluators broadcast over numpy arrays.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import ConfigurationError, DomainError, SingularityError
 
 logger = logging.getLogger(__name__)
 
@@ -33,10 +34,14 @@ class AmbientCurvature:
     kappa: float
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa) or self.kappa >= 0.0:
-            raise DomainError(
-                f"ambient curvature must be finite and negative, got {self.kappa}"
-            )
+        ConfigurationError.raise_if(self.problems(self.kappa))
+
+    @staticmethod
+    def problems(kappa) -> list[str]:
+        """The rule on params.kappa."""
+        if kappa is not None and not (math.isfinite(kappa) and kappa < 0.0):
+            return [f"params.kappa must be negative (hyperbolic ambient) and finite, got {kappa}"]
+        return []
 
     @property
     def a(self) -> float:

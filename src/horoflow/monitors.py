@@ -82,6 +82,24 @@ class DiagnosticsRecord:
         return tuple(float(getattr(self, name)) for name in CSV_COLUMNS)
 
 
+def average_speed(fields: GeometryFields) -> float:
+    """Area-weighted average of the speed over the hypersurface."""
+    total_area = float(np.sum(fields.area_weight))
+    if total_area <= 0.0:
+        raise DomainError("total area weight must be positive")
+    return float(np.sum(fields.F * fields.area_weight)) / total_area
+
+
+def pinching_minimum(fields: GeometryFields, params: FlowParams) -> tuple[float, float]:
+    """Return (Htilde_min, Qtilde_min) of lam - a; Qtilde_min is NaN where Htilde_min <= 0."""
+    shifted = fields.lam - params.a
+    htilde = np.sum(shifted, axis=-1)
+    htilde_min = float(np.min(htilde))
+    if htilde_min <= 0.0:
+        return htilde_min, math.nan
+    return htilde_min, float(np.min(np.prod(shifted, axis=-1) / htilde**params.n))
+
+
 def record(
     state: GraphState,
     fields: GeometryFields,
@@ -95,28 +113,13 @@ def record(
     All reductions are single ordered numpy folds over the node axis, so
     identical inputs give bitwise identical rows.
     """
-    n = params.n
-    a = params.a
     weights = state.grid.weights
     V = float(np.sum(weights * enclosed_volume_integrand(state.r_flat, params)))
 
-    total_area = float(np.sum(fields.area_weight))
-    if total_area <= 0.0:
-        raise DomainError("total area weight must be positive")
-    fbar = float(np.sum(fields.F * fields.area_weight)) / total_area
-
-    shifted = fields.lam - a
-    lam_tilde_min = float(np.min(shifted))
-    htilde = np.sum(shifted, axis=-1)
-    htilde_min = float(np.min(htilde))
-
-    if htilde_min > 0.0:
-        qtilde = np.prod(shifted, axis=-1) / htilde**n
-        qtilde_min = float(np.min(qtilde))
-        f_max = 1.0 / n**n - qtilde_min
-    else:
-        qtilde_min = math.nan
-        f_max = math.nan
+    fbar = average_speed(fields)
+    lam_tilde_min = float(np.min(fields.lam - params.a))
+    htilde_min, qtilde_min = pinching_minimum(fields, params)
+    f_max = 1.0 / params.n**params.n - qtilde_min
 
     phi_min = float(np.min(fields.Phi))
     if phi_min > zeta_epsilon:

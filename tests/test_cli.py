@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horoflow import (
     ConfigurationError,
@@ -15,6 +17,7 @@ from horoflow import (
     save_snapshot,
 )
 from horoflow.cli import (
+    _KNOWN_KEYS,
     EXIT_INVARIANT,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -26,7 +29,7 @@ from horoflow.cli import (
     read_config_text,
 )
 from horoflow.curvalg import DEFAULT_SAMPLES
-from horoflow.flow import run
+from horoflow.flow import RunConfig, run
 
 MINIMAL = {
     "params.n": 2,
@@ -164,6 +167,22 @@ def test_config_full2d_rules():
     assert good.initial.r.shape == (32, 16)
 
 
+def test_config_azimuthal_order_above_mode_l():
+    values = {
+        **MINIMAL,
+        "grid.mode": "full2d",
+        "grid.n_theta": 16,
+        "grid.n_phi": 16,
+        "initial.shape": "perturbed_sphere",
+        "initial.mode_l": 2,
+        "initial.amplitude": 0.05,
+        "initial.mode_phi": 3,
+    }
+    with pytest.raises(ConfigurationError) as err:
+        config_from_values(values)
+    assert err.value.problems == ["initial.mode_phi must be <= initial.mode_l in magnitude, got 3, 2"]
+
+
 def test_config_snapshot_interval_zero_disables():
     config = config_from_values({**MINIMAL, "flow.snapshot_interval": 0})
     assert config.snapshot_interval is None
@@ -220,6 +239,75 @@ def test_config_custom_snapshot(tmp_path):
             }
         )
     assert any("does not match params.n" in p for p in err.value.problems)
+    junk = tmp_path / "junk.csv"
+    junk.write_text("not a snapshot\n1,2\n")
+    one_column = tmp_path / "one_column.csv"
+    thetas = "".join(f"{float(t)!r}\n" for t in make_grid("axisymmetric", 2, 16).theta)
+    one_column.write_text("# horoflow-grid v1, mode=axisym, n=2, t=0.0\n" + thetas)
+    for path in (str(tmp_path), str(junk), str(one_column), str(tmp_path / "absent.csv")):
+        with pytest.raises(ConfigurationError) as err:
+            config_from_values({**MINIMAL, "initial.shape": "custom", "initial.snapshot": path})
+        assert [p.split()[0] for p in err.value.problems] == ["initial.snapshot"]
+
+
+# Scalars of every parsed type, leaning on the values a valid file holds so
+# that the rule functions and the object construction are reached as well.
+_WORDS = st.sampled_from(
+    ["axisymmetric", "full2d", "sphere", "perturbed_sphere", "custom", "heun", "RK4"]
+)
+_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-2, max_value=40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.booleans(),
+    _WORDS,
+    # No path separators: a drawn initial.snapshot stays in the working directory.
+    st.text(alphabet=st.characters(blacklist_characters="/\\"), max_size=8),
+)
+_GRID_SIZES = st.one_of(
+    st.integers(max_value=512), st.sampled_from([8, 16, 32]), st.booleans(), st.floats()
+)
+_PERTURBED = {
+    **MINIMAL,
+    "initial.shape": "perturbed_sphere",
+    "initial.mode_l": 2,
+    "initial.amplitude": 0.05,
+}
+_FULL2D = {
+    **_PERTURBED,
+    "grid.mode": "full2d",
+    "grid.n_theta": 16,
+    "grid.n_phi": 16,
+    "initial.mode_phi": 1,
+}
+
+
+@st.composite
+def _config_values(draw):
+    """A valid base mapping (or none) with up to six keys redrawn or added."""
+    base = draw(st.sampled_from([{}, MINIMAL, _PERTURBED, _FULL2D]))
+    keys = draw(
+        st.lists(st.sampled_from(sorted(_KNOWN_KEYS) + ["bogus.key"]), max_size=6, unique=True)
+    )
+    drawn = {
+        key: draw(_GRID_SIZES if key in ("grid.n_theta", "grid.n_phi") else _SCALARS)
+        for key in keys
+    }
+    return {**base, **drawn}
+
+
+@settings(max_examples=300)
+@given(values=_config_values())
+def test_config_from_values_gives_a_config_or_a_configuration_error(values):
+    try:
+        config = config_from_values(values)
+    except ConfigurationError as err:
+        assert err.problems
+        assert len(set(err.problems)) == len(err.problems)
+    else:
+        assert isinstance(config, RunConfig)
+        assert "bogus.key" not in values
 
 
 def test_parse_config_reads_files(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 
 from horoflow import (
     AmbientCurvature,
+    ConfigurationError,
     DomainError,
     FlowParams,
     GraphState,
@@ -59,6 +60,35 @@ def test_step_control_validation():
         StepControl(dt_min=1e-2, dt_max=1e-3)
     with pytest.raises(DomainError):
         StepControl(scheme="euler")
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("flow.t_end", {"t_end": math.nan}),
+        ("flow.t_end", {"t_end": -1.0}),
+        ("flow.record_interval", {"record_interval": 0.0}),
+        ("flow.snapshot_interval", {"snapshot_interval": -1.0}),
+        ("flow.f_tol", {"f_tol": math.inf}),
+        ("constants.n_samples", {"constants_samples": 5}),
+        ("constants.seed", {"constants_seed": -1}),
+    ],
+)
+def test_run_config_rejects_out_of_domain_fields(params_n2m1, key, overrides):
+    initial = sphere_state(make_grid("axisymmetric", 2, 16), 1.0)
+    with pytest.raises(ConfigurationError) as err:
+        RunConfig(params=params_n2m1, initial=initial, **{"t_end": 1.0, **overrides})
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith(key)
+
+
+def test_run_config_reports_every_problem_and_the_grid_dimension(params_n3m2):
+    initial = sphere_state(make_grid("axisymmetric", 2, 16), 1.0)
+    with pytest.raises(ConfigurationError) as err:
+        make_config(params_n3m2, initial, t_end=math.nan, record_interval=0.0)
+    keys = [problem.split()[0] for problem in err.value.problems]
+    assert keys == ["flow.t_end", "flow.record_interval", "initial.grid.n"]
+    assert "does not match params.n" in err.value.problems[2]
 
 
 def test_average_speed_on_sphere(params_n2m1):

@@ -30,7 +30,6 @@ from horoflow import (
 from horoflow.graphgeom import (
     _sphere_area,
     axisym_pointwise_curvatures,
-    christoffel_difference,
     enclosed_volume_integrand,
 )
 
@@ -216,67 +215,6 @@ def test_full2d_axisymmetric_profile_matches_analytic(params_n2m1):
     lt, la, _xi, _s, _c = axisym_pointwise_curvatures(r, rp, rpp, azim, params_n2m1.ac)
     exact = np.sort(np.stack([lt, la], axis=1), axis=1)
     assert np.max(np.abs(fields.lam - exact)) < 5e-3
-
-
-# ---------------------------------------------------------------------------
-# Connection difference tensor
-# ---------------------------------------------------------------------------
-
-
-def test_christoffel_difference_vanishes_on_spheres():
-    for n in (2, 3):
-        params = FlowParams(n=n, m=1, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
-        state = sphere_state(make_grid("axisymmetric", n, 64), 1.1)
-        t = christoffel_difference(state, params)
-        assert np.max(np.abs(t)) < 1e-12
-
-
-def test_christoffel_difference_symmetric(params_n2m1):
-    state = perturbed_sphere_state(make_grid("axisymmetric", 2, 128), 1.0, 3, 0.05)
-    t = christoffel_difference(state, params_n2m1)
-    assert np.max(np.abs(t - np.swapaxes(t, -1, -2))) < 1e-14
-
-
-def test_christoffel_difference_matches_coordinate_metric(params_n2m1):
-    """Induced-metric Christoffels = round ones + difference tensor.
-
-    The coordinate Christoffels come from finite differences of the exact
-    induced metric components along theta, a route that never touches the
-    frame machinery.
-    """
-    n_theta = 2049
-    grid = make_grid("axisymmetric", 2, n_theta)
-    r0, amp, ell = 1.0, 0.05, 3
-
-    def g_components(th):
-        r = r0 + amp * np.cos(ell * th)
-        rp = -amp * ell * np.sin(ell * th)
-        s = np.sinh(r)
-        return s * s + rp * rp, s * s * np.sin(th) ** 2
-
-    r = r0 + amp * np.cos(ell * grid.theta)
-    state = GraphState(t=0.0, grid=grid, r=r)
-    t_frame = christoffel_difference(state, params_n2m1)
-
-    h_fd = 1e-6
-    for idx in (300, 700, 1024, 1500, 1800):
-        th = grid.theta[idx]
-        g_tt_p, g_pp_p = g_components(th + h_fd)
-        g_tt_m, g_pp_m = g_components(th - h_fd)
-        g_tt, g_pp = g_components(np.array(th))
-        d_tt = (g_tt_p - g_tt_m) / (2.0 * h_fd)
-        d_pp = (g_pp_p - g_pp_m) / (2.0 * h_fd)
-        gamma_ttt = d_tt / (2.0 * g_tt)
-        gamma_tpp = -d_pp / (2.0 * g_tt)
-        gamma_ptp = d_pp / (2.0 * g_pp)
-        sin_t, cos_t = math.sin(th), math.cos(th)
-        # frame -> coordinate conversion: the phi leg scales by sin(theta)
-        got_ttt = t_frame[idx, 0, 0, 0]
-        got_tpp = -sin_t * cos_t + sin_t**2 * t_frame[idx, 0, 1, 1]
-        got_ptp = cos_t / sin_t + t_frame[idx, 1, 0, 1]
-        assert got_ttt == pytest.approx(gamma_ttt, abs=5e-4)
-        assert got_tpp == pytest.approx(gamma_tpp, abs=5e-4)
-        assert got_ptp == pytest.approx(gamma_ptp, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
