@@ -234,9 +234,15 @@ def config_from_values(values: dict) -> RunConfig:
     if shape in ("sphere", "perturbed_sphere"):
         problems += graphgeom.initial_problems(mode, n_theta, r0, mode_l, amplitude, mode_phi)
     problems += StepControl.problems(safety, dt_min, dt_max, scheme)
+    if snapshot is not None:
+        r_max = float(snapshot.r.max())
+    elif r0 is not None:  # r0 + |amplitude| bounds the perturbed profile
+        r_max = r0 + abs(amplitude or 0.0)
+    else:
+        r_max = None
     problems += RunConfig.problems(
         n, snapshot.grid.n if snapshot else n, t_end, record_interval, snapshot_interval,
-        f_tol, constants_samples, constants_seed,
+        f_tol, constants_samples, constants_seed, kappa, r_max,
     )
     ConfigurationError.raise_if(problems)
 

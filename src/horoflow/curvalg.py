@@ -153,14 +153,63 @@ def mean_curvature_m(lam, params: FlowParams):
 
 def speed(lam, params: FlowParams):
     """Return F = H_m^beta; parabolicity demands H_m > 0 everywhere."""
-    hm = mean_curvature_m(lam, params)
-    bad = ~(hm > 0.0)
-    if np.any(bad):
-        idx = int(np.argmax(np.ravel(bad)))
+    return _power_speed(mean_curvature_m(lam, params), params)
+
+
+def _power_speed(hm, params: FlowParams):
+    """Return hm^beta, raising at the first node where H_m <= 0 (or is NaN)."""
+    if not hm.min() > 0.0:
+        idx = int(np.argmax(np.ravel(~(hm > 0.0))))
         raise ParabolicityLostError(
             f"H_m <= 0 (min {np.min(hm):.6g}); speed undefined", node_index=idx
         )
     return hm**params.beta
+
+
+@dataclass(frozen=True)
+class AxisymSpectrum:
+    """Batched spectra {theta, azim, ..., azim} with azim repeated n - 1 times.
+
+    A rotationally symmetric hypersurface has this spectrum at every node
+    (theta along the meridian, azim in the n - 1 rotation directions), so its
+    elementary symmetric values have a closed form and need neither the
+    recurrence nor an (N, n) array.
+    """
+
+    theta: np.ndarray
+    azim: np.ndarray
+    n: int
+
+    def esym(self, k: int) -> np.ndarray:
+        """E_k = C(n-1, k) azim^k + C(n-1, k-1) theta azim^(k-1), for 0 <= k <= n."""
+        if k == 0:
+            return np.ones_like(self.theta)
+        below = self.n - 1
+        e = float(math.comb(below, k)) * self.azim + float(math.comb(below, k - 1)) * self.theta
+        for _ in range(k - 1):  # k is small: products beat the general power
+            e = e * self.azim
+        return e
+
+    def speed(self, params: FlowParams) -> np.ndarray:
+        """F = H_m^beta, under the parabolicity contract of speed()."""
+        return _power_speed(self.esym(params.m) / params.binom, params)
+
+    def speed_gradient_trace(self, params: FlowParams) -> np.ndarray:
+        """sum_i dF/dlambda_i, from the identity sum_i dE_m/dlambda_i = (n - m + 1) E_{m-1}."""
+        m, beta = params.m, params.beta
+        trace = ((self.n - m + 1) / params.binom) * self.esym(m - 1)
+        if beta != 1.0:
+            trace = trace * (beta * (self.esym(m) / params.binom) ** (beta - 1.0))
+        return trace
+
+    def sorted(self) -> np.ndarray:
+        """The (N, n) spectrum, ascending in each row."""
+        lam = np.empty((self.theta.size, self.n))
+        # Every entry between the extremes is an azim, whichever is smaller.
+        lam[:, 1:-1] = self.azim[:, None]
+        np.minimum(self.theta, self.azim, out=lam[:, 0])
+        np.maximum(self.theta, self.azim, out=lam[:, -1])
+        return lam
 
 
 def _speed_derivatives(lam: np.ndarray, params: FlowParams, hessian: bool):

@@ -19,6 +19,8 @@ import json
 import logging
 import math
 import os
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +54,9 @@ from .oracle import support_offset
 
 logger = logging.getLogger(__name__)
 
-SCHEMES = ("heun", "rk4")
+# Right-hand-side evaluations per step of each scheme.
+STAGES = {"heun": 2, "rk4": 4}
+SCHEMES = tuple(STAGES)
 
 # Consecutive steps pinned at the dt floor before the run aborts as stiff.
 STIFFNESS_PATIENCE = 10
@@ -121,15 +125,19 @@ class RunConfig:
             self.problems(
                 self.params.n, self.initial.grid.n, self.t_end, self.record_interval,
                 self.snapshot_interval, self.f_tol, self.constants_samples, self.constants_seed,
+                self.params.ac.kappa, float(self.initial.r.max()),
             )
         )
 
     @staticmethod
     def problems(
         params_n, grid_n, t_end, record_interval, snapshot_interval, f_tol,
-        constants_samples, constants_seed,
+        constants_samples, constants_seed, kappa=None, r_max=None,
     ) -> list[str]:
-        """The rules on flow.*, constants.* and the grid dimension; None disables snapshots."""
+        """The rules on flow.*, constants.*, the grid dimension and the largest radius.
+
+        None disables snapshots, and skips the rules that read a missing value.
+        """
         positive = {
             "flow.t_end": t_end,
             "flow.record_interval": record_interval,
@@ -147,7 +155,37 @@ class RunConfig:
             problems.append(f"constants.seed must be >= 0, got {constants_seed}")
         if params_n is not None and grid_n is not None and grid_n != params_n:
             problems.append(f"initial.grid.n = {grid_n} does not match params.n = {params_n}")
+        n_ok = isinstance(params_n, int) and params_n >= 2
+        if n_ok and kappa is not None and r_max is not None and kappa < 0.0:
+            a = math.sqrt(-kappa)
+            limit = scaled_radius_limit(params_n, a)
+            if not a * r_max < limit:
+                problems.append(
+                    f"initial.r0 and params.kappa: sqrt(-kappa) * max r = {a * r_max:.6g} must be "
+                    f"< {limit:.6g} for n = {params_n} (larger radii overflow a double)"
+                )
         return problems
+
+
+# log of the largest double, less 2^16 of headroom for the factors the
+# estimates in scaled_radius_limit leave out (the speed, the volume's 1/(n a)).
+_LOG_FLOAT_MAX = math.log(sys.float_info.max / 2.0**16)
+
+
+def scaled_radius_limit(n: int, a: float) -> float:
+    """Bound on a * max r below which a run's intermediate values stay finite.
+
+    With x = a r and s = sinh(x)/a < e^x/(2a), the curvature formulas form
+    the cube s^2 cosh(x) < e^(3x)/(8 a^2), and the area, volume and speed
+    average sum |S^n| s^n < |S^n| (e^x/(2a))^n over the hypersurface.  The
+    bound keeps both below the largest double (the sum binds for n >= 3).
+    """
+    log_a = math.log(a)
+    half = (n + 1) / 2.0
+    log_area = math.log(2.0) + half * math.log(math.pi) - math.lgamma(half)  # log |S^n|
+    cube = (_LOG_FLOAT_MAX + 3.0 * math.log(2.0) + 2.0 * log_a) / 3.0
+    power = (_LOG_FLOAT_MAX - log_area) / n + math.log(2.0) + log_a
+    return min(cube, power)
 
 
 def _stage_rate(fields: GeometryFields) -> tuple[np.ndarray, float]:
@@ -169,11 +207,15 @@ def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) 
     diffusion coefficients bounded by the components of the speed gradient
     over the induced metric factors; their sum (the gradient trace) bounds
     the largest eigenvalue including the pole-regularized azimuthal cells,
-    so dt = safety * (min induced spacing)^2 / max_nodes trace(dF).
+    so dt = safety * (min induced spacing)^2 / max_nodes trace(dF).  The
+    axisymmetric kernel's spectrum gives the trace in closed form.
     """
-    trace = np.sum(speed_gradient(fields.lam, params), axis=-1)
-    scale = float(np.max(trace))
-    if not np.isfinite(scale) or scale <= 0.0:
+    if fields.spectrum is not None:
+        trace = fields.spectrum.speed_gradient_trace(params)
+    else:
+        trace = speed_gradient(fields.lam, params).sum(axis=-1)
+    scale = float(trace.max())
+    if not math.isfinite(scale) or scale <= 0.0:
         raise DomainError("diffusion scale must be positive and finite")
     dt = control.safety * fields.min_spacing**2 / scale
     return float(min(max(dt, control.dt_min), control.dt_max))
@@ -281,7 +323,11 @@ def pinching_constants_cached(params: FlowParams, n_samples: int, seed: int) -> 
 
 @dataclass
 class FlowResult:
-    """Everything a finished (or aborted-and-reraised) run produced."""
+    """Everything a finished (or aborted-and-reraised) run produced.
+
+    rhs_evaluations counts evaluations of dr/dt (STAGES per step); dts holds
+    the dt of every accepted step, in order.
+    """
 
     params: FlowParams
     final_state: GraphState
@@ -293,6 +339,8 @@ class FlowResult:
     zeta_epsilon: float
     constants: PinchingConstants
     initial_pinched: bool | None
+    rhs_evaluations: int
+    dts: np.ndarray
     diagnostics_path: str | None = None
     summary: dict = field(default_factory=dict)
 
@@ -362,20 +410,20 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     n_steps = 0
     stiff_streak = 0
     last_dt = 0.0
+    dts = array("d")
     status = "max_steps"
     try:
         while True:
-            # Roundness deficit 1/n^n - Qtilde_min; NaN when Htilde dips <= 0.
-            deficit = 1.0 / params.n**params.n - pinching_minimum(fields, params)[1]
+            # The oscillation test is cheap and fails on every step but the
+            # last few, so it goes first and the roundness deficit
+            # 1/n^n - Qtilde_min (NaN when Htilde dips <= 0) is rarely formed.
+            # r.sum() / r.size rounds as r.mean() does.
             r = state.r
-            oscillation = float((np.max(r) - np.min(r)) / np.mean(r))
-            if (
-                np.isfinite(deficit)
-                and deficit < config.f_tol
-                and oscillation < R_OSCILLATION_RTOL
-            ):
-                status = "converged"
-                break
+            if float((r.max() - r.min()) / (r.sum() / r.size)) < R_OSCILLATION_RTOL:
+                deficit = 1.0 / params.n**params.n - pinching_minimum(fields, params)[1]
+                if math.isfinite(deficit) and deficit < config.f_tol:
+                    status = "converged"
+                    break
             if state.t >= config.t_end - 1e-15:
                 status = "t_end"
                 break
@@ -398,6 +446,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             result = step(state, params, control, fields=fields, dt=dt)
             state = result.state
             last_dt = result.dt
+            dts.append(last_dt)
             n_steps += 1
             if config.renormalize_volume:
                 state = volume_renormalize(state, params, v0)
@@ -434,6 +483,8 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
         zeta_epsilon=zeta,
         constants=constants,
         initial_pinched=initial_pinched,
+        rhs_evaluations=n_steps * STAGES[control.scheme],
+        dts=np.frombuffer(dts),
     )
     result.summary = _summarize(result)
     if out_dir:
@@ -456,12 +507,20 @@ def _summarize(result: FlowResult) -> dict:
         decay = {"rate": fit.rate, "r_squared": fit.r_squared, "n_used": fit.n_used}
     except DomainError:
         decay = None
+    dts = result.dts
+    dt_stats = (
+        {"min": float(dts.min()), "median": float(np.median(dts)), "max": float(dts.max())}
+        if dts.size
+        else None
+    )
     p = result.params
     return {
         "converged": result.converged,
         "status": result.status,
         "t_final": float(result.final_state.t),
         "n_steps": result.n_steps,
+        "rhs_evaluations": result.rhs_evaluations,
+        "dt": dt_stats,
         "volume_initial": result.v0,
         "volume_drift": drift,
         "decay_fit": decay,

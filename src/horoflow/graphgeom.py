@@ -11,7 +11,10 @@ Two grid modes:
 * axisymmetric (the workhorse): r = r(theta) on a uniform colatitude grid
   including both poles, any hypersurface dimension n >= 2.  Everything is
   diagonal in the adapted orthonormal frame (theta direction plus n-1
-  equivalent azimuthal directions), so no eigensolves are needed.
+  equivalent azimuthal directions), so the spectrum at every node is
+  {lam_theta, lam_azim repeated n-1 times}: the speed and its gradient trace
+  come from the closed-form elementary symmetric values of that pair
+  (curvalg.AxisymSpectrum), with no eigensolve, recurrence or (N, n) array.
 * full2d: n = 2 only, a latitude-longitude grid cell-centered in theta
   (no node sits on a pole) with Fourier-spectral derivatives in phi.
 
@@ -26,12 +29,12 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
 
-from .curvalg import FlowParams, speed
+from .curvalg import AxisymSpectrum, FlowParams, speed
 from .errors import ConfigurationError, DomainError, HoroflowError
 from .hypergeom import AmbientCurvature
 
@@ -70,6 +73,11 @@ class GridSpec:
     weights: np.ndarray
     spacing_theta: float
     spacing_phi: float | None
+    # Axisymmetric stencil constants, built once per grid (None on full2d):
+    # 1/(2h), 1/h^2, and 1/tan(theta) off the pole-regularized cells.
+    inv_2h: float | None = None
+    inv_h_sq: float | None = None
+    inv_tan_inner: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,6 +108,7 @@ def make_grid(mode: str, n: int, n_theta: int, n_phi: int | None = None) -> Grid
 
     if mode == "axisymmetric":
         h = math.pi / (n_theta - 1)
+        k = POLE_REGULARIZATION_CELLS
         theta = np.linspace(0.0, math.pi, n_theta)
         trap = np.ones(n_theta)
         trap[0] = trap[-1] = 0.5
@@ -114,6 +123,9 @@ def make_grid(mode: str, n: int, n_theta: int, n_phi: int | None = None) -> Grid
             weights=weights,
             spacing_theta=h,
             spacing_phi=None,
+            inv_2h=1.0 / (2.0 * h),
+            inv_h_sq=1.0 / (h * h),
+            inv_tan_inner=1.0 / np.tan(theta[k:-k]),
         )
 
     h_t = math.pi / n_theta
@@ -146,9 +158,10 @@ class GraphState:
         r = np.asarray(self.r, dtype=float)
         if r.shape != self.grid.shape:
             raise DomainError(f"state shape {r.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(r)):
-            raise DomainError("radial profile contains non-finite values")
-        if np.any(r <= 0.0):
+        # One fused test, which a NaN also fails; the messages sort out a failure.
+        if not (r.min() > 0.0 and r.max() < math.inf):
+            if not np.isfinite(r).all():
+                raise DomainError("radial profile contains non-finite values")
             raise DomainError("radial profile must be positive (graph over the chart center)")
         object.__setattr__(self, "r", r)
 
@@ -226,19 +239,16 @@ def _axisym_scalar_derivatives(grid: GridSpec, r: np.ndarray):
     Neumann conditions r'(0) = r'(pi) = 0 exactly.  The azimuthal component
     cot(theta) r' switches to its limit r'' within two cells of each pole.
     """
-    h = grid.spacing_theta
     re = np.empty(r.size + 2)
     re[1:-1] = r
     re[0] = r[1]
     re[-1] = r[-2]
-    rp = (re[2:] - re[:-2]) / (2.0 * h)
-    rpp = (re[2:] - 2.0 * r + re[:-2]) / (h * h)
+    up, down = re[2:], re[:-2]
+    rp = (up - down) * grid.inv_2h
+    rpp = (up - 2.0 * r + down) * grid.inv_h_sq
     k = POLE_REGULARIZATION_CELLS
-    azim = np.empty_like(r)
-    inner = slice(k, r.size - k)
-    azim[inner] = rp[inner] / np.tan(grid.theta[inner])
-    azim[:k] = rpp[:k]
-    azim[-k:] = rpp[-k:]
+    azim = rpp.copy()
+    azim[k:-k] = rp[k:-k] * grid.inv_tan_inner
     return rp, rpp, azim
 
 
@@ -310,38 +320,58 @@ def axisym_pointwise_curvatures(r, rp, rpp, azim, ac: AmbientCurvature):
     Pure pointwise algebra shared by the finite-difference pipeline and by
     tests that substitute analytic derivatives.
     """
-    r = np.asarray(r, dtype=float)
     a = ac.a
-    s = np.sinh(a * r) / a
-    c = np.cosh(a * r)
-    xi_sq = s * s + rp * rp
+    ar = a * np.asarray(r, dtype=float)
+    s = np.sinh(ar) / a
+    c = np.cosh(ar)
+    s_sq = s * s
+    rp_sq = rp * rp
+    xi_sq = s_sq + rp_sq
     xi = np.sqrt(xi_sq)
-    h_theta = -(s * rpp - s * s * c - 2.0 * c * rp * rp) / xi
-    h_azim = -(s * azim - s * s * c) / xi
+    s_sq_c = s_sq * c
+    h_theta = (s_sq_c + 2.0 * c * rp_sq - s * rpp) / xi
+    h_azim = (s_sq_c - s * azim) / xi
     lam_theta = h_theta / xi_sq
-    lam_azim = h_azim / (s * s)
+    lam_azim = h_azim / s_sq
     return lam_theta, lam_azim, xi, s, c
 
 
 @dataclass
 class GeometryFields:
-    """Per-node geometry of a state, flattened over nodes."""
+    """Per-node geometry of a state, flattened over nodes.
+
+    lam is the (N, n) principal-curvature spectrum, ascending in each row,
+    and settable.  The axisymmetric kernel keeps only the two distinct values
+    per node (spectrum) and builds lam on first read; full2d passes lam.
+    """
 
     s: np.ndarray
     xi_norm: np.ndarray
-    lam: np.ndarray
     H: np.ndarray
     F: np.ndarray
     Phi: np.ndarray
     area_weight: np.ndarray
     min_spacing: float
+    spectrum: AxisymSpectrum | None = None
+    _lam: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def lam(self) -> np.ndarray:
+        if self._lam is None:
+            self._lam = self.spectrum.sorted()
+        return self._lam
+
+    @lam.setter
+    def lam(self, value: np.ndarray) -> None:
+        self._lam = value
 
 
 def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields:
     """Assemble the per-node geometry of a radial graph.
 
-    The axisymmetric spectrum is diagonal in the adapted frame; full2d
-    assembles the 2x2 frame tensors and takes their eigenvalues.
+    The axisymmetric spectrum is diagonal in the adapted frame and its speed
+    has a closed form; full2d assembles the 2x2 frame tensors and takes
+    their eigenvalues.
     """
     grid = state.grid
     if grid.n != params.n:
@@ -352,14 +382,12 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
         r = state.r
         rp, rpp, azim = _axisym_scalar_derivatives(grid, r)
         lam_theta, lam_azim, xi, s, _c = axisym_pointwise_curvatures(r, rp, rpp, azim, params.ac)
-        N = r.size
-        lam = np.empty((N, n))
-        lam[:, 0] = lam_theta
-        lam[:, 1:] = lam_azim[:, None]
-        lam.sort(axis=1)
-        H = lam_theta + (n - 1) * lam_azim
-        min_spacing = grid.spacing_theta * float(np.sqrt(np.min(xi * xi)))
-        return _scalar_fields(state, params, lam, H, xi, s, min_spacing)
+        spectrum = AxisymSpectrum(lam_theta, lam_azim, n)
+        min_spacing = grid.spacing_theta * float(xi.min())
+        return _scalar_fields(
+            state, params, spectrum.speed(params), spectrum.esym(1), xi, s, min_spacing,
+            spectrum=spectrum,
+        )
 
     # full2d: assemble 2x2 frame tensors and take closed-form eigenvalues.
     Dr, D2r = spherical_derivatives(state)
@@ -392,22 +420,22 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
     sin_t = np.repeat(np.sin(grid.theta), grid.n_phi)
     phi_spacing = grid.spacing_phi * sin_t * np.sqrt(g[:, 1, 1])
     min_spacing = float(min(np.min(theta_spacing), np.min(phi_spacing)))
-    return _scalar_fields(state, params, lam, tr, xi, s, min_spacing)
+    return _scalar_fields(state, params, speed(lam, params), tr, xi, s, min_spacing, lam=lam)
 
 
-def _scalar_fields(state, params, lam, H, xi, s, min_spacing) -> GeometryFields:
-    F = speed(lam, params)
-    Phi = s * s / xi
-    area_weight = s ** (params.n - 1) * xi * state.grid.weights
+def _scalar_fields(
+    state, params, F, H, xi, s, min_spacing, spectrum=None, lam=None
+) -> GeometryFields:
     return GeometryFields(
         s=s,
         xi_norm=xi,
-        lam=lam,
         H=H,
         F=F,
-        Phi=Phi,
-        area_weight=area_weight,
+        Phi=s * s / xi,
+        area_weight=s ** (params.n - 1) * xi * state.grid.weights,
         min_spacing=min_spacing,
+        spectrum=spectrum,
+        _lam=lam,
     )
 
 

@@ -45,8 +45,9 @@ class AmbientCurvature:
 
     @property
     def a(self) -> float:
-        # Derived, never stored: a = sqrt(|kappa|).
-        return float(np.sqrt(-self.kappa))
+        # Derived, never stored: a = sqrt(|kappa|).  math.sqrt rounds exactly
+        # as np.sqrt does, without the array round trip on every read.
+        return math.sqrt(-self.kappa)
 
 
 def generalized_sine(x, ac: AmbientCurvature):

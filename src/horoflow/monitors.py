@@ -84,20 +84,20 @@ class DiagnosticsRecord:
 
 def average_speed(fields: GeometryFields) -> float:
     """Area-weighted average of the speed over the hypersurface."""
-    total_area = float(np.sum(fields.area_weight))
+    total_area = float(fields.area_weight.sum())
     if total_area <= 0.0:
         raise DomainError("total area weight must be positive")
-    return float(np.sum(fields.F * fields.area_weight)) / total_area
+    return float((fields.F * fields.area_weight).sum()) / total_area
 
 
 def pinching_minimum(fields: GeometryFields, params: FlowParams) -> tuple[float, float]:
     """Return (Htilde_min, Qtilde_min) of lam - a; Qtilde_min is NaN where Htilde_min <= 0."""
     shifted = fields.lam - params.a
-    htilde = np.sum(shifted, axis=-1)
-    htilde_min = float(np.min(htilde))
+    htilde = shifted.sum(axis=-1)
+    htilde_min = float(htilde.min())
     if htilde_min <= 0.0:
         return htilde_min, math.nan
-    return htilde_min, float(np.min(np.prod(shifted, axis=-1) / htilde**params.n))
+    return htilde_min, float((shifted.prod(axis=-1) / htilde**params.n).min())
 
 
 def record(
@@ -114,16 +114,16 @@ def record(
     identical inputs give bitwise identical rows.
     """
     weights = state.grid.weights
-    V = float(np.sum(weights * enclosed_volume_integrand(state.r_flat, params)))
+    V = float((weights * enclosed_volume_integrand(state.r_flat, params)).sum())
 
     fbar = average_speed(fields)
-    lam_tilde_min = float(np.min(fields.lam - params.a))
+    lam_tilde_min = float((fields.lam - params.a).min())
     htilde_min, qtilde_min = pinching_minimum(fields, params)
     f_max = 1.0 / params.n**params.n - qtilde_min
 
-    phi_min = float(np.min(fields.Phi))
+    phi_min = float(fields.Phi.min())
     if phi_min > zeta_epsilon:
-        z_max = float(np.max(fields.F / (fields.Phi - zeta_epsilon)))
+        z_max = float((fields.F / (fields.Phi - zeta_epsilon)).max())
     else:
         z_max = math.nan
 
@@ -135,8 +135,8 @@ def record(
         t=float(state.t),
         V=V,
         Fbar=fbar,
-        Fmin=float(np.min(fields.F)),
-        Fmax=float(np.max(fields.F)),
+        Fmin=float(fields.F.min()),
+        Fmax=float(fields.F.max()),
         Qtilde_min=qtilde_min,
         f_max=f_max,
         Htilde_min=htilde_min,

@@ -165,11 +165,14 @@ def psi_inverse(volume: float, params: FlowParams) -> float:
     if volume <= 0.0:
         raise DomainError("volume must be positive")
     hi = 1.0
-    while float(ball_volume(hi, params)) < volume:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RootFindingError("ball volume bracket exploded; volume too large")
-    return _bisect(lambda s: float(ball_volume(s, params)) - volume, 0.0, hi)
+    # Doubling may pass the radius where sinh^n overflows; an infinite ball
+    # volume still brackets the root, so the overflow is not an error here.
+    with np.errstate(over="ignore"):
+        while float(ball_volume(hi, params)) < volume:
+            hi *= 2.0
+            if hi > 1e6:
+                raise RootFindingError("ball volume bracket exploded; volume too large")
+        return _bisect(lambda s: float(ball_volume(s, params)) - volume, 0.0, hi)
 
 
 def _xi_forward(s: float, params: FlowParams) -> float:

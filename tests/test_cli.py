@@ -29,7 +29,7 @@ from horoflow.cli import (
     read_config_text,
 )
 from horoflow.curvalg import DEFAULT_SAMPLES
-from horoflow.flow import RunConfig, run
+from horoflow.flow import RunConfig, run, scaled_radius_limit
 
 MINIMAL = {
     "params.n": 2,
@@ -210,6 +210,33 @@ def test_config_rejects_non_finite_values(key, raw):
     with pytest.raises(ConfigurationError) as err:
         config_from_values(values)
     assert any(p.startswith(key) and "finite" in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -0.25])
+def test_config_bounds_the_radius_below_double_overflow(kappa):
+    a = math.sqrt(-kappa)
+    limit = scaled_radius_limit(3, a) / a
+    values = {
+        **MINIMAL,
+        "params.n": 3,
+        "params.m": 2,
+        "params.kappa": kappa,
+        "grid.n_theta": 16,
+        "initial.shape": "perturbed_sphere",
+        "initial.mode_l": 2,
+        "initial.amplitude": 0.01,
+        "constants.n_samples": 200,
+    }
+    under = config_from_values({**values, "initial.r0": limit * (1.0 - 1e-4) - 0.01})
+    result = run(under, max_steps=5)
+    assert result.n_steps == 5
+    cols = result.arrays()
+    for name in set(cols) - {"Qtilde_min", "f_max"}:  # undefined where lam - a rounds to 0
+        assert np.all(np.isfinite(cols[name])), name
+    with pytest.raises(ConfigurationError) as err:
+        config_from_values({**values, "initial.r0": limit * (1.0 + 1e-4) - 0.01})
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith("initial.r0 and params.kappa")
 
 
 def test_config_custom_snapshot(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -15,6 +16,7 @@ from horoflow import (
     DomainError,
     FlowParams,
     GraphState,
+    NumericalBlowupError,
     RunConfig,
     StepControl,
     StiffnessError,
@@ -30,7 +32,7 @@ from horoflow import (
     step,
     volume_renormalize,
 )
-from horoflow.flow import average_speed
+from horoflow.flow import average_speed, scaled_radius_limit
 from horoflow.graphgeom import POLE_REGULARIZATION_CELLS, enclosed_volume_integrand
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
@@ -91,6 +93,30 @@ def test_run_config_reports_every_problem_and_the_grid_dimension(params_n3m2):
     assert "does not match params.n" in err.value.problems[2]
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (4, 2)])
+def test_run_config_bounds_the_radius_below_double_overflow(n, m):
+    params = FlowParams(n=n, m=m, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
+    grid = make_grid("axisymmetric", n, 16)
+    limit = scaled_radius_limit(n, params.a)
+    amplitude = 0.01  # the largest radius is r0 + amplitude, at theta = 0
+
+    under = perturbed_sphere_state(grid, limit * (1.0 - 1e-4) - amplitude, 2, amplitude)
+    config = RunConfig(params=params, initial=under, t_end=1.0, constants_samples=200)
+    result = run(config, max_steps=5)
+    assert result.n_steps == 5
+    cols = result.arrays()
+    # At this radius the shifted spectrum lam - a rounds to 0, where the
+    # pinching ratio is undefined by design.
+    for name in set(cols) - {"Qtilde_min", "f_max"}:
+        assert np.all(np.isfinite(cols[name])), name
+
+    over = perturbed_sphere_state(grid, limit * (1.0 + 1e-4) - amplitude, 2, amplitude)
+    with pytest.raises(ConfigurationError) as err:
+        RunConfig(params=params, initial=over, t_end=1.0)
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith("initial.r0 and params.kappa")
+
+
 def test_average_speed_on_sphere(params_n2m1):
     state = sphere_state(make_grid("axisymmetric", 2, 96), 1.0)
     fields = geometry_from_graph(state, params_n2m1)
@@ -130,6 +156,14 @@ def test_rk4_step_is_the_documented_four_stage_average(params_n2m1):
     expected = state.r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     result = step(state, params_n2m1, StepControl(scheme="rk4"), dt=dt)
     assert np.array_equal(result.state.r, expected)
+
+
+@pytest.mark.parametrize("scheme", ["heun", "rk4"])
+def test_stage_that_leaves_the_graph_domain_raises_blowup(params_n2m1, scheme):
+    state = perturbed_sphere_state(make_grid("axisymmetric", 2, 64), 1.0, 2, 0.05)
+    with pytest.raises(NumericalBlowupError, match="left the graph domain") as err:
+        step(state, params_n2m1, StepControl(scheme=scheme), dt=100.0)
+    assert err.value.last_state is state
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +278,19 @@ def test_stable_dt_scaling_and_clamps(params_n2m1):
     assert stable_dt(fields, params_n2m1, StepControl()) == pytest.approx(expected, rel=1e-12)
     assert stable_dt(fields, params_n2m1, StepControl(dt_max=1e-6)) == 1e-6
     assert stable_dt(fields, params_n2m1, StepControl(dt_min=0.5, dt_max=1.0)) == 0.5
+
+
+@pytest.mark.parametrize("n, m, beta", [(3, 2, 1.0), (3, 2, 1.5), (2, 1, 2.0)])
+def test_stable_dt_on_spheres_follows_the_analytic_trace(n, m, beta):
+    params = FlowParams(n=n, m=m, beta=beta, ac=AmbientCurvature(kappa=-1.0))
+    fields = geometry_from_graph(sphere_state(make_grid("axisymmetric", n, 96), 1.0), params)
+    # Every principal curvature is coth(1), so F = coth^(m beta) and the
+    # gradient trace is its derivative in a common shift: m beta coth^(m beta - 1).
+    mbeta = m * beta
+    trace = mbeta * COTH1 ** (mbeta - 1.0)
+    assert fields.min_spacing == pytest.approx(math.pi / 95 * math.sinh(1.0), rel=1e-14)
+    expected = 0.2 * fields.min_spacing**2 / trace
+    assert stable_dt(fields, params, StepControl()) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +430,32 @@ def test_renormalized_run_keeps_volume_exact(params_n2m1):
     result = run(config)
     v = result.arrays()["V"]
     assert np.max(np.abs(v - v[0])) / v[0] < 2e-12
+
+
+def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, params_n2m1):
+    payloads = []
+    for scheme, name in (("heun", "a"), ("heun", "b"), ("rk4", "c")):
+        out = str(tmp_path / name)
+        config = perturbed_config(
+            params_n2m1, t_end=0.05, control=StepControl(scheme=scheme), output_dir=out
+        )
+        result = run(config)
+        with open(os.path.join(out, "summary.json")) as fh:
+            text = fh.read()
+        summary = json.loads(text)
+        stages = 2 if scheme == "heun" else 4
+        assert summary["rhs_evaluations"] == stages * result.n_steps
+        dts = result.dts
+        assert dts.size == result.n_steps
+        assert math.fsum(dts) == pytest.approx(result.final_state.t, rel=1e-12)
+        assert summary["dt"] == {
+            "min": float(dts.min()),
+            "median": float(np.median(dts)),
+            "max": float(dts.max()),
+        }
+        with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
+            payloads.append((text, fh.read()))
+    assert payloads[0] == payloads[1]
 
 
 def test_run_writes_output_files(tmp_path, params_n2m1):

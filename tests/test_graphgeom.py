@@ -27,7 +27,9 @@ from horoflow import (
     save_snapshot,
     sphere_state,
 )
+from horoflow.curvalg import speed, speed_gradient
 from horoflow.graphgeom import (
+    _axisym_scalar_derivatives,
     _sphere_area,
     axisym_pointwise_curvatures,
     enclosed_volume_integrand,
@@ -104,6 +106,24 @@ def test_graph_state_validation():
     bad[5] = np.nan
     with pytest.raises(DomainError):
         GraphState(t=0.0, grid=grid, r=bad)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.nan, "non-finite"),
+        (np.inf, "non-finite"),
+        (-np.inf, "non-finite"),
+        (0.0, "must be positive"),
+        (-1.0, "must be positive"),
+    ],
+)
+def test_graph_state_names_the_failed_rule(value, message):
+    grid = make_grid("axisymmetric", 2, 32)
+    r = np.ones(32)
+    r[7] = value
+    with pytest.raises(DomainError, match=message):
+        GraphState(t=0.0, grid=grid, r=r)
 
 
 def test_perturbed_sphere_validation():
@@ -215,6 +235,56 @@ def test_full2d_axisymmetric_profile_matches_analytic(params_n2m1):
     lt, la, _xi, _s, _c = axisym_pointwise_curvatures(r, rp, rpp, azim, params_n2m1.ac)
     exact = np.sort(np.stack([lt, la], axis=1), axis=1)
     assert np.max(np.abs(fields.lam - exact)) < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# The closed-form axisymmetric kernel against the generic spectrum algebra
+# ---------------------------------------------------------------------------
+
+KERNEL_SPEEDS = [
+    (2, 1, 1.0),
+    (2, 2, 1.0),
+    (3, 1, 1.0),
+    (3, 2, 1.0),
+    (3, 3, 1.0 / 3.0),
+    (3, 1, 2.0),
+    (4, 2, 1.0),
+]
+
+
+@pytest.mark.parametrize("n, m, beta", KERNEL_SPEEDS)
+def test_axisym_kernel_matches_the_generic_speed_and_trace(n, m, beta, rng):
+    params = FlowParams(n=n, m=m, beta=beta, ac=AmbientCurvature(kappa=-1.0))
+    grid = make_grid("axisymmetric", n, 64)
+    for _ in range(5):
+        r0 = rng.uniform(0.5, 2.0)
+        amps = rng.uniform(-0.02, 0.02, size=3) * r0
+        r = r0 + sum(amp * np.cos(ell * grid.theta) for ell, amp in zip((2, 3, 4), amps))
+        fields = geometry_from_graph(GraphState(t=0.0, grid=grid, r=r), params)
+        pair = fields.spectrum
+        stacked = np.stack([pair.theta] + [pair.azim] * (n - 1), axis=1)
+        assert np.array_equal(fields.lam, np.sort(stacked, axis=1))
+        want_speed = speed(fields.lam, params)
+        assert np.max(np.abs(fields.F - want_speed) / want_speed) < 1e-13
+        want_trace = np.sum(speed_gradient(fields.lam, params), -1)
+        got_trace = pair.speed_gradient_trace(params)
+        assert np.max(np.abs(got_trace - want_trace) / want_trace) < 1e-13
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 2)])
+def test_axisym_kernel_reports_the_generic_parabolicity_node(n, m):
+    params = FlowParams(n=n, m=m, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
+    grid = make_grid("axisymmetric", n, 96)
+    # A small sphere with these two modes is dimpled near theta = pi.
+    r = 0.5 - 0.046875 * np.cos(2 * grid.theta) + 0.0390625 * np.cos(3 * grid.theta)
+    with pytest.raises(ParabolicityLostError) as kernel:
+        geometry_from_graph(GraphState(t=0.0, grid=grid, r=r), params)
+    rp, rpp, azim = _axisym_scalar_derivatives(grid, r)
+    lt, la, _xi, _s, _c = axisym_pointwise_curvatures(r, rp, rpp, azim, params.ac)
+    with pytest.raises(ParabolicityLostError) as generic:
+        speed(np.sort(np.stack([lt] + [la] * (n - 1), axis=1), axis=1), params)
+    assert kernel.value.node_index == generic.value.node_index
+    assert str(kernel.value) == str(generic.value)
 
 
 # ---------------------------------------------------------------------------
