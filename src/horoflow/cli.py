@@ -16,7 +16,7 @@ line with `#` comments, chosen for diffability in experiment folders:
     flow.t_end = 10.0
     output.dir = runs/standard
 
-Subcommands: run, oracle sphere, constants, analyze, check.  Exit codes:
+Subcommands: run, oracle sphere, constants, analyze.  Exit codes:
 0 success, 1 invariant or configuration failure, 2 numerical abort,
 64 usage error.
 """
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .flow import RunConfig, StepControl
 from .graphgeom import make_grid
-from .hypergeom import AmbientCurvature, kappa_trig
+from .hypergeom import AmbientCurvature
 
 USAGE = """\
 usage: horoflow <subcommand> [options]
@@ -55,7 +55,6 @@ subcommands:
   oracle sphere <r0> <t_end>   emit the contracting-sphere trajectory CSV
   constants                    solve pinching constants, dump tables
   analyze <csv>                verdict JSON for a diagnostics CSV
-  check                        run the built-in invariant suite
 
 exit codes: 0 success, 1 invariant/config failure, 2 numerical abort, 64 usage
 """
@@ -432,111 +431,6 @@ def _cmd_analyze(args: list[str]) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def _cmd_check(args: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="horoflow check")
-    parser.add_argument("--samples", type=int, default=5000, help="cone sample count")
-    ns = parser.parse_args(args)
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"ok   - {name}")
-        else:
-            failures += 1
-            print(f"FAIL - {name}" + (f": {detail}" if detail else ""))
-
-    ac = AmbientCurvature(kappa=-1.0)
-    x = np.linspace(1e-3, 8.0, 4001)
-    s, c, ta, co = kappa_trig(x, ac)
-    report(
-        "hyperbolic Pythagoras c^2 - a^2 s^2 = 1",
-        bool(np.max(np.abs(c * c - ac.a**2 * s * s - 1.0)) < 1e-9),
-    )
-    report("tangent-cotangent inverse pair", bool(np.max(np.abs(ta * co - 1.0)) < 1e-12))
-    report("sphere curvature decreasing in radius", bool(np.all(np.diff(co) < 0.0)))
-
-    rng = np.random.default_rng(7)
-    for trip in ((2, 1, 1.0), (3, 2, 1.0)):
-        params = FlowParams(n=trip[0], m=trip[1], beta=trip[2], ac=ac)
-        lam = np.abs(rng.standard_normal((20_000, trip[0]))) + 0.05
-        euler = np.einsum(
-            "ij,ij->i", curvalg.speed_gradient(lam, params), lam
-        ) - params.mbeta * curvalg.speed(lam, params)
-        rel = np.max(np.abs(euler) / np.maximum(curvalg.speed(lam, params), 1e-300))
-        report(f"Euler identity (n,m,beta)={trip}", bool(rel < 1e-10), f"rel {rel:.2e}")
-
-    grid = make_grid("axisymmetric", 2, 128)
-    params = FlowParams(n=2, m=1, beta=1.0, ac=ac)
-    sphere = graphgeom.sphere_state(grid, 1.0)
-    fields = graphgeom.geometry_from_graph(sphere, params)
-    lam_err = float(np.max(np.abs(fields.lam - co_of(1.0, ac))))
-    report("geodesic sphere principal curvatures exact", lam_err < 1e-12, f"{lam_err:.2e}")
-
-    control = StepControl()
-    state = sphere
-    for _ in range(200):
-        state = flow.step(state, params, control).state
-    drift = float(np.max(np.abs(state.r - 1.0)))
-    report("sphere equilibrium drift over 200 steps", drift < 1e-12, f"{drift:.2e}")
-
-    t_grid = np.linspace(0.0, 1.0, 51)
-    traj = oracle.sphere_contraction(1.5, params, t_grid)
-    res = float(np.nanmax(np.abs(oracle.contraction_residual(traj))))
-    report("contracting sphere implicit relation", res < 1e-6, f"{res:.2e}")
-    v_round = oracle.ball_volume(1.25, params)
-    round_trip = abs(oracle.psi_inverse(float(v_round), params) - 1.25)
-    report("ball volume-radius round trip", round_trip < 1e-9, f"{round_trip:.2e}")
-
-    try:
-        scen = config_from_values(
-            {
-                "params.n": 2,
-                "params.m": 1,
-                "params.beta": 1.0,
-                "params.kappa": -1.0,
-                "grid.n_theta": 128,
-                "initial.shape": "perturbed_sphere",
-                "initial.r0": 1.0,
-                "initial.mode_l": 2,
-                "initial.amplitude": 0.05,
-                "flow.t_end": 1.0,
-                "flow.record_interval": 0.01,
-                "constants.n_samples": ns.samples,
-            }
-        )
-        result = flow.run(scen)
-        meta = {"n": 2, "m": 1, "beta": 1.0, "kappa": -1.0}
-        verdict = monitors.analyze_diagnostics(meta, result.arrays())
-        report("short run: pinching ratio monotone", verdict["monotone_Qtilde"])
-        report("short run: speed and convexity bounds", verdict["bounds_respected"])
-        report(
-            "short run: volume drift",
-            verdict["volume_drift"] < 1e-4,
-            f"{verdict['volume_drift']:.2e}",
-        )
-    except _NUMERICAL_ABORTS as exc:
-        print(f"ABORT - short run: {exc}")
-        return EXIT_NUMERICAL
-
-    constants = flow.pinching_constants_cached(
-        FlowParams(n=2, m=2, beta=1.0, ac=ac), ns.samples, 0
-    )
-    report(
-        "pinching constants land in their intervals",
-        0.0 < constants.epsilon0 < 0.5 and 0.0 < constants.c_star < 0.25,
-        f"epsilon0={constants.epsilon0:.4g}, c_star={constants.c_star:.4g}",
-    )
-    print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
-    return EXIT_OK if failures == 0 else EXIT_INVARIANT
-
-
-def co_of(x: float, ac: AmbientCurvature) -> float:
-    """Principal curvature of the geodesic sphere of radius x."""
-    _s, _c, _ta, co = kappa_trig(x, ac)
-    return float(co)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Dispatch a subcommand; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -549,7 +443,6 @@ def main(argv: list[str] | None = None) -> int:
         "oracle": _cmd_oracle,
         "constants": _cmd_constants,
         "analyze": _cmd_analyze,
-        "check": _cmd_check,
     }
     handler = handlers.get(command)
     if handler is None:

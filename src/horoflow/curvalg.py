@@ -2,10 +2,11 @@
 
 The flow speed is F = H_m^beta, with H_m the normalized m-th elementary
 symmetric polynomial of the principal curvatures.  This module owns that
-algebra: evaluation, first and second derivatives in the spectrum, the
-shifted (h-convexity) invariants, and the constructive pinching constants
-(epsilon0, C*) obtained by balancing a gradient floor against a Hessian
-ceiling over the pinching cone.
+algebra: evaluation, first and second derivatives in the spectrum, and the
+constructive pinching constants (epsilon0, C*) obtained by balancing a
+gradient floor against a Hessian ceiling over the pinching cone.  The
+shifted invariants of a recorded spectrum, and its pinching test against
+C*, live in monitors.shifted_minima.
 
 Every evaluator broadcasts over a leading batch axis, so the same code
 serves single spectra, whole grids, and the 1e5-point sampling oracles.
@@ -36,7 +37,6 @@ from .errors import (
     FeasibilityError,
     ParabolicityLostError,
     RootFindingError,
-    SingularityError,
 )
 from .hypergeom import AmbientCurvature
 from .parallel import map_rows
@@ -252,11 +252,6 @@ def speed_gradient(lam, params: FlowParams):
     return _speed_derivatives(_as_batch(lam), params, hessian=False)[0]
 
 
-def speed_second_partials(lam, params: FlowParams):
-    """Return the matrix d^2F/dlambda_i dlambda_j, shape (..., n, n)."""
-    return _speed_derivatives(_as_batch(lam), params, hessian=True)[1]
-
-
 def _difference_quotients(lam, grad, second):
     """Return Q_ij = (dF_i - dF_j)/(lambda_i - lambda_j) with coalescence limits."""
     gap = lam[..., :, None] - lam[..., None, :]
@@ -289,38 +284,6 @@ def speed_hessian_quadform(lam, params: FlowParams, B):
     q = _difference_quotients(lam, grad, second)
     term_off = np.einsum("...ij,...ij->...", q, B * B)
     return term_diag + term_off
-
-
-@dataclass(frozen=True)
-class TildeQuantities:
-    """Shifted invariants: trace, product, their ratio, and squared norm."""
-
-    htilde: np.ndarray
-    ktilde: np.ndarray
-    qtilde: np.ndarray
-    atilde_sq: np.ndarray
-
-
-def tilde_quantities(lam, params: FlowParams) -> TildeQuantities:
-    """Return the shifted invariants of spectra (requires sum of shifts != 0)."""
-    lam = _as_batch(lam)
-    shifted = lam - params.a
-    htilde = np.sum(shifted, axis=-1)
-    ktilde = np.prod(shifted, axis=-1)
-    atilde_sq = np.sum(shifted * shifted, axis=-1)
-    if np.any(htilde == 0.0):
-        raise SingularityError("shifted trace vanished; pinching ratio undefined")
-    qtilde = ktilde / htilde**params.n
-    return TildeQuantities(htilde=htilde, ktilde=ktilde, qtilde=qtilde, atilde_sq=atilde_sq)
-
-
-def pinching_predicate(lam, params: FlowParams, c_star: float):
-    """Return the boolean field K_tilde > c_star * H_tilde^n > 0."""
-    lam = _as_batch(lam)
-    shifted = lam - params.a
-    htilde = np.sum(shifted, axis=-1)
-    ktilde = np.prod(shifted, axis=-1)
-    return (htilde > 0.0) & (ktilde > c_star * htilde**params.n)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .graphgeom import (
     save_snapshot,
 )
 from .hypergeom import generalized_sine
-from .monitors import DiagnosticsRecorder, average_speed, fit_exponential, pinching_minimum
+from .monitors import DiagnosticsRecorder, average_speed, fit_exponential, shifted_minima
 from .oracle import support_offset
 
 logger = logging.getLogger(__name__)
@@ -420,7 +420,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             # r.sum() / r.size rounds as r.mean() does.
             r = state.r
             if float((r.max() - r.min()) / (r.sum() / r.size)) < R_OSCILLATION_RTOL:
-                deficit = 1.0 / params.n**params.n - pinching_minimum(fields, params)[1]
+                deficit = 1.0 / params.n**params.n - shifted_minima(fields.lam, params)[2]
                 if math.isfinite(deficit) and deficit < config.f_tol:
                     status = "converged"
                     break

@@ -36,7 +36,7 @@ import numpy as np
 
 from .curvalg import AxisymSpectrum, FlowParams, speed
 from .errors import ConfigurationError, DomainError, HoroflowError
-from .hypergeom import AmbientCurvature
+from .hypergeom import AmbientCurvature, generalized_cosine, generalized_sine
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +45,8 @@ MIN_NODES_THETA = 16
 # Number of cells adjacent to each pole where the azimuthal curvature term
 # cot(theta) r' is replaced by its pole limit r''.
 POLE_REGULARIZATION_CELLS = 2
+
+_EYE2 = np.eye(2)
 
 SNAPSHOT_MAGIC = "# horoflow-grid v1"
 _MODE_TAGS = {"axisymmetric": "axisym", "full2d": "full2d"}
@@ -78,6 +80,13 @@ class GridSpec:
     inv_2h: float | None = None
     inv_h_sq: float | None = None
     inv_tan_inner: np.ndarray | None = field(default=None, repr=False)
+    # full2d constants, built once per grid (None on axisymmetric): the
+    # Fourier wavenumbers in phi, sin and cot of theta as (n_theta, 1)
+    # columns, and sin(theta) at every flattened node.
+    wavenumbers: np.ndarray | None = field(default=None, repr=False)
+    sin_theta: np.ndarray | None = field(default=None, repr=False)
+    cot_theta: np.ndarray | None = field(default=None, repr=False)
+    sin_theta_nodes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,7 +141,8 @@ def make_grid(mode: str, n: int, n_theta: int, n_phi: int | None = None) -> Grid
     theta = (np.arange(n_theta) + 0.5) * h_t
     h_p = 2.0 * math.pi / n_phi
     phi = np.arange(n_phi) * h_p
-    weights = (np.sin(theta)[:, None] * np.ones(n_phi)[None, :] * h_t * h_p).ravel()
+    sin_theta = np.sin(theta)
+    weights = (sin_theta[:, None] * np.ones(n_phi)[None, :] * h_t * h_p).ravel()
     return GridSpec(
         mode=mode,
         n=2,
@@ -143,6 +153,10 @@ def make_grid(mode: str, n: int, n_theta: int, n_phi: int | None = None) -> Grid
         weights=weights,
         spacing_theta=h_t,
         spacing_phi=h_p,
+        wavenumbers=2.0 * np.pi * np.fft.rfftfreq(n_phi, d=2.0 * np.pi / n_phi),
+        sin_theta=sin_theta[:, None],
+        cot_theta=(np.cos(theta) / sin_theta)[:, None],
+        sin_theta_nodes=np.repeat(sin_theta, n_phi),
     )
 
 
@@ -266,7 +280,7 @@ def _full2d_scalar_derivatives(grid: GridSpec, r: np.ndarray):
     r_t = (re[2:] - re[:-2]) / (2.0 * h)
     r_tt = (re[2:] - 2.0 * r + re[:-2]) / (h * h)
 
-    k = 2.0 * np.pi * np.fft.rfftfreq(n_phi, d=2.0 * np.pi / n_phi)
+    k = grid.wavenumbers
     spec = np.fft.rfft(r, axis=1)
     r_p = np.fft.irfft(1j * k[None, :] * spec, n=n_phi, axis=1)
     r_pp = np.fft.irfft(-(k[None, :] ** 2) * spec, n=n_phi, axis=1)
@@ -297,8 +311,8 @@ def spherical_derivatives(state: GraphState):
 
     r = state.r
     r_t, r_tt, r_p, r_pp, r_tp = _full2d_scalar_derivatives(grid, r)
-    sin_t = np.sin(grid.theta)[:, None]
-    cot_t = (np.cos(grid.theta) / np.sin(grid.theta))[:, None]
+    sin_t = grid.sin_theta
+    cot_t = grid.cot_theta
     Dr = np.stack([r_t.ravel(), (r_p / sin_t).ravel()], axis=1)
     D2r = np.empty((r.size, 2, 2))
     D2r[:, 0, 0] = r_tt.ravel()
@@ -320,10 +334,8 @@ def axisym_pointwise_curvatures(r, rp, rpp, azim, ac: AmbientCurvature):
     Pure pointwise algebra shared by the finite-difference pipeline and by
     tests that substitute analytic derivatives.
     """
-    a = ac.a
-    ar = a * np.asarray(r, dtype=float)
-    s = np.sinh(ar) / a
-    c = np.cosh(ar)
+    s = generalized_sine(r, ac)
+    c = generalized_cosine(r, ac)
     s_sq = s * s
     rp_sq = rp * rp
     xi_sq = s_sq + rp_sq
@@ -392,19 +404,17 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
     # full2d: assemble 2x2 frame tensors and take closed-form eigenvalues.
     Dr, D2r = spherical_derivatives(state)
     r = state.r_flat
-    a = params.a
-    s = np.sinh(a * r) / a
-    c = np.cosh(a * r)
+    s = generalized_sine(r, params.ac)
+    c = generalized_cosine(r, params.ac)
     dr_sq = np.einsum("ni,ni->n", Dr, Dr)
     xi_sq = s * s + dr_sq
     xi = np.sqrt(xi_sq)
-    eye = np.eye(2)
     outer = Dr[:, :, None] * Dr[:, None, :]
-    g = outer + (s * s)[:, None, None] * eye
-    g_inv = (eye[None, :, :] - outer / xi_sq[:, None, None]) / (s * s)[:, None, None]
+    g = outer + (s * s)[:, None, None] * _EYE2
+    g_inv = (_EYE2[None, :, :] - outer / xi_sq[:, None, None]) / (s * s)[:, None, None]
     h2 = -(
         s[:, None, None] * D2r
-        - (s * s * c)[:, None, None] * eye
+        - (s * s * c)[:, None, None] * _EYE2
         - 2.0 * c[:, None, None] * outer
     ) / xi[:, None, None]
     W = np.einsum("nij,njk->nik", g_inv, h2)
@@ -417,8 +427,7 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
     lam = np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0], axis=1)
     theta_spacing = grid.spacing_theta * np.sqrt(g[:, 0, 0])
     # Coordinate phi spacing carries the sin(theta) factor of the chart.
-    sin_t = np.repeat(np.sin(grid.theta), grid.n_phi)
-    phi_spacing = grid.spacing_phi * sin_t * np.sqrt(g[:, 1, 1])
+    phi_spacing = grid.spacing_phi * grid.sin_theta_nodes * np.sqrt(g[:, 1, 1])
     min_spacing = float(min(np.min(theta_spacing), np.min(phi_spacing)))
     return _scalar_fields(state, params, speed(lam, params), tr, xi, s, min_spacing, lam=lam)
 
@@ -448,9 +457,8 @@ def mean_curvature_direct(state: GraphState, params: FlowParams) -> np.ndarray:
     """
     Dr, D2r = spherical_derivatives(state)
     r = state.r_flat
-    a = params.a
-    s = np.sinh(a * r) / a
-    c = np.cosh(a * r)
+    s = generalized_sine(r, params.ac)
+    c = generalized_cosine(r, params.ac)
     dr_sq = np.einsum("ni,ni->n", Dr, Dr)
     xi_sq = s * s + dr_sq
     xi = np.sqrt(xi_sq)
@@ -494,8 +502,7 @@ def area_and_volume(state: GraphState, params: FlowParams) -> tuple[float, float
     """
     grid = state.grid
     r = state.r_flat
-    a = params.a
-    s = np.sinh(a * r) / a
+    s = generalized_sine(r, params.ac)
     if grid.mode == "axisymmetric":
         rp, _, _ = _axisym_scalar_derivatives(grid, state.r)
         xi = np.sqrt(s * s + rp * rp)

@@ -3,9 +3,12 @@
 Each recorded step condenses a full geometry evaluation into one row of
 extrema: volume, speed statistics, the shifted-spectrum invariants, the
 roundness deficit f_max = 1/n^n - Qtilde_min, the support-function minimum,
-and the speed-bound test ratio.  Post-processing covers monotonicity checks,
-log-linear exponential fits, and the combined verdict used by the analyze
-subcommand.
+and the speed-bound test ratio.  The shifted invariants of lam - a (the
+h-convexity margin, the trace Htilde, the pinching ratio Qtilde and the
+pinching test against C*) have their one home in shifted_minima, which the
+run loop's convergence test also reads.  Post-processing covers
+monotonicity checks, log-linear exponential fits, and the combined verdict
+used by the analyze subcommand.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from io import StringIO
 
 import numpy as np
 
-from .curvalg import FlowParams, pinching_predicate
+from .curvalg import FlowParams
 from .errors import DomainError, HoroflowError
 from .graphgeom import GeometryFields, GraphState, enclosed_volume_integrand
 from .hypergeom import AmbientCurvature
@@ -90,14 +93,27 @@ def average_speed(fields: GeometryFields) -> float:
     return float((fields.F * fields.area_weight).sum()) / total_area
 
 
-def pinching_minimum(fields: GeometryFields, params: FlowParams) -> tuple[float, float]:
-    """Return (Htilde_min, Qtilde_min) of lam - a; Qtilde_min is NaN where Htilde_min <= 0."""
-    shifted = fields.lam - params.a
+def shifted_minima(
+    lam: np.ndarray, params: FlowParams, c_star: float | None = None
+) -> tuple[float, float, float, bool | None]:
+    """Return (lambda_tilde_min, Htilde_min, Qtilde_min, pinched) of lam - a in one pass.
+
+    Htilde = sum and Ktilde = product of the shifted spectrum per node, and
+    Qtilde = Ktilde / Htilde^n.  Qtilde_min is NaN when Htilde_min <= 0.
+    pinched, the test Ktilde > c_star Htilde^n > 0 at every node, is None
+    without a c_star and False when Htilde_min <= 0.
+    """
+    shifted = lam - params.a
     htilde = shifted.sum(axis=-1)
     htilde_min = float(htilde.min())
+    lam_tilde_min = float(shifted.min())
     if htilde_min <= 0.0:
-        return htilde_min, math.nan
-    return htilde_min, float((shifted.prod(axis=-1) / htilde**params.n).min())
+        return lam_tilde_min, htilde_min, math.nan, None if c_star is None else False
+    ktilde = shifted.prod(axis=-1)
+    htilde_n = htilde**params.n
+    qtilde_min = float((ktilde / htilde_n).min())
+    pinched = None if c_star is None else bool(np.all(ktilde > c_star * htilde_n))
+    return lam_tilde_min, htilde_min, qtilde_min, pinched
 
 
 def record(
@@ -117,8 +133,7 @@ def record(
     V = float((weights * enclosed_volume_integrand(state.r_flat, params)).sum())
 
     fbar = average_speed(fields)
-    lam_tilde_min = float((fields.lam - params.a).min())
-    htilde_min, qtilde_min = pinching_minimum(fields, params)
+    lam_tilde_min, htilde_min, qtilde_min, pinched = shifted_minima(fields.lam, params, c_star)
     f_max = 1.0 / params.n**params.n - qtilde_min
 
     phi_min = float(fields.Phi.min())
@@ -126,10 +141,6 @@ def record(
         z_max = float((fields.F / (fields.Phi - zeta_epsilon)).max())
     else:
         z_max = math.nan
-
-    pinched: bool | None = None
-    if c_star is not None:
-        pinched = bool(np.all(pinching_predicate(fields.lam, params, c_star)))
 
     return DiagnosticsRecord(
         t=float(state.t),

@@ -5,8 +5,8 @@ sphere of radius r contracts at speed co(r)^{m beta}, which gives both an
 independently integrable ODE and an implicit first integral to test any
 trajectory against.  The module also provides the volume-to-radius inverse
 (the radius of the ball with a prescribed volume), the inner-radius
-comparison map for h-convex domains, a barrier time scale, and a direct
-inner-radius estimator for simulated states based on ambient distances.
+comparison map for h-convex domains, and inner-radius and diameter
+estimators for simulated states based on ambient distances.
 
 Everything here deliberately avoids the discretized geometry pipeline, so
 agreement between the two is evidence, not tautology.
@@ -208,18 +208,6 @@ def support_offset(volume0: float, params: FlowParams) -> float:
     return 0.5 * params.a * s * ta
 
 
-def tau_bound(volume0: float, params: FlowParams) -> float:
-    """Barrier time scale: integral of ta^{m beta} over [R/2, R], R = xi(psi(V0))."""
-    big_r = xi_comparison(psi_inverse(volume0, params), params)
-    mbeta = params.mbeta
-
-    def integrand(s):
-        return generalized_tangent(s, params.ac) ** mbeta
-
-    val, _err = quad(integrand, big_r / 2.0, big_r, epsabs=1e-12, epsrel=1e-12)
-    return float(val)
-
-
 # ---------------------------------------------------------------------------
 # Ambient distances and the inner radius of simulated states
 # ---------------------------------------------------------------------------
@@ -230,6 +218,8 @@ def geodesic_distance_axis(z, r, cos_angle, params: FlowParams):
 
     Hyperbolic law of cosines: cosh(a d) = cosh(a z) cosh(a r)
     - sinh(a z) sinh(a r) cos(angle); z < 0 encodes the far side of the axis.
+    With z >= 0 it is the distance between any two points at radii z and r
+    from the chart center that subtend the angle.
     """
     a = params.a
     arg = np.cosh(a * z) * np.cosh(a * r) - np.sinh(a * z) * np.sinh(a * r) * cos_angle
@@ -269,14 +259,9 @@ def inner_radius_estimate(state: GraphState, params: FlowParams) -> float:
     r = state.r_flat
     stride = max(1, r.size // 64)
     dirs = np.vstack([u[::stride], [[0.0, 0.0, 1.0]], [[0.0, 0.0, -1.0]]])
-    a = params.a
 
     def min_dist(center_rho: float, v: np.ndarray) -> float:
-        cos_gamma = u @ v
-        arg = np.cosh(a * center_rho) * np.cosh(a * r) - np.sinh(a * center_rho) * np.sinh(
-            a * r
-        ) * cos_gamma
-        return float(np.min(np.arccosh(np.maximum(arg, 1.0)) / a))
+        return float(np.min(geodesic_distance_axis(center_rho, r, u @ v, params)))
 
     best = (0.0, dirs[0])
     best_val = min_dist(0.0, dirs[0])
@@ -316,18 +301,15 @@ def surface_diameter(state: GraphState, params: FlowParams) -> float:
     """
     if state.grid.mode != "axisymmetric":
         raise DomainError("diameter helper currently covers axisymmetric states")
-    a = params.a
     theta = state.grid.theta
-    r = np.asarray(state.r)
-    ch = np.cosh(a * r)
-    sh = np.sinh(a * r)
-    cos_same = np.cos(theta[:, None] - theta[None, :])
-    cos_opp = np.cos(theta[:, None] + theta[None, :])
-    best = 1.0
-    for cos_gamma in (cos_same, cos_opp):
-        arg = ch[:, None] * ch[None, :] - sh[:, None] * sh[None, :] * cos_gamma
-        best = max(best, float(np.max(arg)))
-    return float(np.arccosh(best) / a)
+    r = state.r
+    return max(
+        float(np.max(geodesic_distance_axis(r[:, None], r[None, :], cos_gamma, params)))
+        for cos_gamma in (
+            np.cos(theta[:, None] - theta[None, :]),
+            np.cos(theta[:, None] + theta[None, :]),
+        )
+    )
 
 
 def diameter_bound(volume0: float, params: FlowParams) -> float:

@@ -527,11 +527,3 @@ def test_analyze_headerless_needs_flags(tmp_path, capsys):
     assert code == EXIT_OK
     capsys.readouterr()
     assert main(["analyze", str(tmp_path / "missing.csv")]) == EXIT_INVARIANT
-
-
-def test_check_suite_passes(capsys):
-    assert main(["check", "--samples", "500"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "FAIL" not in out
-    assert out.count("ok   -") >= 10

@@ -16,17 +16,14 @@ from horoflow import (
     DomainError,
     FlowParams,
     ParabolicityLostError,
-    SingularityError,
     elementary_symmetric,
     gap_bound,
     mean_curvature_m,
-    pinching_predicate,
     slice_constant,
     solve_pinching_constants,
     speed,
     speed_gradient,
     speed_hessian_quadform,
-    tilde_quantities,
 )
 from horoflow import curvalg
 from horoflow.curvalg import (
@@ -41,7 +38,6 @@ from horoflow.curvalg import (
     hessian_ceiling,
     project_to_cone,
     slice_constant_bruteforce,
-    speed_second_partials,
 )
 from horoflow.parallel import map_rows
 
@@ -152,7 +148,7 @@ def test_second_partials_symmetric_and_match_gradient_fd(rng):
     for n, m, beta in TRIPLES:
         params = make_params(n, m, beta)
         lam = cone_samples(rng, n, 100, scale_spread=1.0)
-        second = speed_second_partials(lam, params)
+        second = _speed_derivatives(lam, params, hessian=True)[1]
         assert np.allclose(second, np.swapaxes(second, -1, -2), rtol=0, atol=1e-12)
         for j in range(n):
             h = 1e-6 * (1.0 + np.abs(lam[:, j]))
@@ -211,7 +207,6 @@ def test_shared_tables_match_separate_derivatives(rng):
         lam = cone_samples(rng, n, 300)
         grad, second = _speed_derivatives(lam, params, hessian=True)
         assert grad.tobytes() == speed_gradient(lam, params).tobytes()
-        assert second.tobytes() == speed_second_partials(lam, params).tobytes()
         # the one-pass floor column equals the objective its descent polishes
         floor = _bound_values(lam, params)[:, 0]
         assert floor.tobytes() == _gradient_floor_values(lam, params).tobytes()
@@ -227,39 +222,6 @@ def test_hessian_quadform_continuous_at_coalescence(rng):
         lam = np.array([1.0, 1.0 + delta, 1.7])
         val = float(speed_hessian_quadform(lam, params, b))
         assert abs(val - exact) < 1e-6 * max(1.0, abs(exact))
-
-
-# ---------------------------------------------------------------------------
-# Shifted (tilde) invariants
-# ---------------------------------------------------------------------------
-
-
-def test_tilde_quantities_values(params_n2m1):
-    lam = np.array([[1.5, 2.0], [1.2, 1.1]])
-    tq = tilde_quantities(lam, params_n2m1)
-    assert np.allclose(tq.htilde, [1.5, 0.3])
-    assert np.allclose(tq.ktilde, [0.5, 0.02], rtol=1e-12)
-    assert np.allclose(tq.qtilde, tq.ktilde / tq.htilde**2, rtol=1e-14)
-    assert np.allclose(tq.atilde_sq, [1.25, 0.05], rtol=1e-12)
-
-
-def test_tilde_quantities_sphere_ratio_is_maximal(params_n3m2):
-    lam = np.full((1, 3), 2.0)
-    tq = tilde_quantities(lam, params_n3m2)
-    assert tq.qtilde[0] == pytest.approx(1.0 / 27.0, rel=1e-14)
-
-
-def test_tilde_trace_zero_raises(params_n2m1):
-    with pytest.raises(SingularityError):
-        tilde_quantities(np.array([[1.5, 0.5]]), params_n2m1)
-
-
-def test_pinching_predicate(params_n2m1):
-    assert bool(pinching_predicate(np.array([2.0, 2.0]), params_n2m1, 0.2))
-    # ratio 1/4 exactly at umbilic; fails against c_star above it
-    assert not bool(pinching_predicate(np.array([2.0, 2.0]), params_n2m1, 0.26))
-    # non-h-convex point fails regardless
-    assert not bool(pinching_predicate(np.array([0.5, 3.0]), params_n2m1, 0.0001))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,11 @@ def test_rhs_vanishes_on_spheres():
         params = FlowParams(n=n, m=m, beta=beta, ac=AmbientCurvature(kappa=-1.0))
         state = sphere_state(make_grid("axisymmetric", n, 96), 1.0)
         assert np.max(np.abs(flow_rhs(state, params))) < 1e-13
+    params = FlowParams(n=2, m=1, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
+    state = sphere_state(make_grid("axisymmetric", 2, 128), 1.0)
+    for _ in range(200):
+        state = step(state, params, StepControl()).state
+    assert float(np.max(np.abs(state.r - 1.0))) < 1e-12
 
 
 def test_heun_step_is_the_documented_two_stage_average(params_n2m1):

@@ -35,6 +35,9 @@ def test_pythagorean_identity_across_curvatures():
         s, c, _ta, _co = kappa_trig(X_GRID, amb)
         # relative to c^2: the difference cancels catastrophically at large x
         assert np.max(np.abs(c * c - amb.a**2 * s * s - 1.0) / (c * c)) < 1e-14
+    # absolute, at kappa = -1 up to x = 8
+    s, c, _ta, _co = kappa_trig(np.linspace(1e-3, 8.0, 4001), AmbientCurvature(kappa=-1.0))
+    assert np.max(np.abs(c * c - s * s - 1.0)) < 1e-9
 
 
 def test_tangent_cotangent_are_inverse(ac):
@@ -52,6 +55,8 @@ def test_sphere_curvature_decreasing_with_infimum_a():
         assert np.all(np.diff(co) < 0.0)
         assert np.all(co > amb.a)
         assert abs(generalized_cotangent(40.0 / amb.a, amb) - amb.a) < 1e-12
+    fine = generalized_cotangent(np.linspace(1e-3, 8.0, 4001), AmbientCurvature(kappa=-1.0))
+    assert np.all(np.diff(fine) < 0.0)
 
 
 def test_near_flat_limit_recovers_euclidean_values():

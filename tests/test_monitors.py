@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from horoflow import (
+    AmbientCurvature,
     CSV_COLUMNS,
     DiagnosticsRecorder,
     DomainError,
+    FlowParams,
     HoroflowError,
     analyze_diagnostics,
     ball_volume,
@@ -22,6 +24,7 @@ from horoflow import (
     record,
     sphere_state,
 )
+from horoflow.monitors import shifted_minima
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
 
@@ -83,6 +86,104 @@ def test_as_row_follows_column_order(params_n2m1):
     assert len(row) == len(CSV_COLUMNS)
     for k, name in enumerate(CSV_COLUMNS):
         assert row[k] == float(getattr(rec, name))
+
+
+# ---------------------------------------------------------------------------
+# The shifted spectrum in one pass
+# ---------------------------------------------------------------------------
+
+
+def three_pass_reference(lam, params, c_star):
+    """The three passes that shifted_minima replaced, kept verbatim.
+
+    lambda_tilde_min as record formed it, then the old pinching_minimum and
+    np.all of the old pinching_predicate (both read lam, not the fields).
+    """
+    lam_tilde_min = float((lam - params.a).min())
+
+    shifted = lam - params.a
+    htilde = shifted.sum(axis=-1)
+    htilde_min = float(htilde.min())
+    if htilde_min <= 0.0:
+        qtilde_min = math.nan
+    else:
+        qtilde_min = float((shifted.prod(axis=-1) / htilde**params.n).min())
+
+    pinched = None
+    if c_star is not None:
+        shifted = lam - params.a
+        htilde = np.sum(shifted, axis=-1)
+        ktilde = np.prod(shifted, axis=-1)
+        predicate = (htilde > 0.0) & (ktilde > c_star * htilde**params.n)
+        pinched = bool(np.all(predicate))
+    return lam_tilde_min, htilde_min, qtilde_min, pinched
+
+
+def random_spectra(rng, n, a):
+    """Spectra lam = a + shifted: near-umbilic, spread, umbilic, and Htilde <= 0 rows.
+
+    The umbilic shift 0.5 is exact in a + 0.5 - a for a = 1.5, so at
+    c_star = 1/n^n the pinching test meets Ktilde = c_star Htilde^n exactly.
+    """
+    near = 1.0 + 0.05 * rng.standard_normal((40, n))
+    spread = rng.uniform(0.05, 3.0, size=(40, n))
+    umbilic = np.full((1, n), 0.5)
+    negative = rng.uniform(-2.0, 0.5, size=(10, n))
+    zero_trace = np.zeros((1, n))
+    zero_trace[0, 0], zero_trace[0, 1] = 0.5, -0.5
+    return {
+        "near_umbilic": a + np.vstack([near, umbilic]),
+        "spread": a + np.vstack([spread, umbilic]),
+        "htilde_nonpositive": a + np.vstack([near, negative, umbilic]),
+        "zero_trace": a + np.vstack([near, zero_trace]),
+        "umbilic": a + np.vstack([umbilic, umbilic]),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shifted_minima_matches_three_passes_bitwise(rng, n):
+    params = FlowParams(n=n, m=2, beta=1.0, ac=AmbientCurvature(kappa=-2.25))
+    verdicts = set()
+    for name, lam in random_spectra(rng, n, params.a).items():
+        for c_star in (None, 0.2, 0.26, 0.5 / n**n, 1.0 / n**n):
+            got = shifted_minima(lam, params, c_star)
+            want = three_pass_reference(lam, params, c_star)
+            # repr is exact for floats and tells NaN, bools and None apart
+            assert repr(got) == repr(want), (name, c_star)
+            verdicts.add(got[3])
+    # every branch of the verdict was exercised
+    assert verdicts == {None, True, False}
+
+
+def test_shifted_minima_values(params_n2m1):
+    lam = np.array([[1.5, 2.0], [1.2, 1.1]])
+    lam_tilde_min, htilde_min, qtilde_min, pinched = shifted_minima(lam, params_n2m1)
+    assert lam_tilde_min == pytest.approx(0.1, rel=1e-12)
+    assert htilde_min == pytest.approx(0.3, rel=1e-12)
+    # Ktilde = (0.5, 0.02) over Htilde^2 = (2.25, 0.09): both rows give 2/9
+    assert qtilde_min == pytest.approx(2.0 / 9.0, rel=1e-12)
+    assert pinched is None
+
+
+def test_shifted_minima_sphere_ratio_is_maximal(params_n3m2):
+    _lam_min, _h_min, qtilde_min, _pinched = shifted_minima(np.full((1, 3), 2.0), params_n3m2)
+    assert qtilde_min == pytest.approx(1.0 / 27.0, rel=1e-14)
+
+
+def test_shifted_minima_pinching_verdict(params_n2m1):
+    umbilic = np.array([[2.0, 2.0]])
+    assert shifted_minima(umbilic, params_n2m1, 0.2)[3] is True
+    # ratio 1/4 exactly at umbilic; fails against c_star above it
+    assert shifted_minima(umbilic, params_n2m1, 0.26)[3] is False
+    # a non-h-convex point (Ktilde < 0) fails regardless
+    assert shifted_minima(np.array([[0.5, 3.0]]), params_n2m1, 0.0001)[3] is False
+    # a vanishing shifted trace leaves the ratio undefined and fails the test
+    _lam_min, htilde_min, qtilde_min, pinched = shifted_minima(
+        np.array([[1.5, 0.5]]), params_n2m1, 0.0001
+    )
+    assert htilde_min == 0.0
+    assert math.isnan(qtilde_min)
+    assert pinched is False
 
 
 # ---------------------------------------------------------------------------
