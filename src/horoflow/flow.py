@@ -326,7 +326,10 @@ class FlowResult:
     """Everything a finished (or aborted-and-reraised) run produced.
 
     rhs_evaluations counts evaluations of dr/dt (STAGES per step); dts holds
-    the dt of every accepted step, in order.
+    the dt of every accepted step, in order.  stop holds the relative radial
+    oscillation and the roundness deficit 1/n^n - Qtilde_min at the step
+    that passed R_OSCILLATION_RTOL and f_tol (None unless converged); abort
+    holds the error class, message, t, step and node index of an aborted run.
     """
 
     params: FlowParams
@@ -341,6 +344,8 @@ class FlowResult:
     initial_pinched: bool | None
     rhs_evaluations: int
     dts: np.ndarray
+    stop: dict | None = None
+    abort: dict | None = None
     diagnostics_path: str | None = None
     summary: dict = field(default_factory=dict)
 
@@ -382,17 +387,25 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             )
         return rec
 
-    fields = geometry_from_graph(state, params)
-    first = observe(state, fields, 0.0)
-    initial_pinched = first.pinched
-    if initial_pinched:
-        logger.info("initial state is pinched against C* = %.8g", constants.c_star)
-    else:
-        logger.warning(
-            "initial state violates the pinching hypothesis (C* = %.8g); "
-            "the convergence theorem gives sufficiency only, proceeding",
-            constants.c_star,
+    def result_for(status, stop=None, abort=None) -> FlowResult:
+        result = FlowResult(
+            params=params,
+            final_state=state,
+            recorder=recorder,
+            status=status,
+            converged=status == "converged",
+            n_steps=n_steps,
+            v0=v0,
+            zeta_epsilon=zeta,
+            constants=constants,
+            initial_pinched=initial_pinched,
+            rhs_evaluations=n_steps * STAGES[control.scheme],
+            dts=np.frombuffer(dts),
+            stop=stop,
+            abort=abort,
         )
+        result.summary = _summarize(result)
+        return result
 
     out_dir = config.output_dir
     if out_dir:
@@ -403,26 +416,40 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     next_record = record_interval
     next_snapshot = snapshot_interval if snapshot_interval else math.inf
     snapshot_index = 0
-    if out_dir and snapshot_interval:
-        save_snapshot(state, os.path.join(out_dir, f"snapshot_{snapshot_index:06d}.csv"))
-        snapshot_index += 1
-
+    initial_pinched = None
     n_steps = 0
     stiff_streak = 0
     last_dt = 0.0
     dts = array("d")
     status = "max_steps"
+    stop = None
     try:
+        fields = geometry_from_graph(state, params)
+        initial_pinched = observe(state, fields, 0.0).pinched
+        if initial_pinched:
+            logger.info("initial state is pinched against C* = %.8g", constants.c_star)
+        else:
+            logger.warning(
+                "initial state violates the pinching hypothesis (C* = %.8g); "
+                "the convergence theorem gives sufficiency only, proceeding",
+                constants.c_star,
+            )
+        if out_dir and snapshot_interval:
+            save_snapshot(state, os.path.join(out_dir, f"snapshot_{snapshot_index:06d}.csv"))
+            snapshot_index += 1
+
         while True:
             # The oscillation test is cheap and fails on every step but the
             # last few, so it goes first and the roundness deficit
             # 1/n^n - Qtilde_min (NaN when Htilde dips <= 0) is rarely formed.
             # r.sum() / r.size rounds as r.mean() does.
             r = state.r
-            if float((r.max() - r.min()) / (r.sum() / r.size)) < R_OSCILLATION_RTOL:
-                deficit = 1.0 / params.n**params.n - shifted_minima(fields.lam, params)[2]
+            oscillation = float((r.max() - r.min()) / (r.sum() / r.size))
+            if oscillation < R_OSCILLATION_RTOL:
+                deficit = float(1.0 / params.n**params.n - shifted_minima(fields.lam, params)[2])
                 if math.isfinite(deficit) and deficit < config.f_tol:
                     status = "converged"
+                    stop = {"r_oscillation": oscillation, "roundness_deficit": deficit}
                     break
             if state.t >= config.t_end - 1e-15:
                 status = "t_end"
@@ -463,39 +490,38 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
                 next_snapshot = snapshot_interval * (
                     math.floor(state.t / snapshot_interval) + 1
                 )
-    except HoroflowError:
+    except HoroflowError as exc:
         if out_dir:
             recorder.write_csv(os.path.join(out_dir, "diagnostics.csv"))
             save_snapshot(state, os.path.join(out_dir, "abort_state.csv"))
+            # state is the last accepted one: n_steps steps were taken to reach it.
+            abort = {
+                "error": type(exc).__name__,
+                "message": str(exc),
+                "t": float(state.t),
+                "step": n_steps,
+                "node_index": getattr(exc, "node_index", None),
+            }
+            _write_summary(out_dir, result_for("aborted", abort=abort).summary)
         raise
 
     if recorder.records[-1].t != state.t:
         observe(state, fields, last_dt)
 
-    result = FlowResult(
-        params=params,
-        final_state=state,
-        recorder=recorder,
-        status=status,
-        converged=status == "converged",
-        n_steps=n_steps,
-        v0=v0,
-        zeta_epsilon=zeta,
-        constants=constants,
-        initial_pinched=initial_pinched,
-        rhs_evaluations=n_steps * STAGES[control.scheme],
-        dts=np.frombuffer(dts),
-    )
-    result.summary = _summarize(result)
+    result = result_for(status, stop=stop)
     if out_dir:
         csv_path = os.path.join(out_dir, "diagnostics.csv")
         recorder.write_csv(csv_path)
         result.diagnostics_path = csv_path
         save_snapshot(state, os.path.join(out_dir, "final_state.csv"))
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(result.summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_summary(out_dir, result.summary)
     return result
+
+
+def _write_summary(out_dir: str, summary: dict) -> None:
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _summarize(result: FlowResult) -> dict:
@@ -517,6 +543,8 @@ def _summarize(result: FlowResult) -> dict:
     return {
         "converged": result.converged,
         "status": result.status,
+        "stop": result.stop,
+        "abort": result.abort,
         "t_final": float(result.final_state.t),
         "n_steps": result.n_steps,
         "rhs_evaluations": result.rhs_evaluations,

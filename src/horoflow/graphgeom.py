@@ -36,7 +36,7 @@ import numpy as np
 
 from .curvalg import AxisymSpectrum, FlowParams, speed
 from .errors import ConfigurationError, DomainError, HoroflowError
-from .hypergeom import AmbientCurvature, generalized_cosine, generalized_sine
+from .hypergeom import AmbientCurvature, generalized_sine, generalized_sine_cosine
 
 logger = logging.getLogger(__name__)
 
@@ -334,8 +334,7 @@ def axisym_pointwise_curvatures(r, rp, rpp, azim, ac: AmbientCurvature):
     Pure pointwise algebra shared by the finite-difference pipeline and by
     tests that substitute analytic derivatives.
     """
-    s = generalized_sine(r, ac)
-    c = generalized_cosine(r, ac)
+    s, c = generalized_sine_cosine(r, ac)
     s_sq = s * s
     rp_sq = rp * rp
     xi_sq = s_sq + rp_sq
@@ -404,8 +403,7 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
     # full2d: assemble 2x2 frame tensors and take closed-form eigenvalues.
     Dr, D2r = spherical_derivatives(state)
     r = state.r_flat
-    s = generalized_sine(r, params.ac)
-    c = generalized_cosine(r, params.ac)
+    s, c = generalized_sine_cosine(r, params.ac)
     dr_sq = np.einsum("ni,ni->n", Dr, Dr)
     xi_sq = s * s + dr_sq
     xi = np.sqrt(xi_sq)
@@ -457,8 +455,7 @@ def mean_curvature_direct(state: GraphState, params: FlowParams) -> np.ndarray:
     """
     Dr, D2r = spherical_derivatives(state)
     r = state.r_flat
-    s = generalized_sine(r, params.ac)
-    c = generalized_cosine(r, params.ac)
+    s, c = generalized_sine_cosine(r, params.ac)
     dr_sq = np.einsum("ni,ni->n", Dr, Dr)
     xi_sq = s * s + dr_sq
     xi = np.sqrt(xi_sq)

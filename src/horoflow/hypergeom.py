@@ -61,6 +61,13 @@ def generalized_cosine(x, ac: AmbientCurvature):
     return np.cosh(ac.a * np.asarray(x, dtype=float))
 
 
+def generalized_sine_cosine(x, ac: AmbientCurvature):
+    """Return (s(x), c(x)) from one product a x; bit for bit the two separate calls."""
+    a = ac.a
+    ax = a * np.asarray(x, dtype=float)
+    return np.sinh(ax) / a, np.cosh(ax)
+
+
 def generalized_tangent(x, ac: AmbientCurvature):
     """Return ta(x) = s(x)/c(x) = tanh(a x)/a."""
     a = ac.a
@@ -87,8 +94,7 @@ def kappa_trig(x, ac: AmbientCurvature, with_co: bool = True):
         raise DomainError("kappa_trig requires finite x")
     if np.any(x < 0.0):
         raise DomainError("kappa_trig requires x >= 0 (geodesic distance)")
-    s = generalized_sine(x, ac)
-    c = generalized_cosine(x, ac)
+    s, c = generalized_sine_cosine(x, ac)
     ta = generalized_tangent(x, ac)
     if with_co:
         co = generalized_cotangent(x, ac)

@@ -404,6 +404,151 @@ def test_solved_constants_thread_invariant(monkeypatch, small_chunks, params_n3m
 
 
 # ---------------------------------------------------------------------------
+# Column kernels against the axis reductions they replace
+# ---------------------------------------------------------------------------
+# The reference_* functions are the constants solve's kernels as they were
+# written with reductions over the short last axis and (..., n, n) quotient
+# blocks.  The column kernels must give the same bytes for n <= 7.
+
+KERNEL_SPEEDS = TRIPLES + [(2, 2, 1.5), (4, 2, 1.0), (4, 3, 0.5), (5, 2, 1.5), (5, 5, 0.25)]
+
+
+def reference_project_to_cone(x, eps):
+    y = np.maximum(np.atleast_2d(np.asarray(x, dtype=float)), 0.0)
+    n = y.shape[-1]
+    total = y.sum(axis=-1)
+    lowest = y.min(axis=-1)
+    shift = np.maximum(0.0, (eps * total - lowest) / (1.0 - n * eps))
+    y += shift[..., None]
+    norm = np.linalg.norm(y, axis=-1, keepdims=True)
+    bad = norm[..., 0] <= 0.0
+    if np.any(bad):
+        y[bad] = 1.0
+        norm = np.linalg.norm(y, axis=-1, keepdims=True)
+    y /= norm
+    return y
+
+
+def reference_on_cone(pts, eps):
+    total = pts.sum(axis=1)
+    return (pts.min(axis=1) >= eps * total - 1e-12) & (total > 0.0)
+
+
+def reference_difference_quotients(lam, grad, second):
+    gap = lam[..., :, None] - lam[..., None, :]
+    scale = np.linalg.norm(lam, axis=-1)[..., None, None]
+    near = np.abs(gap) < curvalg.EIGEN_COALESCE_RTOL * np.maximum(scale, 1e-300)
+    diff = grad[..., :, None] - grad[..., None, :]
+    sec_diag = np.diagonal(second, axis1=-2, axis2=-1)
+    limit = 0.5 * (sec_diag[..., :, None] + sec_diag[..., None, :]) - second
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.where(near, 0.0, diff) / np.where(near, 1.0, gap)
+    q = np.where(near, limit, quotient)
+    n = lam.shape[-1]
+    eye = np.eye(n, dtype=bool)
+    return np.where(eye, 0.0, q)
+
+
+def reference_bound_values(lam, params):
+    grad, second = _speed_derivatives(curvalg._as_batch(lam), params, hessian=True)
+    q = reference_difference_quotients(lam, grad, second)
+    q_max = np.max(np.abs(q), axis=(-2, -1))
+    eig_max = np.max(np.abs(curvalg._symmetric_eigenvalues(second)), axis=-1)
+    return np.stack([np.min(grad, axis=-1), np.maximum(eig_max, q_max)], axis=-1)
+
+
+def kernel_rows(rng, n):
+    """Cone rows, the umbilic row, coalescing and nearly coalescing rows, and their scalings."""
+    cone = project_to_cone(np.abs(rng.standard_normal((400, n))), 0.4 / n)
+    umbilic = np.full((1, n), 1.0 / math.sqrt(n))
+    equal = np.abs(rng.standard_normal((200, n))) + 0.05
+    equal[:100, 1] = equal[:100, 0]
+    equal[100:, -1] = equal[100:, 0]
+    # Relative gaps below, at and above EIGEN_COALESCE_RTOL.
+    close = np.abs(rng.standard_normal((300, n))) + 0.05
+    for k, rel in enumerate((1e-10, 0.5e-8, 3e-8)):
+        rows = close[100 * k : 100 * (k + 1)]
+        rows[:, 1] = rows[:, 0] * (1.0 + rel * math.sqrt(n))
+    scaled = np.concatenate([cone, equal, close]) * np.exp(rng.uniform(-3.0, 3.0, (900, 1)))
+    return np.concatenate([cone, umbilic, equal, close, scaled])
+
+
+def signed_rows(rng, n):
+    """Rows with negative entries, and an all-zero row."""
+    rows = rng.standard_normal((400, n))
+    rows[:100, 0] = -np.abs(rows[:100, 0])
+    rows[-1] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+def test_row_reductions_are_numpy_reductions(rng, n):
+    y = np.concatenate([kernel_rows(rng, n), signed_rows(rng, n)])
+    if n <= 7:
+        assert curvalg._row_sum(y).tobytes() == y.sum(axis=-1).tobytes()
+        assert curvalg._row_norm(y).tobytes() == np.linalg.norm(y, axis=-1).tobytes()
+    else:
+        # numpy sums a last axis of 8 or more pairwise, which may round differently.
+        assert np.allclose(curvalg._row_sum(y), y.sum(axis=-1), rtol=1e-14, atol=1e-14)
+        assert np.allclose(curvalg._row_norm(y), np.linalg.norm(y, axis=-1), rtol=1e-14)
+    assert curvalg._row_min(y).tobytes() == y.min(axis=-1).tobytes()
+    assert curvalg._row_max_abs(y).tobytes() == np.abs(y).max(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cone_kernels_match_the_reductions(rng, n):
+    rows = np.concatenate([kernel_rows(rng, n), signed_rows(rng, n)])
+    for eps in (0.01, 0.5 / n, 0.99 / n):
+        got = project_to_cone(rows, eps)
+        assert got.tobytes() == reference_project_to_cone(rows, eps).tobytes()
+        for pts in (rows, got):
+            assert curvalg._on_cone(pts, eps).tobytes() == reference_on_cone(pts, eps).tobytes()
+        sampler = ConeSampler(n, n_samples=500, seed=n)
+        cloud = np.concatenate(
+            [reference_project_to_cone(sampler._base, eps), sampler._deterministic_extras(eps)]
+        )
+        want = cloud[reference_on_cone(cloud, eps)]
+        assert sampler.points(eps).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, m, beta", KERNEL_SPEEDS)
+def test_quotient_kernels_match_the_blocks(rng, n, m, beta):
+    params = make_params(n, m, beta)
+    signed = signed_rows(rng, n)
+    signed = signed[np.ravel(mean_curvature_m(signed, params) > 0.0)]
+    lam = np.concatenate([kernel_rows(rng, n), signed])
+    grad, second = _speed_derivatives(lam, params, hessian=True)
+    got = curvalg._difference_quotients(lam, grad, second)
+    assert got.tobytes() == reference_difference_quotients(lam, grad, second).tobytes()
+    assert _bound_values(lam, params).tobytes() == reference_bound_values(lam, params).tobytes()
+    assert _gradient_floor_values(lam, params).tobytes() == np.min(grad, axis=-1).tobytes()
+    # The near branch ran, and for beta != 1 and m >= 2 the limits of Q_01 and
+    # Q_10 differ in rounding on some rows, so both must reach the maximum.
+    assert np.any(np.isin(lam[:, 0], lam[:, 1]))
+    if beta != 1.0 and m >= 2:
+        assert np.any(second[:, 0, 1] != second[:, 1, 0])
+
+
+@pytest.mark.parametrize("n, m, beta", [(2, 2, 1.0), (3, 2, 1.0), (3, 3, 1.0 / 3.0), (3, 1, 2.0)])
+def test_solve_with_reference_kernels_is_bitwise_equal(monkeypatch, n, m, beta):
+    params = make_params(n, m, beta)
+    new = solve_pinching_constants(params, n_samples=2000, seed=1)
+    monkeypatch.setattr(curvalg, "project_to_cone", reference_project_to_cone)
+    monkeypatch.setattr(curvalg, "_on_cone", reference_on_cone)
+    monkeypatch.setattr(curvalg, "_bound_values", reference_bound_values)
+    monkeypatch.setattr(
+        curvalg,
+        "_gradient_floor_values",
+        lambda lam, params: np.min(speed_gradient(lam, params), axis=-1),
+    )
+    old = solve_pinching_constants(params, n_samples=2000, seed=1)
+    fields = ("epsilon0", "c_star", "eps_grid", "gap_table", "grad_floor_table", "hess_ceiling_table")
+    for name in fields:
+        assert np.asarray(getattr(new, name)).tobytes() == np.asarray(getattr(old, name)).tobytes()
+    assert (new.degenerate, new.n_samples, new.seed) == (old.degenerate, old.n_samples, old.seed)
+
+
+# ---------------------------------------------------------------------------
 # Slice constant and the solved pinching constants
 # ---------------------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from horoflow import (
     FlowParams,
     GraphState,
     NumericalBlowupError,
+    ParabolicityLostError,
     RunConfig,
     StepControl,
     StiffnessError,
@@ -32,7 +33,7 @@ from horoflow import (
     step,
     volume_renormalize,
 )
-from horoflow.flow import average_speed, scaled_radius_limit
+from horoflow.flow import R_OSCILLATION_RTOL, average_speed, scaled_radius_limit
 from horoflow.graphgeom import POLE_REGULARIZATION_CELLS, enclosed_volume_integrand
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
@@ -346,6 +347,24 @@ def test_sphere_converges_immediately(params_n2m1):
     assert np.array_equal(result.final_state.r, config.initial.r)
     assert result.summary["decay_fit"] is None
     assert result.summary["volume_drift"] == 0.0
+    assert result.summary["stop"]["r_oscillation"] == 0.0
+    assert result.summary["stop"]["roundness_deficit"] < 1e-8
+    assert result.summary["abort"] is None
+
+
+def test_converged_summary_reports_the_stopping_tests(params_n2m1):
+    grid = make_grid("axisymmetric", 2, 16)
+    initial = perturbed_sphere_state(grid, 1.0, 2, 0.02)
+    result = run(make_config(params_n2m1, initial, t_end=50.0))
+    assert result.status == "converged" and result.n_steps > 100
+    r = result.final_state.r
+    stop = result.summary["stop"]
+    assert stop["r_oscillation"] == float((r.max() - r.min()) / (r.sum() / r.size))
+    assert stop["r_oscillation"] < R_OSCILLATION_RTOL
+    assert stop["roundness_deficit"] == 1.0 / 4.0 - result.recorder.records[-1].Qtilde_min
+    assert stop["roundness_deficit"] < 1e-8
+    unfinished = run(make_config(params_n2m1, initial, t_end=0.05))
+    assert unfinished.status == "t_end" and unfinished.summary["stop"] is None
 
 
 def test_short_run_decays_and_conserves_volume(params_n2m1):
@@ -424,10 +443,50 @@ def test_abort_flushes_diagnostics(tmp_path, params_n2m1):
         t_end=10.0,
         output_dir=out,
     )
-    with pytest.raises(StiffnessError):
+    with pytest.raises(StiffnessError) as err:
         run(config)
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
-    assert os.path.exists(os.path.join(out, "abort_state.csv"))
+    abort_state = load_snapshot(os.path.join(out, "abort_state.csv"))
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["status"] == "aborted" and summary["converged"] is False
+    assert summary["stop"] is None
+    assert summary["abort"] == {
+        "error": "StiffnessError",
+        "message": str(err.value),
+        "t": abort_state.t,
+        "step": summary["n_steps"],
+        "node_index": None,
+    }
+    assert summary["n_steps"] > 0
+
+
+def test_aborted_initial_state_writes_a_deterministic_summary(tmp_path, ac):
+    params = FlowParams(n=2, m=2, beta=1.0, ac=ac)
+    grid = make_grid("axisymmetric", 2, 96)
+    # The dimpled small sphere of test_graphgeom: H_m < 0 near theta = pi.
+    r = 0.5 - 0.046875 * np.cos(2 * grid.theta) + 0.0390625 * np.cos(3 * grid.theta)
+    texts = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        config = make_config(params, GraphState(t=0.0, grid=grid, r=r), output_dir=out)
+        with pytest.raises(ParabolicityLostError) as err:
+            run(config)
+        assert sorted(os.listdir(out)) == ["abort_state.csv", "diagnostics.csv", "summary.json"]
+        with open(os.path.join(out, "summary.json")) as fh:
+            texts.append(fh.read())
+    summary = json.loads(texts[0])
+    assert summary["status"] == "aborted" and summary["n_steps"] == 0
+    assert summary["initial_pinched"] is None and summary["dt"] is None
+    assert summary["abort"] == {
+        "error": "ParabolicityLostError",
+        "message": str(err.value),
+        "t": 0.0,
+        "step": 0,
+        "node_index": err.value.node_index,
+    }
+    assert isinstance(err.value.node_index, int)
+    assert texts[0] == texts[1]
 
 
 def test_renormalized_run_keeps_volume_exact(params_n2m1):

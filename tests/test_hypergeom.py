@@ -17,8 +17,19 @@ from horoflow import (
     generalized_tangent,
     kappa_trig,
 )
+from horoflow.hypergeom import generalized_sine_cosine
 
 X_GRID = np.linspace(1e-4, 12.0, 1500)
+
+
+def test_sine_cosine_pair_rounds_as_the_separate_calls():
+    rng = np.random.default_rng(3)
+    for kappa in (-0.25, -1.0, -2.0, -7.5):
+        amb = AmbientCurvature(kappa=kappa)
+        for x in (X_GRID, rng.uniform(-3.0, 3.0, (7, 5)), 0.7, [0.0, -1.5]):
+            s, c = generalized_sine_cosine(x, amb)
+            assert s.tobytes() == generalized_sine(x, amb).tobytes()
+            assert c.tobytes() == generalized_cosine(x, amb).tobytes()
 
 
 def test_unit_curvature_matches_hyperbolic_functions(ac):
