@@ -310,8 +310,14 @@ def _cmd_run(args: list[str]) -> int:
     parser.add_argument("--max-steps", type=int, default=flow.DEFAULT_MAX_STEPS)
     ns = parser.parse_args(args)
     config = parse_config(ns.config)
-    result = flow.run(config, max_steps=ns.max_steps)
-    print(json.dumps(result.summary, indent=2, sort_keys=True))
+    try:
+        summary = flow.run(config, max_steps=ns.max_steps).summary
+    except HoroflowError as exc:
+        # An aborted run still prints its account; main() maps the exit code.
+        if exc.summary is not None:
+            print(json.dumps(exc.summary, indent=2, sort_keys=True))
+        raise
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -153,7 +153,12 @@ def mean_curvature_m(lam, params: FlowParams):
 
 
 def speed(lam, params: FlowParams):
-    """Return F = H_m^beta; parabolicity demands H_m > 0 everywhere."""
+    """Return F = H_m^beta; parabolicity demands H_m > 0 everywhere.
+
+    lam is an (..., n) spectrum array or a PairSpectrum (closed form).
+    """
+    if isinstance(lam, PairSpectrum):
+        return _power_speed(lam.esym(params.m) / params.binom, params)
     return _power_speed(mean_curvature_m(lam, params), params)
 
 
@@ -168,48 +173,40 @@ def _power_speed(hm, params: FlowParams):
 
 
 @dataclass(frozen=True)
-class AxisymSpectrum:
-    """Batched spectra {theta, azim, ..., azim} with azim repeated n - 1 times.
+class PairSpectrum:
+    """Batched spectra {single, repeated, ..., repeated}, repeated n - 1 times.
 
     A rotationally symmetric hypersurface has this spectrum at every node
-    (theta along the meridian, azim in the n - 1 rotation directions), so its
-    elementary symmetric values have a closed form and need neither the
-    recurrence nor an (N, n) array.
+    (single along the meridian, repeated in the n - 1 rotation directions);
+    for n = 2 the pair is any spectrum, e.g. the two eigenvalues of a 2x2
+    Weingarten map.  Its elementary symmetric values have a closed form and
+    need neither the recurrence nor an (N, n) array.
     """
 
-    theta: np.ndarray
-    azim: np.ndarray
+    single: np.ndarray
+    repeated: np.ndarray
     n: int
 
     def esym(self, k: int) -> np.ndarray:
-        """E_k = C(n-1, k) azim^k + C(n-1, k-1) theta azim^(k-1), for 0 <= k <= n."""
+        """E_k = C(n-1, k) rep^k + C(n-1, k-1) single rep^(k-1), for 0 <= k <= n."""
         if k == 0:
-            return np.ones_like(self.theta)
+            return np.ones_like(self.single)
         below = self.n - 1
-        e = float(math.comb(below, k)) * self.azim + float(math.comb(below, k - 1)) * self.theta
+        e = (
+            float(math.comb(below, k)) * self.repeated
+            + float(math.comb(below, k - 1)) * self.single
+        )
         for _ in range(k - 1):  # k is small: products beat the general power
-            e = e * self.azim
+            e = e * self.repeated
         return e
-
-    def speed(self, params: FlowParams) -> np.ndarray:
-        """F = H_m^beta, under the parabolicity contract of speed()."""
-        return _power_speed(self.esym(params.m) / params.binom, params)
-
-    def speed_gradient_trace(self, params: FlowParams) -> np.ndarray:
-        """sum_i dF/dlambda_i, from the identity sum_i dE_m/dlambda_i = (n - m + 1) E_{m-1}."""
-        m, beta = params.m, params.beta
-        trace = ((self.n - m + 1) / params.binom) * self.esym(m - 1)
-        if beta != 1.0:
-            trace = trace * (beta * (self.esym(m) / params.binom) ** (beta - 1.0))
-        return trace
 
     def sorted(self) -> np.ndarray:
         """The (N, n) spectrum, ascending in each row."""
-        lam = np.empty((self.theta.size, self.n))
-        # Every entry between the extremes is an azim, whichever is smaller.
-        lam[:, 1:-1] = self.azim[:, None]
-        np.minimum(self.theta, self.azim, out=lam[:, 0])
-        np.maximum(self.theta, self.azim, out=lam[:, -1])
+        lam = np.empty((self.single.size, self.n))
+        # Every entry between the extremes is a repeated one, whichever is smaller.
+        lam[:, 1:-1] = self.repeated[:, None]
+        np.minimum(self.single, self.repeated, out=lam[:, 0])
+        np.maximum(self.single, self.repeated, out=lam[:, -1])
         return lam
 
 
@@ -248,9 +245,23 @@ def _speed_derivatives(lam: np.ndarray, params: FlowParams, hessian: bool):
     return grad, out
 
 
-def speed_gradient(lam, params: FlowParams):
-    """Return dF/dlambda_i, shape (..., n); positive on the positive cone."""
-    return _speed_derivatives(_as_batch(lam), params, hessian=False)[0]
+def speed_gradient(lam, params: FlowParams, trace: bool = False):
+    """Return dF/dlambda_i, shape (..., n); positive on the positive cone.
+
+    With trace=True return sum_i dF/dlambda_i instead.  A PairSpectrum gives
+    the trace only, in closed form from the identity
+    sum_i dE_m/dlambda_i = (n - m + 1) E_{m-1}.
+    """
+    if isinstance(lam, PairSpectrum):
+        if not trace:
+            raise DomainError("a PairSpectrum gives only the trace of the speed gradient")
+        m, beta = params.m, params.beta
+        total = ((lam.n - m + 1) / params.binom) * lam.esym(m - 1)
+        if beta != 1.0:
+            total = total * (beta * (lam.esym(m) / params.binom) ** (beta - 1.0))
+        return total
+    grad = _speed_derivatives(_as_batch(lam), params, hessian=False)[0]
+    return grad.sum(axis=-1) if trace else grad
 
 
 def _pair_quotients(lam, grad, second):

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class HoroflowError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.
+
+    summary is None, except on an error that aborted flow.run: there it holds
+    the aborted run's summary dict (status "aborted" and the abort account).
+    """
+
+    summary: dict | None = None
 
 
 class DomainError(HoroflowError, ValueError):

@@ -207,14 +207,10 @@ def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) 
     diffusion coefficients bounded by the components of the speed gradient
     over the induced metric factors; their sum (the gradient trace) bounds
     the largest eigenvalue including the pole-regularized azimuthal cells,
-    so dt = safety * (min induced spacing)^2 / max_nodes trace(dF).  The
-    axisymmetric kernel's spectrum gives the trace in closed form.
+    so dt = safety * (min induced spacing)^2 / max_nodes trace(dF), with the
+    trace in closed form on the fields' pair spectrum.
     """
-    if fields.spectrum is not None:
-        trace = fields.spectrum.speed_gradient_trace(params)
-    else:
-        trace = speed_gradient(fields.lam, params).sum(axis=-1)
-    scale = float(trace.max())
+    scale = float(speed_gradient(fields.spectrum, params, trace=True).max())
     if not math.isfinite(scale) or scale <= 0.0:
         raise DomainError("diffusion scale must be positive and finite")
     dt = control.safety * fields.min_spacing**2 / scale
@@ -359,7 +355,8 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     Diagnostics rows are appended at the record cadence plus the initial
     and final states; snapshots and the summary JSON are written only when
     output_dir is set.  The initial pinching against C* is logged here, once
-    per run.  Aborts flush what was recorded before propagating.
+    per run.  An abort re-raises its error with the aborted summary attached
+    (HoroflowError.summary), after flushing what was recorded to output_dir.
     """
     params = config.params
     control = config.control
@@ -494,15 +491,17 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
         if out_dir:
             recorder.write_csv(os.path.join(out_dir, "diagnostics.csv"))
             save_snapshot(state, os.path.join(out_dir, "abort_state.csv"))
-            # state is the last accepted one: n_steps steps were taken to reach it.
-            abort = {
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "t": float(state.t),
-                "step": n_steps,
-                "node_index": getattr(exc, "node_index", None),
-            }
-            _write_summary(out_dir, result_for("aborted", abort=abort).summary)
+        # state is the last accepted one: n_steps steps were taken to reach it.
+        abort = {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "t": float(state.t),
+            "step": n_steps,
+            "node_index": getattr(exc, "node_index", None),
+        }
+        exc.summary = result_for("aborted", abort=abort).summary
+        if out_dir:
+            _write_summary(out_dir, exc.summary)
         raise
 
     if recorder.records[-1].t != state.t:

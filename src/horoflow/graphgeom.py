@@ -14,9 +14,11 @@ Two grid modes:
   equivalent azimuthal directions), so the spectrum at every node is
   {lam_theta, lam_azim repeated n-1 times}: the speed and its gradient trace
   come from the closed-form elementary symmetric values of that pair
-  (curvalg.AxisymSpectrum), with no eigensolve, recurrence or (N, n) array.
+  (curvalg.PairSpectrum), with no eigensolve, recurrence or (N, n) array.
 * full2d: n = 2 only, a latitude-longitude grid cell-centered in theta
-  (no node sits on a pole) with Fourier-spectral derivatives in phi.
+  (no node sits on a pole) with Fourier-spectral derivatives in phi.  The
+  2x2 Weingarten algebra is written out entry by entry on per-node columns,
+  and its two closed-form eigenvalues form the same pair spectrum.
 
 Frame convention: all per-node tensors (Dr, D2r, g, h, ...) are expressed
 in an orthonormal frame of the round sphere, so the round metric is the
@@ -34,7 +36,7 @@ from io import StringIO
 
 import numpy as np
 
-from .curvalg import AxisymSpectrum, FlowParams, speed
+from .curvalg import FlowParams, PairSpectrum, speed
 from .errors import ConfigurationError, DomainError, HoroflowError
 from .hypergeom import AmbientCurvature, generalized_sine, generalized_sine_cosine
 
@@ -45,8 +47,6 @@ MIN_NODES_THETA = 16
 # Number of cells adjacent to each pole where the azimuthal curvature term
 # cot(theta) r' is replaced by its pole limit r''.
 POLE_REGULARIZATION_CELLS = 2
-
-_EYE2 = np.eye(2)
 
 SNAPSHOT_MAGIC = "# horoflow-grid v1"
 _MODE_TAGS = {"axisymmetric": "axisym", "full2d": "full2d"}
@@ -266,27 +266,45 @@ def _axisym_scalar_derivatives(grid: GridSpec, r: np.ndarray):
     return rp, rpp, azim
 
 
-def _full2d_scalar_derivatives(grid: GridSpec, r: np.ndarray):
-    """Return coordinate derivatives (r_t, r_tt, r_p, r_pp, r_tp) on the 2d grid.
+def _full2d_frame_derivatives(grid: GridSpec, r: np.ndarray):
+    """Return the frame columns (a, b, d00, d01, d11) of Dr = (a, b) and D2r.
 
+    One entry per flattened node; D2r is symmetric with off-diagonal d01.
     Theta uses second-order central differences with ghost rows obtained by
-    crossing the pole (same ring, phi shifted by pi); phi is Fourier-spectral.
+    crossing the pole (same ring, phi shifted by pi); phi is Fourier-spectral,
+    one rfft of [r, r_t] and one irfft of [i k R, -k^2 R, i k R_t].
     """
     h = grid.spacing_theta
-    n_phi = grid.n_phi
-    ghost_top = np.roll(r[0], n_phi // 2)
-    ghost_bot = np.roll(r[-1], n_phi // 2)
-    re = np.vstack([ghost_top, r, ghost_bot])
-    r_t = (re[2:] - re[:-2]) / (2.0 * h)
-    r_tt = (re[2:] - 2.0 * r + re[:-2]) / (h * h)
+    n_theta, n_phi = r.shape
+    half = n_phi // 2
+    re = np.empty((n_theta + 2, n_phi))
+    re[1:-1] = r
+    re[0, :half] = r[0, half:]
+    re[0, half:] = r[0, :half]
+    re[-1, :half] = r[-1, half:]
+    re[-1, half:] = r[-1, :half]
+    up, down = re[2:], re[:-2]
+    rows = np.empty((2, n_theta, n_phi))
+    rows[0] = r
+    r_t = np.divide(up - down, 2.0 * h, out=rows[1])
+    r_tt = (up - 2.0 * r + down) / (h * h)
 
     k = grid.wavenumbers
-    spec = np.fft.rfft(r, axis=1)
-    r_p = np.fft.irfft(1j * k[None, :] * spec, n=n_phi, axis=1)
-    r_pp = np.fft.irfft(-(k[None, :] ** 2) * spec, n=n_phi, axis=1)
-    spec_t = np.fft.rfft(r_t, axis=1)
-    r_tp = np.fft.irfft(1j * k[None, :] * spec_t, n=n_phi, axis=1)
-    return r_t, r_tt, r_p, r_pp, r_tp
+    spec = np.fft.rfft(rows, axis=-1)
+    products = np.empty((3,) + spec.shape[1:], dtype=complex)
+    np.multiply(1j * k, spec, out=products[::2])  # slots 0 and 2: i k R, i k R_t
+    np.multiply(-(k**2), spec[0], out=products[1])
+    r_p, r_pp, r_tp = np.fft.irfft(products, n=n_phi, axis=-1)
+
+    sin_t = grid.sin_theta
+    cot_t = grid.cot_theta
+    return (
+        r_t.ravel(),
+        (r_p / sin_t).ravel(),
+        r_tt.ravel(),
+        ((r_tp - cot_t * r_p) / sin_t).ravel(),
+        (r_pp / sin_t**2 + cot_t * r_t).ravel(),
+    )
 
 
 def spherical_derivatives(state: GraphState):
@@ -309,17 +327,13 @@ def spherical_derivatives(state: GraphState):
             D2r[:, k, k] = azim
         return Dr, D2r
 
-    r = state.r
-    r_t, r_tt, r_p, r_pp, r_tp = _full2d_scalar_derivatives(grid, r)
-    sin_t = grid.sin_theta
-    cot_t = grid.cot_theta
-    Dr = np.stack([r_t.ravel(), (r_p / sin_t).ravel()], axis=1)
-    D2r = np.empty((r.size, 2, 2))
-    D2r[:, 0, 0] = r_tt.ravel()
-    off = ((r_tp - cot_t * r_p) / sin_t).ravel()
-    D2r[:, 0, 1] = off
-    D2r[:, 1, 0] = off
-    D2r[:, 1, 1] = (r_pp / sin_t**2 + cot_t * r_t).ravel()
+    a, b, d00, d01, d11 = _full2d_frame_derivatives(grid, state.r)
+    Dr = np.stack([a, b], axis=1)
+    D2r = np.empty((a.size, 2, 2))
+    D2r[:, 0, 0] = d00
+    D2r[:, 0, 1] = d01
+    D2r[:, 1, 0] = d01
+    D2r[:, 1, 1] = d11
     return Dr, D2r
 
 
@@ -351,9 +365,10 @@ def axisym_pointwise_curvatures(r, rp, rpp, azim, ac: AmbientCurvature):
 class GeometryFields:
     """Per-node geometry of a state, flattened over nodes.
 
-    lam is the (N, n) principal-curvature spectrum, ascending in each row,
-    and settable.  The axisymmetric kernel keeps only the two distinct values
-    per node (spectrum) and builds lam on first read; full2d passes lam.
+    spectrum holds the two distinct principal curvatures per node: the
+    axisymmetric (lam_theta, lam_azim) or the full2d eigenvalue pair
+    (lo, hi).  lam is the (N, n) principal-curvature spectrum, ascending in
+    each row, built from it on first read, and settable.
     """
 
     s: np.ndarray
@@ -363,7 +378,7 @@ class GeometryFields:
     Phi: np.ndarray
     area_weight: np.ndarray
     min_spacing: float
-    spectrum: AxisymSpectrum | None = None
+    spectrum: PairSpectrum
     _lam: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -380,9 +395,9 @@ class GeometryFields:
 def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields:
     """Assemble the per-node geometry of a radial graph.
 
-    The axisymmetric spectrum is diagonal in the adapted frame and its speed
-    has a closed form; full2d assembles the 2x2 frame tensors and takes
-    their eigenvalues.
+    The axisymmetric spectrum is diagonal in the adapted frame; full2d writes
+    out the 2x2 frame tensors per entry and takes their closed-form
+    eigenvalues.  Either way the speed comes from the pair spectrum.
     """
     grid = state.grid
     if grid.n != params.n:
@@ -393,46 +408,51 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
         r = state.r
         rp, rpp, azim = _axisym_scalar_derivatives(grid, r)
         lam_theta, lam_azim, xi, s, _c = axisym_pointwise_curvatures(r, rp, rpp, azim, params.ac)
-        spectrum = AxisymSpectrum(lam_theta, lam_azim, n)
+        spectrum = PairSpectrum(lam_theta, lam_azim, n)
         min_spacing = grid.spacing_theta * float(xi.min())
         return _scalar_fields(
-            state, params, spectrum.speed(params), spectrum.esym(1), xi, s, min_spacing,
-            spectrum=spectrum,
+            state, params, speed(spectrum, params), spectrum.esym(1), xi, s, min_spacing, spectrum
         )
 
-    # full2d: assemble 2x2 frame tensors and take closed-form eigenvalues.
-    Dr, D2r = spherical_derivatives(state)
-    r = state.r_flat
-    s, c = generalized_sine_cosine(r, params.ac)
-    dr_sq = np.einsum("ni,ni->n", Dr, Dr)
-    xi_sq = s * s + dr_sq
+    # full2d, entry by entry: g = Dr Dr^T + s^2 I, g^-1 = P / s^2 with
+    # P = I - Dr Dr^T / |xi|^2, h = -(s D2r - s^2 c I - 2 c Dr Dr^T) / |xi|
+    # and W = g^-1 h.  Each entry keeps the operation order of these matrix
+    # expressions (g^-1 before the product, W_ik = g^-1_i0 h_0k + g^-1_i1 h_1k).
+    a, b, d00, d01, d11 = _full2d_frame_derivatives(grid, state.r)
+    s, c = generalized_sine_cosine(state.r_flat, params.ac)
+    aa = a * a
+    ab = a * b
+    bb = b * b
+    ss = s * s
+    xi_sq = ss + (aa + bb)
     xi = np.sqrt(xi_sq)
-    outer = Dr[:, :, None] * Dr[:, None, :]
-    g = outer + (s * s)[:, None, None] * _EYE2
-    g_inv = (_EYE2[None, :, :] - outer / xi_sq[:, None, None]) / (s * s)[:, None, None]
-    h2 = -(
-        s[:, None, None] * D2r
-        - (s * s * c)[:, None, None] * _EYE2
-        - 2.0 * c[:, None, None] * outer
-    ) / xi[:, None, None]
-    W = np.einsum("nij,njk->nik", g_inv, h2)
-    tr = W[:, 0, 0] + W[:, 1, 1]
+    p00 = (1.0 - aa / xi_sq) / ss
+    p01 = (0.0 - ab / xi_sq) / ss
+    p11 = (1.0 - bb / xi_sq) / ss
+    ssc = ss * c
+    c2 = 2.0 * c
+    h00 = -((s * d00 - ssc) - c2 * aa) / xi
+    h01 = -(s * d01 - c2 * ab) / xi
+    h11 = -((s * d11 - ssc) - c2 * bb) / xi
+    w00 = p00 * h00 + p01 * h01
+    w01 = p00 * h01 + p01 * h11
+    w10 = p01 * h00 + p11 * h01
+    w11 = p01 * h01 + p11 * h11
+    tr = w00 + w11
     # (W00 - W11)^2 + 4 W01 W10 equals tr^2 - 4 det but does not cancel
     # catastrophically at umbilic points (W is self-adjoint w.r.t. g, so
     # the discriminant is nonnegative up to rounding)
-    gap = W[:, 0, 0] - W[:, 1, 1]
-    disc = np.sqrt(np.maximum(gap * gap + 4.0 * W[:, 0, 1] * W[:, 1, 0], 0.0))
-    lam = np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0], axis=1)
-    theta_spacing = grid.spacing_theta * np.sqrt(g[:, 0, 0])
+    gap = w00 - w11
+    disc = np.sqrt(np.maximum(gap * gap + 4.0 * w01 * w10, 0.0))
+    spectrum = PairSpectrum((tr - disc) / 2.0, (tr + disc) / 2.0, n)
+    theta_spacing = grid.spacing_theta * np.sqrt(aa + ss)
     # Coordinate phi spacing carries the sin(theta) factor of the chart.
-    phi_spacing = grid.spacing_phi * grid.sin_theta_nodes * np.sqrt(g[:, 1, 1])
-    min_spacing = float(min(np.min(theta_spacing), np.min(phi_spacing)))
-    return _scalar_fields(state, params, speed(lam, params), tr, xi, s, min_spacing, lam=lam)
+    phi_spacing = grid.spacing_phi * grid.sin_theta_nodes * np.sqrt(bb + ss)
+    min_spacing = float(min(theta_spacing.min(), phi_spacing.min()))
+    return _scalar_fields(state, params, speed(spectrum, params), tr, xi, s, min_spacing, spectrum)
 
 
-def _scalar_fields(
-    state, params, F, H, xi, s, min_spacing, spectrum=None, lam=None
-) -> GeometryFields:
+def _scalar_fields(state, params, F, H, xi, s, min_spacing, spectrum) -> GeometryFields:
     return GeometryFields(
         s=s,
         xi_norm=xi,
@@ -442,7 +462,6 @@ def _scalar_fields(
         area_weight=s ** (params.n - 1) * xi * state.grid.weights,
         min_spacing=min_spacing,
         spectrum=spectrum,
-        _lam=lam,
     )
 
 
@@ -504,8 +523,8 @@ def area_and_volume(state: GraphState, params: FlowParams) -> tuple[float, float
         rp, _, _ = _axisym_scalar_derivatives(grid, state.r)
         xi = np.sqrt(s * s + rp * rp)
     else:
-        Dr, _ = spherical_derivatives(state)
-        xi = np.sqrt(s * s + np.einsum("ni,ni->n", Dr, Dr))
+        a, b, _, _, _ = _full2d_frame_derivatives(grid, state.r)
+        xi = np.sqrt(s * s + (a * a + b * b))
     area = float(np.sum(s ** (params.n - 1) * xi * grid.weights))
     volume = float(np.sum(grid.weights * enclosed_volume_integrand(r, params)))
     return area, volume

@@ -446,6 +446,38 @@ def test_run_stiff_config_exits_numerical(tmp_path, capsys):
     assert "numerical abort" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("with_output_dir", [False, True])
+def test_run_abort_prints_the_aborted_summary(tmp_path, capsys, with_output_dir):
+    # A small sphere with a degree-6 ripple of the largest allowed amplitude
+    # is dimpled (H < 0 at some node): the initial geometry already aborts.
+    overrides = {
+        "grid.n_theta": 48,
+        "initial.shape": "perturbed_sphere",
+        "initial.r0": 0.5,
+        "initial.mode_l": 6,
+        "initial.amplitude": 0.1,
+        "constants.n_samples": 2000,
+    }
+    out = tmp_path / "out"
+    if with_output_dir:
+        overrides["output.dir"] = str(out)
+    assert main(["run", write_config(tmp_path, **overrides)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "numerical abort" in captured.err
+    summary = json.loads(captured.out)
+    assert summary["status"] == "aborted" and summary["converged"] is False
+    assert summary["n_steps"] == 0
+    abort = summary["abort"]
+    assert abort["error"] == "ParabolicityLostError"
+    assert abort["message"] in captured.err
+    assert abort["t"] == 0.0 and abort["step"] == 0
+    assert isinstance(abort["node_index"], int)
+    if with_output_dir:
+        assert json.loads((out / "summary.json").read_text()) == summary
+    else:
+        assert not out.exists()
+
+
 def test_oracle_writes_trajectory(tmp_path, capsys):
     out = str(tmp_path / "traj.csv")
     code = main(["oracle", "sphere", "1.0", "0.3", "--samples", "31", "--out", out])

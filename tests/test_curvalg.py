@@ -638,6 +638,8 @@ def test_gradient_trace_floor(lam):
     for m, beta in ((1, 1.0), (min(2, n), 1.0), (n, 1.0 / n)):
         params = make_params(n, m, beta)
         f = float(speed(lam, params))
-        trace = float(np.sum(speed_gradient(lam, params)))
+        grad = speed_gradient(lam, params)
+        assert np.array_equal(speed_gradient(lam, params, trace=True), grad.sum(axis=-1))
+        trace = float(np.sum(grad))
         floor = params.mbeta * f ** (1.0 - 1.0 / params.mbeta)
         assert trace >= floor - 1e-10 * max(1.0, floor)

@@ -22,8 +22,10 @@ from horoflow import (
     StepControl,
     StiffnessError,
     area_and_volume,
+    flow,
     flow_rhs,
     geometry_from_graph,
+    graphgeom,
     load_snapshot,
     make_grid,
     perturbed_sphere_state,
@@ -35,6 +37,7 @@ from horoflow import (
 )
 from horoflow.flow import R_OSCILLATION_RTOL, average_speed, scaled_radius_limit
 from horoflow.graphgeom import POLE_REGULARIZATION_CELLS, enclosed_volume_integrand
+from test_graphgeom import reference_full2d_geometry, reference_stable_dt
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
 
@@ -286,6 +289,25 @@ def test_stable_dt_scaling_and_clamps(params_n2m1):
     assert stable_dt(fields, params_n2m1, StepControl(dt_min=0.5, dt_max=1.0)) == 0.5
 
 
+@pytest.mark.parametrize("mode", ["axisymmetric", "full2d"])
+def test_a_heun_step_reaches_the_traced_speed_names(mode, params_n2m2, monkeypatch):
+    # The benchmark tracer counts calls through graphgeom.speed and
+    # flow.speed_gradient; a stage kernel that bypasses them reads 0 there.
+    calls = []
+    for owner, name in ((graphgeom, "speed"), (flow, "speed_gradient")):
+        inner = getattr(owner, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    grid = make_grid(mode, 2, 32, 64 if mode == "full2d" else None)
+    state = perturbed_sphere_state(grid, 1.0, 3, 0.04, mode_phi=2 if mode == "full2d" else 0)
+    step(state, params_n2m2, StepControl())
+    assert sorted(calls) == ["speed", "speed", "speed_gradient"]
+
+
 @pytest.mark.parametrize("n, m, beta", [(3, 2, 1.0), (3, 2, 1.5), (2, 1, 2.0)])
 def test_stable_dt_on_spheres_follows_the_analytic_trace(n, m, beta):
     params = FlowParams(n=n, m=m, beta=beta, ac=AmbientCurvature(kappa=-1.0))
@@ -381,6 +403,31 @@ def test_short_run_decays_and_conserves_volume(params_n2m1):
     assert cols["f_max"][-1] < 0.2 * cols["f_max"][0]
     finite_q = cols["Qtilde_min"][np.isfinite(cols["Qtilde_min"])]
     assert np.all(np.diff(finite_q) > -1e-6)
+
+
+def test_full2d_run_matches_the_tensor_assembly(tmp_path, params_n2m2, monkeypatch):
+    grid = make_grid("full2d", 2, 16, 32)
+    initial = perturbed_sphere_state(grid, 1.0, 2, 0.05, mode_phi=2)
+    texts = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        result = run(make_config(params_n2m2, initial, t_end=0.01, output_dir=out))
+        with open(os.path.join(out, "diagnostics.csv")) as fh:
+            texts.append(fh.read())
+    assert texts[0] == texts[1]
+    assert result.status == "t_end" and result.n_steps > 100
+    cols = result.arrays()
+    v = cols["V"]
+    assert np.max(np.abs(v - v[0])) / v[0] <= 1e-6
+    assert np.all(np.diff(cols["Qtilde_min"]) >= 0.0)
+
+    monkeypatch.setattr(flow, "geometry_from_graph", reference_full2d_geometry)
+    monkeypatch.setattr(flow, "stable_dt", reference_stable_dt)
+    reference = run(make_config(params_n2m2, initial, t_end=0.01))
+    assert reference.n_steps == result.n_steps
+    want = reference.arrays()
+    for name, got in cols.items():
+        np.testing.assert_allclose(got, want[name], rtol=1e-12, atol=0.0, err_msg=name)
 
 
 def test_run_respects_max_steps(params_n2m1):

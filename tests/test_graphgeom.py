@@ -17,7 +17,9 @@ from horoflow import (
     GraphState,
     HoroflowError,
     ParabolicityLostError,
+    StepControl,
     area_and_volume,
+    curvalg,
     geometry_from_graph,
     kappa_trig,
     load_snapshot,
@@ -26,14 +28,17 @@ from horoflow import (
     perturbed_sphere_state,
     save_snapshot,
     sphere_state,
+    stable_dt,
 )
 from horoflow.curvalg import speed, speed_gradient
 from horoflow.graphgeom import (
+    GeometryFields,
     _axisym_scalar_derivatives,
     _sphere_area,
     axisym_pointwise_curvatures,
     enclosed_volume_integrand,
 )
+from horoflow.hypergeom import generalized_sine_cosine
 
 
 def analytic_profile(grid, r0=1.0, amp=0.05, ell=3):
@@ -262,13 +267,15 @@ def test_axisym_kernel_matches_the_generic_speed_and_trace(n, m, beta, rng):
         r = r0 + sum(amp * np.cos(ell * grid.theta) for ell, amp in zip((2, 3, 4), amps))
         fields = geometry_from_graph(GraphState(t=0.0, grid=grid, r=r), params)
         pair = fields.spectrum
-        stacked = np.stack([pair.theta] + [pair.azim] * (n - 1), axis=1)
+        stacked = np.stack([pair.single] + [pair.repeated] * (n - 1), axis=1)
         assert np.array_equal(fields.lam, np.sort(stacked, axis=1))
         want_speed = speed(fields.lam, params)
         assert np.max(np.abs(fields.F - want_speed) / want_speed) < 1e-13
-        want_trace = np.sum(speed_gradient(fields.lam, params), -1)
-        got_trace = pair.speed_gradient_trace(params)
+        want_trace = speed_gradient(fields.lam, params, trace=True)
+        got_trace = speed_gradient(pair, params, trace=True)
         assert np.max(np.abs(got_trace - want_trace) / want_trace) < 1e-13
+    with pytest.raises(DomainError, match="trace"):
+        speed_gradient(pair, params)
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 2)])
@@ -285,6 +292,158 @@ def test_axisym_kernel_reports_the_generic_parabolicity_node(n, m):
         speed(np.sort(np.stack([lt] + [la] * (n - 1), axis=1), axis=1), params)
     assert kernel.value.node_index == generic.value.node_index
     assert str(kernel.value) == str(generic.value)
+
+
+# ---------------------------------------------------------------------------
+# The full2d column kernel against the (N, 2, 2) tensor assembly it replaced
+# ---------------------------------------------------------------------------
+
+_EYE2 = np.eye(2)
+
+
+def _reference_full2d_scalar_derivatives(grid, r):
+    """Return coordinate derivatives (r_t, r_tt, r_p, r_pp, r_tp) on the 2d grid.
+
+    Theta uses second-order central differences with ghost rows obtained by
+    crossing the pole (same ring, phi shifted by pi); phi is Fourier-spectral.
+    """
+    h = grid.spacing_theta
+    n_phi = grid.n_phi
+    ghost_top = np.roll(r[0], n_phi // 2)
+    ghost_bot = np.roll(r[-1], n_phi // 2)
+    re = np.vstack([ghost_top, r, ghost_bot])
+    r_t = (re[2:] - re[:-2]) / (2.0 * h)
+    r_tt = (re[2:] - 2.0 * r + re[:-2]) / (h * h)
+
+    k = grid.wavenumbers
+    spec = np.fft.rfft(r, axis=1)
+    r_p = np.fft.irfft(1j * k[None, :] * spec, n=n_phi, axis=1)
+    r_pp = np.fft.irfft(-(k[None, :] ** 2) * spec, n=n_phi, axis=1)
+    spec_t = np.fft.rfft(r_t, axis=1)
+    r_tp = np.fft.irfft(1j * k[None, :] * spec_t, n=n_phi, axis=1)
+    return r_t, r_tt, r_p, r_pp, r_tp
+
+
+def reference_full2d_geometry(state, params):
+    """The full2d geometry as the (N, 2, 2) tensor assembly computed it.
+
+    Returns GeometryFields with lam set and no pair spectrum; pair it with
+    reference_stable_dt.
+    """
+    grid = state.grid
+    r = state.r
+    r_t, r_tt, r_p, r_pp, r_tp = _reference_full2d_scalar_derivatives(grid, r)
+    sin_t = grid.sin_theta
+    cot_t = grid.cot_theta
+    Dr = np.stack([r_t.ravel(), (r_p / sin_t).ravel()], axis=1)
+    D2r = np.empty((r.size, 2, 2))
+    D2r[:, 0, 0] = r_tt.ravel()
+    off = ((r_tp - cot_t * r_p) / sin_t).ravel()
+    D2r[:, 0, 1] = off
+    D2r[:, 1, 0] = off
+    D2r[:, 1, 1] = (r_pp / sin_t**2 + cot_t * r_t).ravel()
+
+    r = state.r_flat
+    s, c = generalized_sine_cosine(r, params.ac)
+    dr_sq = np.einsum("ni,ni->n", Dr, Dr)
+    xi_sq = s * s + dr_sq
+    xi = np.sqrt(xi_sq)
+    outer = Dr[:, :, None] * Dr[:, None, :]
+    g = outer + (s * s)[:, None, None] * _EYE2
+    g_inv = (_EYE2[None, :, :] - outer / xi_sq[:, None, None]) / (s * s)[:, None, None]
+    h2 = -(
+        s[:, None, None] * D2r
+        - (s * s * c)[:, None, None] * _EYE2
+        - 2.0 * c[:, None, None] * outer
+    ) / xi[:, None, None]
+    W = np.einsum("nij,njk->nik", g_inv, h2)
+    tr = W[:, 0, 0] + W[:, 1, 1]
+    # (W00 - W11)^2 + 4 W01 W10 equals tr^2 - 4 det but does not cancel
+    # catastrophically at umbilic points (W is self-adjoint w.r.t. g, so
+    # the discriminant is nonnegative up to rounding)
+    gap = W[:, 0, 0] - W[:, 1, 1]
+    disc = np.sqrt(np.maximum(gap * gap + 4.0 * W[:, 0, 1] * W[:, 1, 0], 0.0))
+    lam = np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0], axis=1)
+    theta_spacing = grid.spacing_theta * np.sqrt(g[:, 0, 0])
+    # Coordinate phi spacing carries the sin(theta) factor of the chart.
+    phi_spacing = grid.spacing_phi * grid.sin_theta_nodes * np.sqrt(g[:, 1, 1])
+    min_spacing = float(min(np.min(theta_spacing), np.min(phi_spacing)))
+    return GeometryFields(
+        s=s,
+        xi_norm=xi,
+        H=tr,
+        F=speed(lam, params),
+        Phi=s * s / xi,
+        area_weight=s ** (params.n - 1) * xi * state.grid.weights,
+        min_spacing=min_spacing,
+        spectrum=None,
+        _lam=lam,
+    )
+
+
+def reference_stable_dt(fields, params, control):
+    """stable_dt with the gradient trace summed from the generic speed gradient."""
+    trace = speed_gradient(fields.lam, params, trace=True)
+    scale = float(trace.max())
+    dt = control.safety * fields.min_spacing**2 / scale
+    return float(min(max(dt, control.dt_min), control.dt_max))
+
+
+FULL2D_SPEEDS = [(1, 1.0), (2, 1.0), (1, 2.0), (2, 0.5), (2, 1.5)]
+FULL2D_GRIDS = [(16, 32), (24, 48), (32, 64)]
+FULL2D_PROFILES = [(2, 0), (3, 1), (4, 2), (2, 2), (5, 3)]
+FULL2D_FIELDS = ("F", "H", "lam", "xi_norm", "s", "Phi", "area_weight")
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -0.5, -2.0])
+@pytest.mark.parametrize("m, beta", FULL2D_SPEEDS)
+def test_full2d_kernel_matches_the_tensor_assembly_bitwise(m, beta, kappa, rng):
+    params = FlowParams(n=2, m=m, beta=beta, ac=AmbientCurvature(kappa=kappa))
+    control = StepControl()
+    for n_theta, n_phi in FULL2D_GRIDS:
+        grid = make_grid("full2d", 2, n_theta, n_phi)
+        for ell, mode_phi in FULL2D_PROFILES:
+            r0 = rng.uniform(0.5, 2.0)
+            amplitude = rng.uniform(-0.04, 0.04) * r0
+            state = perturbed_sphere_state(grid, r0, ell, amplitude, mode_phi=mode_phi)
+            got = geometry_from_graph(state, params)
+            want = reference_full2d_geometry(state, params)
+            for name in FULL2D_FIELDS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.min_spacing == want.min_spacing
+            dt_want = reference_stable_dt(want, params, control)
+            assert abs(stable_dt(got, params, control) - dt_want) <= 4e-16 * dt_want
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_full2d_kernel_reports_the_reference_parabolicity_node(m):
+    params = FlowParams(n=2, m=m, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
+    grid = make_grid("full2d", 2, 48, 16)
+    # The dimpled small sphere of the axisymmetric test, tilted in phi.
+    profile = 0.5 - 0.046875 * np.cos(2 * grid.theta) + 0.0390625 * np.cos(3 * grid.theta)
+    r = profile[:, None] + 0.01 * np.sin(grid.theta)[:, None] * np.cos(grid.phi)[None, :]
+    state = GraphState(t=0.0, grid=grid, r=r)
+    with pytest.raises(ParabolicityLostError) as kernel:
+        geometry_from_graph(state, params)
+    with pytest.raises(ParabolicityLostError) as reference:
+        reference_full2d_geometry(state, params)
+    assert isinstance(kernel.value.node_index, int)
+    assert kernel.value.node_index == reference.value.node_index
+    assert str(kernel.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("mode", ["axisymmetric", "full2d"])
+def test_stable_dt_takes_the_trace_from_the_pair_spectrum(mode, params_n2m2, monkeypatch):
+    grid = make_grid(mode, 2, 32, 64 if mode == "full2d" else None)
+    state = perturbed_sphere_state(grid, 1.0, 3, 0.04, mode_phi=2 if mode == "full2d" else 0)
+    fields = geometry_from_graph(state, params_n2m2)
+
+    def generic_recurrence(*args, **kwargs):
+        raise AssertionError("stable_dt ran the (N, n) recurrence")
+
+    monkeypatch.setattr(curvalg, "_speed_derivatives", generic_recurrence)
+    monkeypatch.setattr(curvalg, "_esym_table", generic_recurrence)
+    assert stable_dt(fields, params_n2m2, StepControl()) > 0.0
 
 
 # ---------------------------------------------------------------------------
