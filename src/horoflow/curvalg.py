@@ -40,7 +40,6 @@ from .errors import (
     RootFindingError,
 )
 from .hypergeom import AmbientCurvature
-from .parallel import map_rows
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +57,9 @@ MIN_SAMPLES = 100
 BISECTION_TOL = 1.0e-8
 _SLICE_VALIDATION_SAMPLES = 200_000
 _SLICE_VALIDATION_RTOL = 1.0e-3
+# Rows per block of the sample cloud in map_rows: bounds the (CHUNK_ROWS, n, n)
+# Hessian temporaries of _bound_values.
+CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -410,9 +412,9 @@ def project_to_cone(x: np.ndarray, eps: float) -> np.ndarray:
 
 # Row reductions of (..., n) arrays, one column at a time in index order.
 # numpy reduces a last axis shorter than 8 in the same order, so for n <= 7
-# these are bit for bit .sum(-1), .min(-1), linalg.norm(axis=-1) and
-# abs(...).max(-1), at a fraction of the cost of a reduction over a short
-# axis on the 1e5-point cloud.
+# these are bit for bit .sum(-1), .min(-1) and linalg.norm(axis=-1), at a
+# fraction of the cost of a reduction over a short axis on the 1e5-point
+# cloud.
 
 
 def _columns(y: np.ndarray):
@@ -429,10 +431,6 @@ def _row_min(y: np.ndarray) -> np.ndarray:
 
 def _row_norm(y: np.ndarray) -> np.ndarray:
     return np.sqrt(functools.reduce(np.add, (c * c for c in _columns(y))))
-
-
-def _row_max_abs(y: np.ndarray) -> np.ndarray:
-    return functools.reduce(np.maximum, (np.abs(c) for c in _columns(y)))
 
 
 @dataclass(frozen=True)
@@ -524,10 +522,10 @@ def _bound_values(lam: np.ndarray, params: FlowParams) -> np.ndarray:
     """
     grad, second = _speed_derivatives(_as_batch(lam), params, hessian=True)
     # The zero diagonal of the quotient matrix cannot raise the max.
-    quotients = _pair_quotients(lam, grad, second)
-    q_max = functools.reduce(np.maximum, (np.abs(q) for _, _, q in quotients))
-    eig_max = _row_max_abs(_symmetric_eigenvalues(second))
-    return np.stack([_row_min(grad), np.maximum(eig_max, q_max)], axis=-1)
+    quotients = (q for _, _, q in _pair_quotients(lam, grad, second))
+    columns = itertools.chain(_symmetric_eigenvalues(second), quotients)
+    ceiling = functools.reduce(np.maximum, (np.abs(v) for v in columns))
+    return np.stack([_row_min(grad), ceiling], axis=-1)
 
 
 def _quadform_operator_norm(lam: np.ndarray, params: FlowParams) -> np.ndarray:
@@ -535,8 +533,8 @@ def _quadform_operator_norm(lam: np.ndarray, params: FlowParams) -> np.ndarray:
     return _bound_values(lam, params)[..., 1]
 
 
-def _symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of small symmetric matrices, closed form for n = 2, 3."""
+def _symmetric_eigenvalues(mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ascending eigenvalue columns of small symmetric matrices, closed form for n = 2, 3."""
     n = mats.shape[-1]
     if n == 2:
         a = mats[..., 0, 0]
@@ -544,14 +542,14 @@ def _symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
         b = mats[..., 0, 1]
         half_tr = 0.5 * (a + d)
         disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
-        return np.stack([half_tr - disc, half_tr + disc], axis=-1)
+        return half_tr - disc, half_tr + disc
     if n == 3:
         return _sym_eig3(mats)
-    return np.linalg.eigvalsh(mats)
+    return tuple(_columns(np.linalg.eigvalsh(mats)))
 
 
-def _sym_eig3(mats: np.ndarray) -> np.ndarray:
-    """Trigonometric closed form for symmetric 3x3 eigenvalues."""
+def _sym_eig3(mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Trigonometric closed form for symmetric 3x3 eigenvalues, as three columns."""
     a00 = mats[..., 0, 0]
     a11 = mats[..., 1, 1]
     a22 = mats[..., 2, 2]
@@ -579,8 +577,21 @@ def _sym_eig3(mats: np.ndarray) -> np.ndarray:
     e1 = q + 2.0 * p * np.cos(phi)
     e3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
     e2 = 3.0 * q - e1 - e3
-    out = np.stack([e3, e2, e1], axis=-1)
-    return np.where(p[..., None] > 0.0, out, np.stack([q, q, q], axis=-1))
+    # An umbilic block (p = 0) has the triple eigenvalue q.
+    spread = p > 0.0
+    return tuple(np.where(spread, e, q) for e in (e3, e2, e1))
+
+
+def map_rows(fn, array: np.ndarray, chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
+    """Apply fn to blocks of chunk_rows rows and concatenate the results in order.
+
+    fn must act row by row, so the result does not depend on chunk_rows.
+    """
+    n_rows = array.shape[0]
+    if n_rows == 0:
+        return fn(array)
+    parts = [fn(array[i : i + chunk_rows]) for i in range(0, n_rows, chunk_rows)]
+    return np.concatenate(parts, axis=0)
 
 
 def _sampled_bounds(

@@ -5,8 +5,8 @@ sphere of radius r contracts at speed co(r)^{m beta}, which gives both an
 independently integrable ODE and an implicit first integral to test any
 trajectory against.  The module also provides the volume-to-radius inverse
 (the radius of the ball with a prescribed volume), the inner-radius
-comparison map for h-convex domains, and inner-radius and diameter
-estimators for simulated states based on ambient distances.
+comparison map for h-convex domains, and an inner-radius estimator for
+simulated states based on ambient distances.
 
 Everything here deliberately avoids the discretized geometry pipeline, so
 agreement between the two is evidence, not tautology.
@@ -291,27 +291,3 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 40) -> float:
             f1 = fn(x1)
     return max(f1, f2)
 
-
-def surface_diameter(state: GraphState, params: FlowParams) -> float:
-    """Extrinsic diameter of an axisymmetric surface by pairwise distances.
-
-    Pairs of nodes are compared both at equal azimuth (angle theta_i-theta_j)
-    and at opposite azimuth (angle theta_i+theta_j); the true diameter of an
-    axisymmetric surface is attained in one of those configurations.
-    """
-    if state.grid.mode != "axisymmetric":
-        raise DomainError("diameter helper currently covers axisymmetric states")
-    theta = state.grid.theta
-    r = state.r
-    return max(
-        float(np.max(geodesic_distance_axis(r[:, None], r[None, :], cos_gamma, params)))
-        for cos_gamma in (
-            np.cos(theta[:, None] - theta[None, :]),
-            np.cos(theta[:, None] + theta[None, :]),
-        )
-    )
-
-
-def diameter_bound(volume0: float, params: FlowParams) -> float:
-    """Upper bound 2 (psi(V0) + a ln 2) on the diameter of h-convex states."""
-    return 2.0 * (psi_inverse(volume0, params) + params.a * np.log(2.0))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -36,10 +37,10 @@ from horoflow.curvalg import (
     balance_function,
     gradient_floor,
     hessian_ceiling,
+    map_rows,
     project_to_cone,
     slice_constant_bruteforce,
 )
-from horoflow.parallel import map_rows
 
 TRIPLES = [(2, 1, 1.0), (2, 2, 1.0), (3, 2, 1.0), (3, 3, 1.0 / 3.0), (3, 1, 2.0)]
 
@@ -372,43 +373,48 @@ def test_linear_speed_has_exact_floor_and_zero_ceiling(params_n2m1):
     assert w2.value == pytest.approx(0.0, abs=1e-13)
 
 
-@pytest.fixture
-def small_chunks(monkeypatch):
-    """Split 5000-point clouds into 1024-row chunks, so several workers really run."""
+def use_small_chunks(monkeypatch):
+    """Split clouds into 1024-row chunks instead of the default 8192."""
     monkeypatch.setattr(curvalg, "map_rows", functools.partial(map_rows, chunk_rows=1024))
 
 
-def test_sampled_bounds_thread_invariant(monkeypatch, small_chunks, params_n3m2):
-    values = []
-    for cap in ("1", "3"):
-        monkeypatch.setenv("HOROFLOW_THREADS", cap)
-        sampler = ConeSampler(3, n_samples=5000, seed=3)
-        values.append(
-            (
-                gradient_floor(0.1, params_n3m2, sampler).value,
-                hessian_ceiling(0.1, params_n3m2, sampler).value,
-            )
-        )
-    assert values[0] == values[1]
+def sampled_bounds(params):
+    sampler = ConeSampler(params.n, n_samples=20000, seed=3)
+    return gradient_floor(0.1, params, sampler).value, hessian_ceiling(0.1, params, sampler).value
 
 
-def test_solved_constants_thread_invariant(monkeypatch, small_chunks, params_n3m2):
-    solved = []
-    for cap in ("1", "2"):
-        monkeypatch.setenv("HOROFLOW_THREADS", cap)
-        solved.append(solve_pinching_constants(params_n3m2, n_samples=5000, seed=2))
-    a, b = solved
+def test_sampled_bounds_chunk_invariant(monkeypatch, params_n3m2):
+    default = sampled_bounds(params_n3m2)
+    use_small_chunks(monkeypatch)
+    assert sampled_bounds(params_n3m2) == default
+
+
+def test_solved_constants_chunk_invariant(monkeypatch, params_n3m2):
+    a = solve_pinching_constants(params_n3m2, n_samples=20000, seed=2)
+    use_small_chunks(monkeypatch)
+    b = solve_pinching_constants(params_n3m2, n_samples=20000, seed=2)
     assert (a.epsilon0, a.c_star, a.degenerate) == (b.epsilon0, b.c_star, b.degenerate)
     for name in ("eps_grid", "gap_table", "grad_floor_table", "hess_ceiling_table"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_constants_solve_starts_no_thread(monkeypatch, params_n3m2):
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    # 20000 samples are three 8192-row chunks.
+    constants = solve_pinching_constants(params_n3m2, n_samples=20000, seed=2)
+    assert 0.0 < constants.c_star < 1.0 / 27.0
 
 
 # ---------------------------------------------------------------------------
 # Column kernels against the axis reductions they replace
 # ---------------------------------------------------------------------------
 # The reference_* functions are the constants solve's kernels as they were
-# written with reductions over the short last axis and (..., n, n) quotient
-# blocks.  The column kernels must give the same bytes for n <= 7.
+# written with reductions over the short last axis, (..., n, n) quotient
+# blocks and stacked (..., n) eigenvalues.  The column kernels must give the
+# same bytes for n <= 7.
 
 KERNEL_SPEEDS = TRIPLES + [(2, 2, 1.5), (4, 2, 1.0), (4, 3, 0.5), (5, 2, 1.5), (5, 5, 0.25)]
 
@@ -449,11 +455,57 @@ def reference_difference_quotients(lam, grad, second):
     return np.where(eye, 0.0, q)
 
 
+def reference_symmetric_eigenvalues(mats):
+    n = mats.shape[-1]
+    if n == 2:
+        a = mats[..., 0, 0]
+        d = mats[..., 1, 1]
+        b = mats[..., 0, 1]
+        half_tr = 0.5 * (a + d)
+        disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
+        return np.stack([half_tr - disc, half_tr + disc], axis=-1)
+    if n == 3:
+        return reference_sym_eig3(mats)
+    return np.linalg.eigvalsh(mats)
+
+
+def reference_sym_eig3(mats):
+    a00 = mats[..., 0, 0]
+    a11 = mats[..., 1, 1]
+    a22 = mats[..., 2, 2]
+    a01 = mats[..., 0, 1]
+    a02 = mats[..., 0, 2]
+    a12 = mats[..., 1, 2]
+    p1 = a01**2 + a02**2 + a12**2
+    q = (a00 + a11 + a22) / 3.0
+    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
+    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
+    safe_p = np.where(p > 0.0, p, 1.0)
+    b00 = (a00 - q) / safe_p
+    b11 = (a11 - q) / safe_p
+    b22 = (a22 - q) / safe_p
+    b01 = a01 / safe_p
+    b02 = a02 / safe_p
+    b12 = a12 / safe_p
+    det_b = (
+        b00 * (b11 * b22 - b12 * b12)
+        - b01 * (b01 * b22 - b12 * b02)
+        + b02 * (b01 * b12 - b11 * b02)
+    )
+    r = np.clip(det_b / 2.0, -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    e1 = q + 2.0 * p * np.cos(phi)
+    e3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    e2 = 3.0 * q - e1 - e3
+    out = np.stack([e3, e2, e1], axis=-1)
+    return np.where(p[..., None] > 0.0, out, np.stack([q, q, q], axis=-1))
+
+
 def reference_bound_values(lam, params):
     grad, second = _speed_derivatives(curvalg._as_batch(lam), params, hessian=True)
     q = reference_difference_quotients(lam, grad, second)
     q_max = np.max(np.abs(q), axis=(-2, -1))
-    eig_max = np.max(np.abs(curvalg._symmetric_eigenvalues(second)), axis=-1)
+    eig_max = np.max(np.abs(reference_symmetric_eigenvalues(second)), axis=-1)
     return np.stack([np.min(grad, axis=-1), np.maximum(eig_max, q_max)], axis=-1)
 
 
@@ -492,7 +544,6 @@ def test_row_reductions_are_numpy_reductions(rng, n):
         assert np.allclose(curvalg._row_sum(y), y.sum(axis=-1), rtol=1e-14, atol=1e-14)
         assert np.allclose(curvalg._row_norm(y), np.linalg.norm(y, axis=-1), rtol=1e-14)
     assert curvalg._row_min(y).tobytes() == y.min(axis=-1).tobytes()
-    assert curvalg._row_max_abs(y).tobytes() == np.abs(y).max(axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -13,7 +13,6 @@ from horoflow import (
     FlowParams,
     ball_volume,
     contraction_residual,
-    diameter_bound,
     geodesic_distance_axis,
     inner_radius_estimate,
     make_grid,
@@ -22,7 +21,6 @@ from horoflow import (
     sphere_contraction,
     sphere_state,
     support_offset,
-    surface_diameter,
     unit_closed_form_radius,
     xi_comparison,
 )
@@ -185,17 +183,3 @@ def test_inner_radius_of_perturbed_sphere(params_n2m1):
     rho = inner_radius_estimate(state, params_n2m1)
     assert float(np.min(state.r)) - 1e-3 <= rho <= float(np.max(state.r))
 
-
-def test_surface_diameter_sphere(params_n2m1):
-    state = sphere_state(make_grid("axisymmetric", 2, 128), 1.0)
-    assert surface_diameter(state, params_n2m1) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        surface_diameter(sphere_state(make_grid("full2d", 2, 32, 16), 1.0), params_n2m1)
-
-
-def test_diameter_bound_dominates_sphere(params_n2m1):
-    v0 = float(ball_volume(1.0, params_n2m1))
-    bound = diameter_bound(v0, params_n2m1)
-    assert bound == pytest.approx(2.0 * (psi_inverse(v0, params_n2m1) + math.log(2.0)))
-    state = sphere_state(make_grid("axisymmetric", 2, 128), 1.0)
-    assert bound > surface_diameter(state, params_n2m1)
