@@ -379,9 +379,16 @@ class ConeSampler:
         if 1.0 - n * eps < 1e-12:
             # The cross-section degenerates to the umbilic point.
             return np.full((1, n), 1.0 / math.sqrt(n))
-        pts = project_to_cone(self._base, eps)
-        pts = np.concatenate([pts, self._deterministic_extras(eps)], axis=0)
-        pts = pts[_on_cone(pts, eps)]
+        # The cloud is projected straight into the head of the result and the
+        # extras written to its tail; the gather runs only if a row fails.
+        extras = self._deterministic_extras(eps)
+        pts = np.empty((self.n_samples + extras.shape[0], n))
+        project_to_cone(self._base, eps, out=pts[: self.n_samples])
+        pts[self.n_samples :] = extras
+        keep = _on_cone(pts, eps)
+        if keep.all():
+            return pts
+        pts = pts[keep]
         if pts.shape[0] == 0:
             raise FeasibilityError(f"no feasible samples on the cone at eps = {eps}")
         return pts
@@ -393,9 +400,12 @@ def _on_cone(pts: np.ndarray, eps: float) -> np.ndarray:
     return (_row_min(pts) >= eps * total - 1e-12) & (total > 0.0)
 
 
-def project_to_cone(x: np.ndarray, eps: float) -> np.ndarray:
-    """Shift rows along the umbilic direction onto the cone, then normalize."""
-    y = np.maximum(np.atleast_2d(np.asarray(x, dtype=float)), 0.0)
+def project_to_cone(x: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Shift rows along the umbilic direction onto the cone, then normalize.
+
+    out, if given, is a float array of x's (2d) shape that receives the result.
+    """
+    y = np.maximum(np.atleast_2d(np.asarray(x, dtype=float)), 0.0, out=out)
     n = y.shape[-1]
     shift = np.maximum(0.0, (eps * _row_sum(y) - _row_min(y)) / (1.0 - n * eps))
     # In place: for the sample cloud these are the largest arrays of the solve.

@@ -44,8 +44,11 @@ from .errors import (
 from .graphgeom import (
     GeometryFields,
     GraphState,
+    GridSpec,
+    dt_limit,
     enclosed_volume_integrand,
     geometry_from_graph,
+    polar_filter,
     save_snapshot,
 )
 from .hypergeom import generalized_sine
@@ -188,16 +191,20 @@ def scaled_radius_limit(n: int, a: float) -> float:
     return min(cube, power)
 
 
-def _stage_rate(fields: GeometryFields) -> tuple[np.ndarray, float]:
-    """Per-node dr/dt (flattened) and the average speed it used."""
+def _stage_rate(grid: GridSpec, fields: GeometryFields) -> tuple[np.ndarray, float]:
+    """Per-node dr/dt on the grid's natural shape and the average speed it used.
+
+    On full2d the rate is polar-filtered, so a filtered state stays filtered.
+    """
     fbar = average_speed(fields)
-    return (fbar - fields.F) * fields.xi_norm / fields.s, fbar
+    rate = ((fbar - fields.F) * fields.xi_norm / fields.s).reshape(grid.shape)
+    return polar_filter(grid, rate), fbar
 
 
 def flow_rhs(state: GraphState, params: FlowParams) -> np.ndarray:
     """Evaluate dr/dt = (Fbar - F) |xi| / s on the grid's natural shape."""
-    rate, _fbar = _stage_rate(geometry_from_graph(state, params))
-    return rate.reshape(state.grid.shape)
+    rate, _fbar = _stage_rate(state.grid, geometry_from_graph(state, params))
+    return rate
 
 
 def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) -> float:
@@ -249,24 +256,21 @@ def step(
         fields = geometry_from_graph(state, params)
     if dt is None:
         dt = stable_dt(fields, params, control)
-    shape = state.grid.shape
-    k1, fbar = _stage_rate(fields)
-    k1 = k1.reshape(shape)
+    grid = state.grid
+    k1, fbar = _stage_rate(grid, fields)
 
     if control.scheme == "heun":
         trial = _advance(state, state.r + dt * k1, dt)
-        k2, _ = _stage_rate(geometry_from_graph(trial, params))
-        r_new = state.r + (0.5 * dt) * (k1 + k2.reshape(shape))
+        k2, _ = _stage_rate(grid, geometry_from_graph(trial, params))
+        r_new = state.r + (0.5 * dt) * (k1 + k2)
     else:
         half = _advance(state, state.r + (0.5 * dt) * k1, 0.5 * dt)
-        k2, _ = _stage_rate(geometry_from_graph(half, params))
-        k2 = k2.reshape(shape)
+        k2, _ = _stage_rate(grid, geometry_from_graph(half, params))
         half2 = _advance(state, state.r + (0.5 * dt) * k2, 0.5 * dt)
-        k3, _ = _stage_rate(geometry_from_graph(half2, params))
-        k3 = k3.reshape(shape)
+        k3, _ = _stage_rate(grid, geometry_from_graph(half2, params))
         full = _advance(state, state.r + dt * k3, dt)
-        k4, _ = _stage_rate(geometry_from_graph(full, params))
-        r_new = state.r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4.reshape(shape))
+        k4, _ = _stage_rate(grid, geometry_from_graph(full, params))
+        r_new = state.r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return StepResult(state=_advance(state, r_new, dt), fields=fields, dt=dt, fbar=fbar)
 
@@ -322,10 +326,13 @@ class FlowResult:
     """Everything a finished (or aborted-and-reraised) run produced.
 
     rhs_evaluations counts evaluations of dr/dt (STAGES per step); dts holds
-    the dt of every accepted step, in order.  stop holds the relative radial
-    oscillation and the roundness deficit 1/n^n - Qtilde_min at the step
-    that passed R_OSCILLATION_RTOL and f_tol (None unless converged); abort
-    holds the error class, message, t, step and node index of an aborted run.
+    the dt of every accepted step, in order.  dt_limit names the node,
+    direction and spacing that set the initial state's min_spacing
+    (graphgeom.dt_limit; None when the initial geometry failed).  stop holds
+    the relative radial oscillation and the roundness deficit
+    1/n^n - Qtilde_min at the step that passed R_OSCILLATION_RTOL and f_tol
+    (None unless converged); abort holds the error class, message, t, step
+    and node index of an aborted run.
     """
 
     params: FlowParams
@@ -340,6 +347,7 @@ class FlowResult:
     initial_pinched: bool | None
     rhs_evaluations: int
     dts: np.ndarray
+    dt_limit: dict | None = None
     stop: dict | None = None
     abort: dict | None = None
     diagnostics_path: str | None = None
@@ -361,6 +369,9 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     params = config.params
     control = config.control
     state = config.initial
+    # A full2d state holds only the wavenumbers the polar filter keeps:
+    # content above K_j would never decay, since every rate is filtered.
+    state = GraphState(t=state.t, grid=state.grid, r=polar_filter(state.grid, state.r))
 
     constants = pinching_constants_cached(params, config.constants_samples, config.constants_seed)
     weights = state.grid.weights
@@ -398,6 +409,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             initial_pinched=initial_pinched,
             rhs_evaluations=n_steps * STAGES[control.scheme],
             dts=np.frombuffer(dts),
+            dt_limit=limit,
             stop=stop,
             abort=abort,
         )
@@ -414,6 +426,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     next_snapshot = snapshot_interval if snapshot_interval else math.inf
     snapshot_index = 0
     initial_pinched = None
+    limit = None
     n_steps = 0
     stiff_streak = 0
     last_dt = 0.0
@@ -422,6 +435,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     stop = None
     try:
         fields = geometry_from_graph(state, params)
+        limit = dt_limit(state, fields)
         initial_pinched = observe(state, fields, 0.0).pinched
         if initial_pinched:
             logger.info("initial state is pinched against C* = %.8g", constants.c_star)
@@ -548,6 +562,7 @@ def _summarize(result: FlowResult) -> dict:
         "n_steps": result.n_steps,
         "rhs_evaluations": result.rhs_evaluations,
         "dt": dt_stats,
+        "dt_limit": result.dt_limit,
         "volume_initial": result.v0,
         "volume_drift": drift,
         "decay_fit": decay,

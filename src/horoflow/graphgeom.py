@@ -18,7 +18,11 @@ Two grid modes:
 * full2d: n = 2 only, a latitude-longitude grid cell-centered in theta
   (no node sits on a pole) with Fourier-spectral derivatives in phi.  The
   2x2 Weingarten algebra is written out entry by entry on per-node columns,
-  and its two closed-form eigenvalues form the same pair spectrum.
+  and its two closed-form eigenvalues form the same pair spectrum.  A polar
+  Fourier filter (polar_filter) keeps only the zonal wavenumbers
+  |k| <= K_j = max(2, floor((n_phi/2) sin theta_j)) <= n_phi/2 on ring j;
+  the flow applies it to the initial state and to every stage rate, and the
+  time step reads the arc that the filtered ring resolves.
 
 Frame convention: all per-node tensors (Dr, D2r, g, h, ...) are expressed
 in an orthonormal frame of the round sphere, so the round metric is the
@@ -82,11 +86,14 @@ class GridSpec:
     inv_tan_inner: np.ndarray | None = field(default=None, repr=False)
     # full2d constants, built once per grid (None on axisymmetric): the
     # Fourier wavenumbers in phi, sin and cot of theta as (n_theta, 1)
-    # columns, and sin(theta) at every flattened node.
+    # columns, the polar filter's (n_theta, n_phi/2 + 1) mask of kept rfft
+    # bins, and sin(theta) (n_phi/2)/K_j at every flattened node: the
+    # azimuthal arc, per unit of spacing_phi, that the filtered ring resolves.
     wavenumbers: np.ndarray | None = field(default=None, repr=False)
     sin_theta: np.ndarray | None = field(default=None, repr=False)
     cot_theta: np.ndarray | None = field(default=None, repr=False)
-    sin_theta_nodes: np.ndarray | None = field(default=None, repr=False)
+    phi_mask: np.ndarray | None = field(default=None, repr=False)
+    phi_arc_nodes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -143,6 +150,9 @@ def make_grid(mode: str, n: int, n_theta: int, n_phi: int | None = None) -> Grid
     phi = np.arange(n_phi) * h_p
     sin_theta = np.sin(theta)
     weights = (sin_theta[:, None] * np.ones(n_phi)[None, :] * h_t * h_p).ravel()
+    half = n_phi // 2
+    # K_j, the largest wavenumber the polar filter keeps on ring j.
+    kept = np.maximum(2, np.floor(half * sin_theta))
     return GridSpec(
         mode=mode,
         n=2,
@@ -156,8 +166,21 @@ def make_grid(mode: str, n: int, n_theta: int, n_phi: int | None = None) -> Grid
         wavenumbers=2.0 * np.pi * np.fft.rfftfreq(n_phi, d=2.0 * np.pi / n_phi),
         sin_theta=sin_theta[:, None],
         cot_theta=(np.cos(theta) / sin_theta)[:, None],
-        sin_theta_nodes=np.repeat(sin_theta, n_phi),
+        phi_mask=(np.arange(half + 1)[None, :] <= kept[:, None]).astype(float),
+        phi_arc_nodes=np.repeat(sin_theta * (half / kept), n_phi),
     )
+
+
+def polar_filter(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Keep the wavenumbers |k| <= K_j of each ring's phi spectrum.
+
+    values has the grid's natural or flattened shape and keeps it.  One rfft
+    along phi, the mask, one irfft; axisymmetric grids get values back as is.
+    """
+    if grid.phi_mask is None:
+        return values
+    rings = np.fft.rfft(values.reshape(grid.shape), axis=-1)
+    return np.fft.irfft(rings * grid.phi_mask, n=grid.n_phi, axis=-1).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -445,11 +468,39 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
     gap = w00 - w11
     disc = np.sqrt(np.maximum(gap * gap + 4.0 * w01 * w10, 0.0))
     spectrum = PairSpectrum((tr - disc) / 2.0, (tr + disc) / 2.0, n)
-    theta_spacing = grid.spacing_theta * np.sqrt(aa + ss)
-    # Coordinate phi spacing carries the sin(theta) factor of the chart.
-    phi_spacing = grid.spacing_phi * grid.sin_theta_nodes * np.sqrt(bb + ss)
+    theta_spacing, phi_spacing = _full2d_spacings(grid, aa, bb, ss)
     min_spacing = float(min(theta_spacing.min(), phi_spacing.min()))
     return _scalar_fields(state, params, speed(spectrum, params), tr, xi, s, min_spacing, spectrum)
+
+
+def _full2d_spacings(grid: GridSpec, aa, bb, ss):
+    """Induced theta and phi spacings at every node, from a^2, b^2 and s^2.
+
+    The coordinate phi arc carries the sin(theta) factor of the chart, and
+    the polar filter's (n_phi/2)/K_j: ring j resolves only |k| <= K_j.
+    """
+    theta_spacing = grid.spacing_theta * np.sqrt(aa + ss)
+    phi_spacing = grid.spacing_phi * grid.phi_arc_nodes * np.sqrt(bb + ss)
+    return theta_spacing, phi_spacing
+
+
+def dt_limit(state: GraphState, fields: GeometryFields) -> dict:
+    """The node, direction and induced spacing that set fields.min_spacing.
+
+    node is the flattened index and direction "theta" or "phi"; spacing
+    equals fields.min_spacing.  Meant for a run's initial state: it redoes
+    the full2d phi derivatives that geometry_from_graph does not keep.
+    """
+    grid = state.grid
+    if grid.mode == "axisymmetric":
+        spacings = {"theta": grid.spacing_theta * fields.xi_norm}
+    else:
+        a, b, _, _, _ = _full2d_frame_derivatives(grid, state.r)
+        theta_spacing, phi_spacing = _full2d_spacings(grid, a * a, b * b, fields.s * fields.s)
+        spacings = {"theta": theta_spacing, "phi": phi_spacing}
+    direction = min(spacings, key=lambda d: spacings[d].min())
+    node = int(spacings[direction].argmin())
+    return {"node": node, "direction": direction, "spacing": float(spacings[direction][node])}
 
 
 def _scalar_fields(state, params, F, H, xi, s, min_spacing, spectrum) -> GeometryFields:

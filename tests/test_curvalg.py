@@ -419,8 +419,8 @@ def test_constants_solve_starts_no_thread(monkeypatch, params_n3m2):
 KERNEL_SPEEDS = TRIPLES + [(2, 2, 1.5), (4, 2, 1.0), (4, 3, 0.5), (5, 2, 1.5), (5, 5, 0.25)]
 
 
-def reference_project_to_cone(x, eps):
-    y = np.maximum(np.atleast_2d(np.asarray(x, dtype=float)), 0.0)
+def reference_project_to_cone(x, eps, out=None):
+    y = np.maximum(np.atleast_2d(np.asarray(x, dtype=float)), 0.0, out=out)
     n = y.shape[-1]
     total = y.sum(axis=-1)
     lowest = y.min(axis=-1)

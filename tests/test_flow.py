@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +37,12 @@ from horoflow import (
     volume_renormalize,
 )
 from horoflow.flow import R_OSCILLATION_RTOL, average_speed, scaled_radius_limit
-from horoflow.graphgeom import POLE_REGULARIZATION_CELLS, enclosed_volume_integrand
+from horoflow.graphgeom import (
+    POLE_REGULARIZATION_CELLS,
+    dt_limit,
+    enclosed_volume_integrand,
+    polar_filter,
+)
 from test_graphgeom import reference_full2d_geometry, reference_stable_dt
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
@@ -409,12 +415,14 @@ def test_full2d_run_matches_the_tensor_assembly(tmp_path, params_n2m2, monkeypat
     grid = make_grid("full2d", 2, 16, 32)
     initial = perturbed_sphere_state(grid, 1.0, 2, 0.05, mode_phi=2)
     texts = []
+    # The polar filter's dt takes about 430 steps per unit time on 16 x 32.
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        result = run(make_config(params_n2m2, initial, t_end=0.01, output_dir=out))
-        with open(os.path.join(out, "diagnostics.csv")) as fh:
-            texts.append(fh.read())
-    assert texts[0] == texts[1]
+        result = run(make_config(params_n2m2, initial, t_end=0.3, output_dir=out))
+        for file_name in ("diagnostics.csv", "summary.json"):
+            with open(os.path.join(out, file_name)) as fh:
+                texts.append(fh.read())
+    assert texts[:2] == texts[2:]
     assert result.status == "t_end" and result.n_steps > 100
     cols = result.arrays()
     v = cols["V"]
@@ -423,11 +431,69 @@ def test_full2d_run_matches_the_tensor_assembly(tmp_path, params_n2m2, monkeypat
 
     monkeypatch.setattr(flow, "geometry_from_graph", reference_full2d_geometry)
     monkeypatch.setattr(flow, "stable_dt", reference_stable_dt)
-    reference = run(make_config(params_n2m2, initial, t_end=0.01))
+    reference = run(make_config(params_n2m2, initial, t_end=0.3))
     assert reference.n_steps == result.n_steps
     want = reference.arrays()
     for name, got in cols.items():
         np.testing.assert_allclose(got, want[name], rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_full2d_sphere_is_an_equilibrium_at_the_filtered_dt(params_n2m2):
+    grid = make_grid("full2d", 2, 16, 32)
+    state = sphere_state(grid, 1.0)
+    fields = geometry_from_graph(state, params_n2m2)
+    # The step reads the filtered arc of the pole ring, K_0 = 2 of 16 bins:
+    # min spacing spacing_phi * sin(theta_0) * 8 * sinh(1), not the chart's arc.
+    arc = grid.spacing_phi * math.sin(grid.theta[0]) * 8.0 * math.sinh(1.0)
+    assert fields.min_spacing == pytest.approx(arc, rel=1e-14)
+    for _ in range(20):
+        result = step(state, params_n2m2, StepControl())
+        assert result.dt == stable_dt(fields, params_n2m2, StepControl())
+        state = result.state
+        assert np.array_equal(state.r, np.full(grid.shape, 1.0))
+
+
+def _unfiltered(grid):
+    """The same full2d grid with an all-ones mask and the chart's pole arc."""
+    return dataclasses.replace(
+        grid,
+        phi_mask=np.ones_like(grid.phi_mask),
+        phi_arc_nodes=np.repeat(np.sin(grid.theta), grid.n_phi),
+    )
+
+
+def test_polar_filter_error_falls_under_refinement(params_n2m2):
+    # The filter's error against the unfiltered discretisation (at its own,
+    # pole-limited dt) falls as the grid is refined.
+    errors = []
+    for n_theta, n_phi in ((16, 32), (32, 64)):
+        grid = make_grid("full2d", 2, n_theta, n_phi)
+        finals = []
+        for g in (grid, _unfiltered(grid)):
+            initial = perturbed_sphere_state(g, 1.0, 2, 0.05, mode_phi=2)
+            result = run(make_config(params_n2m2, initial, t_end=0.01, record_interval=0.01))
+            assert result.status == "t_end"
+            finals.append(result.final_state.r)
+        errors.append(float(np.max(np.abs(finals[0] - finals[1]))))
+    assert errors[1] * 4.0 <= errors[0], errors
+
+
+def test_full2d_run_filters_its_initial_state(params_n2m2):
+    # cos(3 phi) content on the pole rings sits above K_0 = 2: unfiltered, it
+    # would stay neutral and f_max would stall near 1e-4.
+    grid = make_grid("full2d", 2, 16, 32)
+    initial = perturbed_sphere_state(grid, 1.0, 3, 0.02, mode_phi=3)
+    result = run(make_config(params_n2m2, initial, t_end=3.0))
+    cols = result.arrays()
+    assert cols["f_max"][-1] <= 1e-12
+    v = cols["V"]
+    assert np.max(np.abs(v - v[0])) / v[0] <= 1e-8
+    # V0 and dt_limit come from the filtered initial state.
+    filtered = GraphState(t=0.0, grid=grid, r=polar_filter(grid, initial.r))
+    radial = enclosed_volume_integrand(filtered.r_flat, params_n2m2)
+    assert result.v0 == float(np.sum(grid.weights * radial))
+    limit = dt_limit(filtered, geometry_from_graph(filtered, params_n2m2))
+    assert result.summary["dt_limit"] == limit and limit["direction"] == "phi"
 
 
 def test_run_respects_max_steps(params_n2m1):

@@ -36,7 +36,9 @@ from horoflow.graphgeom import (
     _axisym_scalar_derivatives,
     _sphere_area,
     axisym_pointwise_curvatures,
+    dt_limit,
     enclosed_volume_integrand,
+    polar_filter,
 )
 from horoflow.hypergeom import generalized_sine_cosine
 
@@ -86,6 +88,75 @@ def test_axisym_weights_integrate_the_sphere():
 def test_full2d_weights_integrate_the_sphere():
     grid = make_grid("full2d", 2, 128, 64)
     assert float(np.sum(grid.weights)) == pytest.approx(4.0 * math.pi, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# The polar Fourier filter
+# ---------------------------------------------------------------------------
+
+
+def ring_limits(grid):
+    """K_j = max(2, floor((n_phi/2) sin theta_j)), ring by ring."""
+    half = grid.n_phi // 2
+    return [max(2, math.floor(half * math.sin(th))) for th in grid.theta]
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(16, 32), (17, 32), (24, 48), (32, 64), (48, 96)])
+def test_polar_filter_keeps_the_ring_wavenumbers_up_to_k_max(n_theta, n_phi, rng):
+    grid = make_grid("full2d", 2, n_theta, n_phi)
+    limits = ring_limits(grid)
+    half = n_phi // 2
+    # With n_theta even no ring sits on the equator, so every ring drops at
+    # least the Nyquist bin; with n_theta odd the equator keeps all of them.
+    assert limits[0] == 2 and max(limits) == (half if n_theta % 2 else half - 1)
+    wavenumbers = np.arange(half + 1)
+    for j, k_max in enumerate(limits):
+        assert np.array_equal(grid.phi_mask[j], (wavenumbers <= k_max).astype(float))
+        # The time step reads the arc the filtered ring resolves.
+        arc = grid.phi_arc_nodes[j * n_phi : (j + 1) * n_phi]
+        assert np.all(arc == arc[0])
+        assert arc[0] == pytest.approx(math.sin(grid.theta[j]) * half / k_max, rel=1e-15)
+        if k_max == half:
+            assert arc[0] == math.sin(grid.theta[j])
+
+    values = 1.0 + rng.standard_normal(grid.shape)
+    filtered = polar_filter(grid, values)
+    assert filtered.shape == grid.shape
+    spec_in = np.fft.rfft(values, axis=-1)
+    spec_out = np.fft.rfft(filtered, axis=-1)
+    scale = np.abs(spec_in).max()
+    for j, k_max in enumerate(limits):
+        kept = slice(0, k_max + 1)
+        assert np.abs(spec_out[j, kept] - spec_in[j, kept]).max() <= 1e-14 * scale
+        assert np.abs(spec_out[j, k_max + 1 :]).max(initial=0.0) <= 1e-14 * scale
+    # Idempotent, and the flattened shape of a stage rate is kept.
+    again = polar_filter(grid, filtered.ravel())
+    assert again.shape == (values.size,)
+    assert np.abs(again - filtered.ravel()).max() <= 1e-14 * np.abs(filtered).max()
+
+
+def test_polar_filter_leaves_axisymmetric_values_alone():
+    grid = make_grid("axisymmetric", 2, 32)
+    values = np.linspace(1.0, 2.0, 32)
+    assert polar_filter(grid, values) is values
+    assert grid.phi_mask is None and grid.phi_arc_nodes is None
+
+
+@pytest.mark.parametrize("mode", ["axisymmetric", "full2d"])
+def test_dt_limit_names_the_node_behind_min_spacing(mode, params_n2m1):
+    grid = make_grid(mode, 2, 32, 64 if mode == "full2d" else None)
+    state = perturbed_sphere_state(grid, 1.0, 3, 0.04, mode_phi=2 if mode == "full2d" else 0)
+    fields = geometry_from_graph(state, params_n2m1)
+    limit = dt_limit(state, fields)
+    assert limit["spacing"] == fields.min_spacing
+    if mode == "axisymmetric":
+        assert limit["direction"] == "theta"
+        assert limit["spacing"] == grid.spacing_theta * fields.xi_norm[limit["node"]]
+    else:
+        # Even filtered, the arc of the ring next to a pole is the shortest.
+        assert limit["direction"] == "phi"
+        ring = limit["node"] // grid.n_phi
+        assert ring in (0, grid.n_theta - 1)
 
 
 def test_make_grid_validation():
@@ -366,7 +437,7 @@ def reference_full2d_geometry(state, params):
     lam = np.stack([(tr - disc) / 2.0, (tr + disc) / 2.0], axis=1)
     theta_spacing = grid.spacing_theta * np.sqrt(g[:, 0, 0])
     # Coordinate phi spacing carries the sin(theta) factor of the chart.
-    phi_spacing = grid.spacing_phi * grid.sin_theta_nodes * np.sqrt(g[:, 1, 1])
+    phi_spacing = grid.spacing_phi * grid.phi_arc_nodes * np.sqrt(g[:, 1, 1])
     min_spacing = float(min(np.min(theta_spacing), np.min(phi_spacing)))
     return GeometryFields(
         s=s,

@@ -30,6 +30,40 @@ def test_constants_tables_runs_one_speed(capsys):
     assert "epsilon0" in capsys.readouterr().out
 
 
+FULL2D_N2M2 = """\
+params.n = 2
+params.m = 2
+params.beta = 1.0
+params.kappa = -1.0
+grid.mode = full2d
+grid.n_theta = 16
+grid.n_phi = 32
+initial.r0 = 1.0
+constants.n_samples = 2000
+"""
+
+
+def test_stability_margin_of_the_filtered_full2d_step(tmp_path, capsys):
+    stability_margin = load_script("stability_margin")
+    sphere = tmp_path / "sphere.conf"
+    sphere.write_text(FULL2D_N2M2 + "initial.shape = sphere\n")
+    assert stability_margin.main([str(sphere)]) == 0
+    printed = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert sorted(printed) == ["max_abs_imag", "max_real", "rho", "rho_dt", "stable_dt"]
+    # No growing mode at the sphere.  Masking the derivative spectrum instead
+    # of the stage rate gives an eigenvalue near +1.9 here.
+    assert float(printed["max_real"]) <= 0.05
+    perturbed = tmp_path / "perturbed.conf"
+    perturbed.write_text(
+        FULL2D_N2M2
+        + "initial.shape = perturbed_sphere\ninitial.mode_l = 2\n"
+        + "initial.mode_phi = 2\ninitial.amplitude = 0.05\n"
+    )
+    margin = stability_margin.stability_margin(stability_margin.parse_config(str(perturbed)))
+    # Heun is stable on a real spectrum up to rho * dt = 2.
+    assert margin["rho_dt"] < 1.5
+
+
 # Every (owner, attribute) benchmark/tracing.py patches.  Tracer.patch skips
 # a missing name silently, so a renamed or deleted function would turn its
 # per-layer metric into 0; this list makes that a test failure instead.
