@@ -16,6 +16,7 @@ import logging
 import sys
 
 from horoflow import AmbientCurvature, FlowParams, solve_pinching_constants
+from horoflow.curvalg import DEFAULT_SAMPLES
 
 log = logging.getLogger("constants_tables")
 
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
                         metavar="N,M,BETA", help="add a speed (repeatable); "
                         "default battery covers n=2..4")
     parser.add_argument("--kappa", type=float, default=-1.0)
-    parser.add_argument("--samples", type=int, default=100_000)
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", metavar="PATH",
                         help="also dump the rows as a JSON array")
@@ -52,7 +53,7 @@ def main(argv=None) -> int:
     ac = AmbientCurvature(kappa=args.kappa)
     rows = []
     print(f"{'n':>3} {'m':>3} {'beta':>7} {'m*beta':>7} {'epsilon0':>12} "
-          f"{'C*':>12} {'1/n^n':>12} degenerate")
+          f"{'C*':>12} {'1/n^n':>12} {'evals':>5} degenerate")
     for n, m, beta in battery:
         params = FlowParams(n=n, m=m, beta=beta, ac=ac)
         constants = solve_pinching_constants(params, n_samples=args.samples,
@@ -62,12 +63,14 @@ def main(argv=None) -> int:
             "epsilon0": constants.epsilon0,
             "c_star": constants.c_star,
             "degenerate": constants.degenerate,
+            "balance_evaluations": constants.balance_evaluations,
             "n_samples": constants.n_samples,
             "seed": constants.seed,
         })
         print(f"{n:>3} {m:>3} {beta:>7.4f} {m * beta:>7.4f} "
               f"{constants.epsilon0:>12.8f} {constants.c_star:>12.8f} "
-              f"{1.0 / n**n:>12.8f} {constants.degenerate}")
+              f"{1.0 / n**n:>12.8f} {constants.balance_evaluations:>5} "
+              f"{constants.degenerate}")
 
     if args.json:
         with open(args.json, "w") as fh:

@@ -380,6 +380,7 @@ def _cmd_constants(args: list[str]) -> int:
         "epsilon0": constants.epsilon0,
         "c_star": constants.c_star,
         "degenerate": constants.degenerate,
+        "balance_evaluations": constants.balance_evaluations,
         "n_samples": constants.n_samples,
         "seed": constants.seed,
         "table": {

@@ -54,7 +54,7 @@ DEGENERATE_EPSILON_FLOOR = 1.0e-2
 DEFAULT_SAMPLES = 100_000
 # Fewest cone samples a sampler (and constants.n_samples) accepts.
 MIN_SAMPLES = 100
-BISECTION_TOL = 1.0e-8
+ROOT_TOL = 1.0e-8
 _SLICE_VALIDATION_SAMPLES = 200_000
 _SLICE_VALIDATION_RTOL = 1.0e-3
 # Rows per block of the sample cloud in map_rows: bounds the (CHUNK_ROWS, n, n)
@@ -336,10 +336,10 @@ class ConeSampler:
     """Seeded sample cloud on the unit cross-section of the pinching cone.
 
     The same Gaussian draw is reused for every eps (common random numbers),
-    so sampled bounds vary smoothly in eps and bisection on their balance
-    is well posed.  Projection shifts a point along the umbilic direction
-    just enough to satisfy the constraint, which also densifies the cone
-    boundary where the extrema live.
+    so sampled bounds vary smoothly in eps and a bracketed root of their
+    balance is well posed.  Projection shifts a point along the umbilic
+    direction just enough to satisfy the constraint, which also densifies
+    the cone boundary where the extrema live.
     """
 
     def __init__(self, n: int, n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
@@ -679,6 +679,8 @@ class PinchingConstants:
     hess_ceiling_table: np.ndarray
     n_samples: int
     seed: int
+    # Root-finder calls to balance_function; 0 on the degenerate branch.
+    balance_evaluations: int
     degenerate: bool = False
 
 
@@ -695,20 +697,72 @@ def balance_function(eps: float, params: FlowParams, sampler: ConeSampler) -> fl
     return _balance_terms(eps, params, sampler)[2]
 
 
+def _bracketed_root(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
+    """Close the bracket f(lo) <= 0 < f(hi) to width <= tol; return (lo, hi, evaluations).
+
+    Anderson-Bjorck false position.  When an evaluation moves the same end
+    as the one before it (or is the first), the value at the other end is
+    scaled by 1 - f(new)/f(old), or by 1/2 when that is not positive, where
+    f(old) is the value the new point replaces; so one-sided convergence
+    does not stall.  A trial point closer than tol/2 to an end is pushed to
+    tol/2 from it, so a point next to the root closes the bracket next.
+
+    Safeguard: the step is a bisection after two evaluations in a row that
+    each failed to halve the bracket, and whenever one more failed step
+    would leave too few evaluations for bisection to finish within
+    2 * ceil(log2((hi - lo) / tol)) + 1, which bounds the evaluations.
+    The sign rule is bisection's: a value <= 0 moves lo.
+    """
+    budget = 2 * math.ceil(math.log2((hi - lo) / tol)) + 1
+    g_lo, g_hi = f_lo, f_hi  # the interpolation values, scaled
+    moved = None  # the end the previous evaluation moved
+    evaluations = fails = 0
+    while hi - lo > tol:
+        width = hi - lo
+        x = lo - g_lo * width / (g_hi - g_lo)
+        bisect = (
+            fails >= 2
+            or evaluations + 1 + math.ceil(math.log2(width / tol)) > budget
+            or not lo <= x <= hi  # nan
+        )
+        if bisect:
+            x = 0.5 * (lo + hi)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        fx = f(x)
+        evaluations += 1
+        if fx <= 0.0:
+            if moved != "hi":
+                g_hi *= _anderson_bjorck_scale(fx, f_lo)
+            lo, f_lo, g_lo, moved = x, fx, fx, "lo"
+        else:
+            if moved != "lo":
+                g_lo *= _anderson_bjorck_scale(fx, f_hi)
+            hi, f_hi, g_hi, moved = x, fx, fx, "hi"
+        fails = 0 if bisect or hi - lo <= 0.5 * width else fails + 1
+    return lo, hi, evaluations
+
+
+def _anderson_bjorck_scale(f_new: float, f_old: float) -> float:
+    """Factor for the kept end's value when f_new replaces f_old on the other end."""
+    scale = 1.0 - f_new / f_old if f_old != 0.0 else 0.0
+    return scale if scale > 0.0 else 0.5
+
+
 def solve_pinching_constants(
     params: FlowParams,
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     eps_floor: float = DEGENERATE_EPSILON_FLOOR,
     table_points: int = 17,
-    tol: float = BISECTION_TOL,
+    tol: float = ROOT_TOL,
 ) -> PinchingConstants:
     """Solve for the unique balance point epsilon0 and derive C*.
 
     The balance function is negative near 0+ (the gap bound blows up) and
     positive near 1/n (the gap bound vanishes) whenever the Hessian ceiling
-    is nonzero; bisection between the first tabulated sign change pins the
-    root to `tol`.  If the ceiling vanishes identically (linear speed), the
+    is nonzero.  `_bracketed_root`, seeded with the two table points around
+    the first sign change, closes that bracket to width `tol`; epsilon0 is its
+    midpoint.  If the ceiling vanishes identically (linear speed), the
     balance is positive throughout and epsilon0 falls back to `eps_floor`.
     """
     n = params.n
@@ -721,6 +775,7 @@ def solve_pinching_constants(
     )
 
     degenerate = False
+    balance_evaluations = 0
     if balance[0] > 0.0:
         if np.any(balance <= 0.0):
             raise RootFindingError("pinching balance is not increasing across the table")
@@ -733,22 +788,17 @@ def solve_pinching_constants(
         flips = np.nonzero(balance > 0.0)[0]
         if flips.size == 0:
             raise RootFindingError("pinching balance never becomes positive below 1/n")
+        # balance[0] <= 0 here, so hi_idx >= 1 and the table already holds
+        # a value <= 0 just below the first sign change.
         hi_idx = int(flips[0])
-        lo = float(eps_grid[hi_idx - 1]) if hi_idx > 0 else float(eps_grid[0]) / 2.0
-        hi = float(eps_grid[hi_idx])
-        f_lo = balance_function(lo, params, sampler)
-        while f_lo > 0.0:
-            # Guard: the true sign change sits below the first table point.
-            hi, lo = lo, lo / 2.0
-            f_lo = balance_function(lo, params, sampler)
-            if lo < 1e-12:
-                raise RootFindingError("failed to bracket the pinching balance root")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if balance_function(mid, params, sampler) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi, balance_evaluations = _bracketed_root(
+            lambda eps: balance_function(eps, params, sampler),
+            float(eps_grid[hi_idx - 1]),
+            float(balance[hi_idx - 1]),
+            float(eps_grid[hi_idx]),
+            float(balance[hi_idx]),
+            tol,
+        )
         epsilon0 = 0.5 * (lo + hi)
 
     c_star = slice_constant(epsilon0, n)
@@ -777,4 +827,5 @@ def solve_pinching_constants(
         n_samples=int(n_samples),
         seed=int(seed),
         degenerate=degenerate,
+        balance_evaluations=balance_evaluations,
     )

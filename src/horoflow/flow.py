@@ -573,6 +573,7 @@ def _summarize(result: FlowResult) -> dict:
             "epsilon0": result.constants.epsilon0,
             "c_star": result.constants.c_star,
             "degenerate": result.constants.degenerate,
+            "balance_evaluations": result.constants.balance_evaluations,
             "n_samples": result.constants.n_samples,
             "seed": result.constants.seed,
         },

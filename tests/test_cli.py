@@ -508,6 +508,7 @@ def test_constants_outputs(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(open(json_path).read())
     assert payload["degenerate"] is True  # linear speed: flat hessian ceiling
+    assert payload["balance_evaluations"] == 0
     assert payload["epsilon0"] == pytest.approx(0.01)
     assert payload["c_star"] == pytest.approx(0.0099)
     table = payload["table"]
@@ -516,6 +517,16 @@ def test_constants_outputs(tmp_path, capsys):
     rows = open(csv_path).read().strip().splitlines()
     assert rows[0] == "eps,gap_bound,gradient_floor,hessian_ceiling"
     assert len(rows) == len(table["eps"]) + 1
+    capsys.readouterr()
+
+
+def test_constants_json_reports_the_balance_evaluations(tmp_path, capsys):
+    json_path = str(tmp_path / "constants.json")
+    code = main(["constants", "--n", "2", "--m", "2", "--samples", "500", "--json", json_path])
+    assert code == EXIT_OK
+    payload = json.loads(open(json_path).read())
+    assert payload["degenerate"] is False
+    assert 1 <= payload["balance_evaluations"] <= 8
     capsys.readouterr()
 
 

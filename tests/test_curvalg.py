@@ -29,7 +29,9 @@ from horoflow import (
 from horoflow import curvalg
 from horoflow.curvalg import (
     ConeSampler,
+    _balance_terms,
     _bound_values,
+    _bracketed_root,
     _coordinate_descent,
     _gradient_floor_values,
     _quadform_operator_norm,
@@ -639,6 +641,113 @@ def test_solved_constants_bracket_the_balance_root(params_n2m2):
     sampler = ConeSampler(2, n_samples=4000, seed=0)
     assert balance_function(constants.epsilon0 - 1e-4, params_n2m2, sampler) < 0.0
     assert balance_function(constants.epsilon0 + 1e-4, params_n2m2, sampler) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The bracketed root of the balance
+# ---------------------------------------------------------------------------
+
+
+def evaluation_bound(lo, hi, tol):
+    """The root finder's worst case: one halving per two evaluations, plus one."""
+    return 2 * math.ceil(math.log2((hi - lo) / tol)) + 1
+
+
+ROOT = 1.0 / math.pi
+ROOT_CASES = {
+    "linear": (lambda x: 3.0 * x - 1.0, 0.0, 1.0, 1.0 / 3.0),
+    "steep exponential": (lambda x: math.expm1(40.0 * (x - 0.3)), 0.0, 1.0, 0.3),
+    # Regula falsi without the safeguard creeps up from lo in steps of
+    # about 1e-6 of the bracket here.
+    "step": (lambda x: -1.0 if x < ROOT else 1.0e6, 0.0, 1.0, ROOT),
+    "reversed step": (lambda x: -1.0e6 if x < ROOT else 1.0, 0.0, 1.0, ROOT),
+    "f(lo) == 0": (lambda x: x - 0.25, 0.25, 1.0, 0.25),
+    # Sign flips within 3e-9 of the root.
+    "noise": (lambda x: x - ROOT + 3.0e-9 * math.sin(1.0e12 * x), 0.25, 0.5, ROOT),
+}
+
+
+@pytest.mark.parametrize("tol", [1.0e-8, 1.0e-12])
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_bracketed_root_contract(case, tol):
+    f, lo0, hi0, root = ROOT_CASES[case]
+    bound = evaluation_bound(lo0, hi0, tol)
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, f"more than {bound} evaluations"
+        return f(x)
+
+    lo, hi, evaluations = _bracketed_root(counted, lo0, f(lo0), hi0, f(hi0), tol)
+    assert f(lo) <= 0.0 < f(hi)
+    assert lo0 <= lo < hi <= hi0 and hi - lo <= tol
+    assert evaluations == calls
+    assert abs(0.5 * (lo + hi) - root) <= tol + 3.0e-9
+
+
+def reference_bisection_constants(params, n_samples, seed, tol=1.0e-8):
+    """The bisection solve that _bracketed_root replaced, verbatim but for the checks.
+
+    Returns epsilon0, C* and the four tables.
+    """
+    n = params.n
+    sampler = ConeSampler(n, n_samples=n_samples, seed=seed)
+    eps_hi = 1.0 / n
+    eps_grid = np.linspace(eps_hi / 64.0, eps_hi * (1.0 - 1e-9), 17)
+    gap_table = gap_bound(eps_grid, n)
+    grad_floor_table, hess_ceiling_table, balance = map(
+        np.array, zip(*(_balance_terms(e, params, sampler) for e in eps_grid))
+    )
+    if balance[0] > 0.0:
+        epsilon0 = curvalg.DEGENERATE_EPSILON_FLOOR
+    else:
+        flips = np.nonzero(balance > 0.0)[0]
+        hi_idx = int(flips[0])
+        lo = float(eps_grid[hi_idx - 1]) if hi_idx > 0 else float(eps_grid[0]) / 2.0
+        hi = float(eps_grid[hi_idx])
+        f_lo = balance_function(lo, params, sampler)
+        while f_lo > 0.0:
+            # Guard: the true sign change sits below the first table point.
+            hi, lo = lo, lo / 2.0
+            f_lo = balance_function(lo, params, sampler)
+            if lo < 1e-12:
+                raise AssertionError("failed to bracket the pinching balance root")
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if balance_function(mid, params, sampler) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        epsilon0 = 0.5 * (lo + hi)
+    tables = (eps_grid, gap_table, grad_floor_table, hess_ceiling_table)
+    return epsilon0, slice_constant(epsilon0, n), tables
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("n, m, beta", TRIPLES + [(2, 2, 1.5), (4, 2, 1.0)])
+def test_solve_matches_the_bisection_reference(monkeypatch, n, m, beta, seed):
+    params = make_params(n, m, beta)
+    eps_ref, c_ref, tables_ref = reference_bisection_constants(params, 2000, seed)
+    calls = []
+
+    def counted(eps, params, sampler):
+        calls.append(eps)
+        return balance_function(eps, params, sampler)
+
+    monkeypatch.setattr(curvalg, "balance_function", counted)
+    constants = solve_pinching_constants(params, n_samples=2000, seed=seed)
+    assert abs(constants.epsilon0 - eps_ref) <= curvalg.ROOT_TOL
+    assert constants.c_star == pytest.approx(c_ref, rel=1e-7, abs=0.0)
+    names = ("eps_grid", "gap_table", "grad_floor_table", "hess_ceiling_table")
+    for name, table in zip(names, tables_ref):
+        assert getattr(constants, name).tobytes() == table.tobytes()
+    assert constants.balance_evaluations == len(calls)
+    if (n, m, beta) == (2, 1, 1.0):
+        assert constants.degenerate and not calls
+    else:
+        assert not constants.degenerate and 1 <= len(calls) <= 8
 
 
 def test_constants_are_seed_deterministic(params_n3m2):

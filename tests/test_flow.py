@@ -621,6 +621,7 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
             text = fh.read()
         summary = json.loads(text)
         stages = 2 if scheme == "heun" else 4
+        assert summary["constants"]["balance_evaluations"] == 0  # n2m1 is degenerate
         assert summary["rhs_evaluations"] == stages * result.n_steps
         dts = result.dts
         assert dts.size == result.n_steps

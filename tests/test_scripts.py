@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -24,10 +25,30 @@ def test_standard_scenario_writes_diagnostics(tmp_path):
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
 
 
-def test_constants_tables_runs_one_speed(capsys):
+def test_constants_tables_runs_one_speed(tmp_path, capsys):
     constants_tables = load_script("constants_tables")
-    assert constants_tables.main(["--triple", "2,1,1.0", "--samples", "500"]) == 0
-    assert "epsilon0" in capsys.readouterr().out
+    path = tmp_path / "rows.json"
+    argv = ["--triple", "2,1,1.0", "--samples", "500", "--json", str(path)]
+    assert constants_tables.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "epsilon0" in out and "evals" in out
+    (row,) = json.loads(path.read_text())
+    assert row["degenerate"] is True and row["balance_evaluations"] == 0
+
+
+def test_constants_tables_default_samples_is_the_solver_default(monkeypatch):
+    from horoflow import curvalg
+
+    constants_tables = load_script("constants_tables")
+    seen = []
+
+    def solve(params, n_samples, seed):
+        seen.append(n_samples)
+        return curvalg.solve_pinching_constants(params, n_samples=500, seed=seed)
+
+    monkeypatch.setattr(constants_tables, "solve_pinching_constants", solve)
+    assert constants_tables.main(["--triple", "2,1,1.0"]) == 0
+    assert seen == [curvalg.DEFAULT_SAMPLES]
 
 
 FULL2D_N2M2 = """\
