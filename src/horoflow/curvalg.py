@@ -660,10 +660,11 @@ def slice_constant_bruteforce(eps: float, n: int, n_samples: int = 1_000_000, se
         raise DomainError(f"slice constant defined for eps in (0, 1/{n}]")
     rng = np.random.default_rng(seed)
     rest = rng.dirichlet(np.ones(n - 1), size=n_samples)
-    first = np.full((n_samples, 1), eps / (1.0 - eps))
-    shifted = np.concatenate([first, rest], axis=1)
-    htilde = shifted.sum(axis=1)
-    qtilde = shifted.prod(axis=1) / htilde**n
+    # Column by column in index order after the fixed coordinate eps/(1-eps),
+    # as _row_sum does; a product over a short last axis runs in that order too.
+    first = np.full(n_samples, eps / (1.0 - eps))
+    htilde = functools.reduce(np.add, _columns(rest), first)
+    qtilde = functools.reduce(np.multiply, _columns(rest), first) / htilde**n
     return float(np.max(qtilde))
 
 

@@ -10,6 +10,9 @@ simulated states based on ambient distances.
 
 Everything here deliberately avoids the discretized geometry pipeline, so
 agreement between the two is evidence, not tautology.
+
+scipy is imported inside the two functions that use it (sphere_contraction
+and contraction_residual), so importing horoflow never loads it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .curvalg import FlowParams
 from .errors import DomainError, RootFindingError
@@ -52,6 +54,8 @@ class SphereTrajectory:
 
 def sphere_contraction(r0: float, params: FlowParams, t_grid) -> SphereTrajectory:
     """Integrate dr/dt = -co(r)^{m beta} from r0 over the given times."""
+    from scipy.integrate import quad, solve_ivp
+
     if r0 <= 0.0:
         raise DomainError("initial sphere radius must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -107,6 +111,8 @@ def contraction_residual(traj: SphereTrajectory) -> np.ndarray:
     Vanishes identically on the exact solution; evaluated by adaptive
     quadrature, a route independent of the ODE integrator.
     """
+    from scipy.integrate import quad
+
     mbeta = traj.params.mbeta
     ac = traj.params.ac
 

@@ -621,6 +621,33 @@ def test_slice_constant_matches_bruteforce():
         assert slice_constant(eps, n) >= brute - 1e-12
 
 
+def reference_slice_constant_bruteforce(eps, n, n_samples=1_000_000, seed=0):
+    """The brute force before it reduced column by column, kept as the reference."""
+    if not 0.0 < eps <= 1.0 / n:
+        raise DomainError(f"slice constant defined for eps in (0, 1/{n}]")
+    rng = np.random.default_rng(seed)
+    rest = rng.dirichlet(np.ones(n - 1), size=n_samples)
+    first = np.full((n_samples, 1), eps / (1.0 - eps))
+    shifted = np.concatenate([first, rest], axis=1)
+    htilde = shifted.sum(axis=1)
+    qtilde = shifted.prod(axis=1) / htilde**n
+    return float(np.max(qtilde))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_slice_bruteforce_matches_the_concatenating_reference(n):
+    # numpy sums a last axis of 8 or more pairwise, so n = 8, 9 agree to
+    # rounding only; below that the column order is numpy's own.
+    for eps in (0.01, 0.05, 0.7 / n, 1.0 / n):
+        for seed in (1, 2, 8):
+            new = slice_constant_bruteforce(eps, n, n_samples=200_000, seed=seed)
+            ref = reference_slice_constant_bruteforce(eps, n, n_samples=200_000, seed=seed)
+            if n <= 7:
+                assert new == ref, (n, eps, seed)
+            else:
+                assert new == pytest.approx(ref, rel=1e-14, abs=0.0), (n, eps, seed)
+
+
 def test_degenerate_constants_for_linear_speed(params_n2m1):
     constants = solve_pinching_constants(params_n2m1, n_samples=2000, seed=0)
     assert constants.degenerate
