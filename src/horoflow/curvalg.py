@@ -58,7 +58,7 @@ ROOT_TOL = 1.0e-8
 _SLICE_VALIDATION_SAMPLES = 200_000
 _SLICE_VALIDATION_RTOL = 1.0e-3
 # Rows per block of the sample cloud in map_rows: bounds the (CHUNK_ROWS, n, n)
-# Hessian temporaries of _bound_values.
+# Hessian temporaries of _bound_values for speeds that are not quadratic.
 CHUNK_ROWS = 8192
 
 
@@ -213,7 +213,14 @@ class PairSpectrum:
 
 
 def _speed_derivatives(lam: np.ndarray, params: FlowParams, hessian: bool):
-    """Return dF/dlambda and, if hessian, d^2F/dlambda^2 from one set of tables."""
+    """Return dF/dlambda and, if hessian, d^2F/dlambda^2 from one set of tables.
+
+    The gradient has lam's shape (..., n).  The Hessian is (..., n, n), one
+    matrix per spectrum, except for a quadratic speed (beta = 1, m <= 2):
+    its Hessian is the constant (J - I)/C(n, 2), or zero for m = 1, and comes
+    back as one block of shape (1,) * (lam.ndim - 1) + (n, n) that
+    broadcasts against the rows.
+    """
     n, m, beta = params.n, params.m, params.beta
     e = _esym_table(lam)
     hm = e[..., m] / params.binom
@@ -228,12 +235,18 @@ def _speed_derivatives(lam: np.ndarray, params: FlowParams, hessian: bool):
     if not hessian:
         return grad, None
 
-    dhm = np.empty_like(lam)
-    for i in range(n):
-        dhm[..., i] = reduced[i][..., m - 1] / params.binom
+    if beta == 1.0 and m <= 2:
+        # hm ** 0.0 == 1.0 makes every row's prefactor 1.0 / C(n, m), and the
+        # twice-reduced E_0 is 1.0: the per-row matrices are all this block.
+        block = np.full((n, n), 1.0 / params.binom if m == 2 else 0.0)
+        np.fill_diagonal(block, 0.0)
+        return grad, block.reshape((1,) * (lam.ndim - 1) + (n, n))
     out = np.zeros(lam.shape + (n,), dtype=float)
     # Rank-one part from the outer power; vanishes identically when beta = 1.
     if beta != 1.0:
+        dhm = np.empty_like(lam)
+        for i in range(n):
+            dhm[..., i] = reduced[i][..., m - 1] / params.binom
         coef = beta * (beta - 1.0) * hm ** (beta - 2.0)
         out += coef[..., None, None] * dhm[..., :, None] * dhm[..., None, :]
     # Mixed second derivatives of H_m itself: remove two distinct roots.
@@ -272,7 +285,8 @@ def _pair_quotients(lam, grad, second):
     Q_ij = (dF_i - dF_j)/(lambda_i - lambda_j), or its coalescence limit
     0.5 (s_ii + s_jj) - s_ij below a relative gap of EIGEN_COALESCE_RTOL.
     |Q_ij| and |Q_ji| can differ: the limits do when the rank-one part of
-    the Hessian s rounds differently in s_ij and s_ji.
+    the Hessian s rounds differently in s_ij and s_ji.  s may be the one
+    block of a quadratic speed; its limit then broadcasts inside np.where.
     """
     threshold = EIGEN_COALESCE_RTOL * np.maximum(_row_norm(lam), 1e-300)
     for i, j in itertools.permutations(range(lam.shape[-1]), 2):
@@ -452,12 +466,15 @@ class SampledBound:
     n_points: int
 
 
-def _coordinate_descent(objective, y0: np.ndarray, eps: float, minimize: bool) -> tuple[np.ndarray, float]:
+def _coordinate_descent(
+    objective, y0: np.ndarray, best: float, eps: float, minimize: bool
+) -> tuple[np.ndarray, float]:
     """Polish a sampled extremum by projected coordinate descent on the cone.
 
-    A sweep tries coordinate j ascending, +step before -step, projects each
-    trial onto the cone and accepts it when it beats the best value by more
-    than 1e-15.  A sweep that accepted a move repeats at the same step; one
+    best is objective's value at y0, which the caller already has.  A sweep
+    tries coordinate j ascending, +step before -step, projects each trial
+    onto the cone and accepts it when it beats the best value by more than
+    1e-15.  A sweep that accepted a move repeats at the same step; one
     that did not halves the step, from 0.25 while it stays above 1e-9.
 
     The trials are scored speculatively: every trial the sweeps would make
@@ -470,7 +487,6 @@ def _coordinate_descent(objective, y0: np.ndarray, eps: float, minimize: bool) -
     so the result is bitwise that of the one-at-a-time loop.
     """
     y = np.array(y0, dtype=float)
-    best = float(objective(y[None, :])[0])
     sign = 1.0 if minimize else -1.0
     n = y.shape[0]
     steps = []
@@ -502,15 +518,17 @@ def _coordinate_descent(objective, y0: np.ndarray, eps: float, minimize: bool) -
 
 
 def _polish(objective, pts, vals, eps: float, minimize: bool) -> SampledBound:
-    """Refine the extremum of vals over pts by coordinate descent, keeping the better one."""
+    """Refine the extremum of vals over pts by coordinate descent from it.
+
+    vals must be objective's values at pts.  The objectives act row by row,
+    so the descent starts from vals[k] and scores no point twice.
+    """
     k = int(np.argmin(vals)) if minimize else int(np.argmax(vals))
     if 1.0 - pts.shape[1] * eps < 1e-12:
         # The cone is the umbilic ray alone (see ConeSampler.points): there is
         # nothing to descend on, and project_to_cone would divide by 1 - n eps = 0.
         return SampledBound(value=float(vals[k]), argpoint=pts[k], n_points=pts.shape[0])
-    y, best = _coordinate_descent(objective, pts[k], eps, minimize)
-    if (best > vals[k]) if minimize else (best < vals[k]):
-        y, best = pts[k], float(vals[k])
+    y, best = _coordinate_descent(objective, pts[k], float(vals[k]), eps, minimize)
     return SampledBound(value=best, argpoint=y, n_points=pts.shape[0])
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -359,10 +360,11 @@ def test_batched_descent_matches_sequential_loop(rng):
                 umbilic = np.full(n, 1.0 / math.sqrt(n))
                 for start in (extremum, interior, umbilic):
                     y_ref, best_ref = sequential_descent(objective, start, eps, minimize)
-                    y, best = _coordinate_descent(objective, start, eps, minimize)
+                    start_value = float(objective(start[None, :])[0])
+                    y, best = _coordinate_descent(objective, start, start_value, eps, minimize)
                     assert y.tobytes() == y_ref.tobytes()
                     assert best == best_ref
-                    improved += best_ref != float(objective(start[None, :])[0])
+                    improved += best_ref != start_value
     # the comparison covers descents that accept moves, not only stalled ones
     assert improved >= 10
 
@@ -503,8 +505,55 @@ def reference_sym_eig3(mats):
     return np.where(p[..., None] > 0.0, out, np.stack([q, q, q], axis=-1))
 
 
+def reference_speed_derivatives(lam, params, hessian):
+    """The per-row form of _speed_derivatives: an (..., n, n) Hessian for every speed."""
+    n, m, beta = params.n, params.m, params.beta
+    e = curvalg._esym_table(lam)
+    hm = e[..., m] / params.binom
+    if np.any(~(hm > 0.0)):
+        what = "Hessian" if hessian else "gradient"
+        raise ParabolicityLostError(f"H_m <= 0 (min {np.min(hm):.6g}); {what} undefined")
+    reduced = [curvalg._esym_drop(e, lam[..., i], m - 1) for i in range(n)]
+    prefactor = beta * hm ** (beta - 1.0) / params.binom
+    grad = np.empty_like(lam)
+    for i in range(n):
+        grad[..., i] = prefactor * reduced[i][..., m - 1]
+    if not hessian:
+        return grad, None
+
+    dhm = np.empty_like(lam)
+    for i in range(n):
+        dhm[..., i] = reduced[i][..., m - 1] / params.binom
+    out = np.zeros(lam.shape + (n,), dtype=float)
+    # Rank-one part from the outer power; vanishes identically when beta = 1.
+    if beta != 1.0:
+        coef = beta * (beta - 1.0) * hm ** (beta - 2.0)
+        out += coef[..., None, None] * dhm[..., :, None] * dhm[..., None, :]
+    # Mixed second derivatives of H_m itself: remove two distinct roots.
+    if m >= 2:
+        for i in range(n):
+            for j in range(i + 1, n):
+                twice_reduced = curvalg._esym_drop(reduced[i], lam[..., j], m - 2)
+                val = prefactor * twice_reduced[..., m - 2]
+                out[..., i, j] += val
+                out[..., j, i] += val
+    return grad, out
+
+
+def reference_polish(objective, pts, vals, eps, minimize):
+    """_polish scoring the descent's start point again and keeping the better end."""
+    k = int(np.argmin(vals)) if minimize else int(np.argmax(vals))
+    if 1.0 - pts.shape[1] * eps < 1e-12:
+        return curvalg.SampledBound(value=float(vals[k]), argpoint=pts[k], n_points=pts.shape[0])
+    start = float(objective(pts[k][None, :])[0])
+    y, best = _coordinate_descent(objective, pts[k], start, eps, minimize)
+    if (best > vals[k]) if minimize else (best < vals[k]):
+        y, best = pts[k], float(vals[k])
+    return curvalg.SampledBound(value=best, argpoint=y, n_points=pts.shape[0])
+
+
 def reference_bound_values(lam, params):
-    grad, second = _speed_derivatives(curvalg._as_batch(lam), params, hessian=True)
+    grad, second = reference_speed_derivatives(curvalg._as_batch(lam), params, hessian=True)
     q = reference_difference_quotients(lam, grad, second)
     q_max = np.max(np.abs(q), axis=(-2, -1))
     eig_max = np.max(np.abs(reference_symmetric_eigenvalues(second)), axis=-1)
@@ -564,15 +613,41 @@ def test_cone_kernels_match_the_reductions(rng, n):
         assert sampler.points(eps).tobytes() == want.tobytes()
 
 
+def parabolic_kernel_rows(rng, params):
+    """kernel_rows plus the signed_rows on which H_m > 0."""
+    signed = signed_rows(rng, params.n)
+    signed = signed[np.ravel(mean_curvature_m(signed, params) > 0.0)]
+    return np.concatenate([kernel_rows(rng, params.n), signed])
+
+
+@pytest.mark.parametrize("n, m, beta", KERNEL_SPEEDS)
+def test_speed_derivatives_match_the_per_row_reference(rng, n, m, beta):
+    params = make_params(n, m, beta)
+    lam = parabolic_kernel_rows(rng, params)
+    grad_ref, second_ref = reference_speed_derivatives(lam, params, hessian=True)
+    grad, second = _speed_derivatives(lam, params, hessian=True)
+    assert grad.tobytes() == grad_ref.tobytes()
+    assert _speed_derivatives(lam, params, hessian=False)[0].tobytes() == grad_ref.tobytes()
+    quadratic = beta == 1.0 and m <= 2
+    assert second.shape == ((1, n, n) if quadratic else lam.shape + (n,))
+    assert np.broadcast_to(second, second_ref.shape).tobytes() == second_ref.tobytes()
+    # One spectrum: an (n, n) Hessian, and a 0-d second derivative of F.
+    one = lam[0]
+    second_one = _speed_derivatives(one, params, hessian=True)[1]
+    assert second_one.tobytes() == reference_speed_derivatives(one, params, True)[1].tobytes()
+    assert second_one.shape == (n, n)
+    b = np.add.outer(np.arange(n), np.arange(n)) / n
+    assert np.shape(speed_hessian_quadform(one, params, b)) == ()
+
+
 @pytest.mark.parametrize("n, m, beta", KERNEL_SPEEDS)
 def test_quotient_kernels_match_the_blocks(rng, n, m, beta):
     params = make_params(n, m, beta)
-    signed = signed_rows(rng, n)
-    signed = signed[np.ravel(mean_curvature_m(signed, params) > 0.0)]
-    lam = np.concatenate([kernel_rows(rng, n), signed])
+    lam = parabolic_kernel_rows(rng, params)
     grad, second = _speed_derivatives(lam, params, hessian=True)
     got = curvalg._difference_quotients(lam, grad, second)
-    assert got.tobytes() == reference_difference_quotients(lam, grad, second).tobytes()
+    want = reference_difference_quotients(lam, *reference_speed_derivatives(lam, params, True))
+    assert got.tobytes() == want.tobytes()
     assert _bound_values(lam, params).tobytes() == reference_bound_values(lam, params).tobytes()
     assert _gradient_floor_values(lam, params).tobytes() == np.min(grad, axis=-1).tobytes()
     # The near branch ran, and for beta != 1 and m >= 2 the limits of Q_01 and
@@ -599,6 +674,22 @@ def test_solve_with_reference_kernels_is_bitwise_equal(monkeypatch, n, m, beta):
     for name in fields:
         assert np.asarray(getattr(new, name)).tobytes() == np.asarray(getattr(old, name)).tobytes()
     assert (new.degenerate, new.n_samples, new.seed) == (old.degenerate, old.n_samples, old.seed)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("n, m, beta", [(2, 2, 1.0), (3, 2, 1.0), (4, 2, 1.0), (2, 1, 1.0), (3, 3, 1.0 / 3.0)])
+@pytest.mark.parametrize("reference", ["derivatives", "polish"])
+def test_solve_with_the_per_row_reference_is_bitwise_equal(monkeypatch, reference, n, m, beta, seed):
+    params = make_params(n, m, beta)
+    new = solve_pinching_constants(params, n_samples=2000, seed=seed)
+    if reference == "derivatives":
+        monkeypatch.setattr(curvalg, "_speed_derivatives", reference_speed_derivatives)
+    else:
+        monkeypatch.setattr(curvalg, "_polish", reference_polish)
+    old = solve_pinching_constants(params, n_samples=2000, seed=seed)
+    for field in dataclasses.fields(curvalg.PinchingConstants):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 # ---------------------------------------------------------------------------
