@@ -205,7 +205,8 @@ def config_from_values(values: dict) -> RunConfig:
     scheme = take("control.scheme", StepControl.scheme)
     if isinstance(scheme, str):
         scheme = scheme.lower()
-    safety = number("control.safety", StepControl.safety)
+    # An absent control.safety stays None: the grid mode's default.
+    safety = number("control.safety") if "control.safety" in values else None
     dt_min = number("control.dt_min", StepControl.dt_min)
     dt_max = number("control.dt_max", StepControl.dt_max)
 
@@ -260,7 +261,10 @@ def config_from_values(values: dict) -> RunConfig:
         except DomainError as exc:  # the profile overflows a float
             raise ConfigurationError([f"initial.shape = {shape} is not representable: {exc}"])
     control = StepControl(
-        safety=float(safety), dt_min=float(dt_min), dt_max=float(dt_max), scheme=scheme
+        safety=None if safety is None else float(safety),
+        dt_min=float(dt_min),
+        dt_max=float(dt_max),
+        scheme=scheme,
     )
     return RunConfig(
         params=params,

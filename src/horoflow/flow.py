@@ -70,15 +70,26 @@ R_OSCILLATION_RTOL = 1.0e-8
 
 DEFAULT_MAX_STEPS = 2_000_000
 
+# Default step fraction (the safety in stable_dt) per grid mode.  On the
+# finite-difference Jacobians of flow_rhs measured (see the README) the
+# spectrum is real, or nearly so, and rho * dt_1, rho times stable_dt at
+# safety 1, peaks at 3.49 axisymmetric and 5.57 on full2d, so these run
+# Heun at rho * dt <= 1.40 and 1.11, where 2 is stable.
+DEFAULT_SAFETY = {"axisymmetric": 0.4, "full2d": 0.2}
+
 # Noise floor passed to the summary's decay fit; see monitors.FIT_NOISE_FLOOR.
 _SUMMARY_FIT_FLOOR = 1.0e-13
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Explicit time-stepper knobs: CFL safety, dt clamps, and the scheme."""
+    """Explicit time-stepper knobs: step fraction, dt clamps, and the scheme.
 
-    safety: float = 0.2
+    safety multiplies the trace bound min_spacing^2 / max trace(dF) of
+    stable_dt; None takes the grid mode's DEFAULT_SAFETY.
+    """
+
+    safety: float | None = None
     dt_min: float = 1.0e-10
     dt_max: float = 1.0e-2
     scheme: str = "heun"
@@ -99,6 +110,10 @@ class StepControl:
         if scheme not in SCHEMES:
             problems.append(f"control.scheme must be one of {SCHEMES}, got {scheme!r}")
         return problems
+
+    def safety_for(self, mode: str) -> float:
+        """The step fraction a run on a grid of this mode uses."""
+        return DEFAULT_SAFETY[mode] if self.safety is None else self.safety
 
 
 @dataclass(frozen=True)
@@ -215,12 +230,13 @@ def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) 
     over the induced metric factors; their sum (the gradient trace) bounds
     the largest eigenvalue including the pole-regularized azimuthal cells,
     so dt = safety * (min induced spacing)^2 / max_nodes trace(dF), with the
-    trace in closed form on the fields' pair spectrum.
+    trace in closed form on the fields' pair spectrum and safety resolved for
+    the fields' grid mode.
     """
     scale = float(speed_gradient(fields.spectrum, params, trace=True).max())
     if not math.isfinite(scale) or scale <= 0.0:
         raise DomainError("diffusion scale must be positive and finite")
-    dt = control.safety * fields.min_spacing**2 / scale
+    dt = control.safety_for(fields.mode) * fields.min_spacing**2 / scale
     return float(min(max(dt, control.dt_min), control.dt_max))
 
 
@@ -326,10 +342,11 @@ class FlowResult:
     """Everything a finished (or aborted-and-reraised) run produced.
 
     rhs_evaluations counts evaluations of dr/dt (STAGES per step); dts holds
-    the dt of every accepted step, in order.  dt_limit names the node,
-    direction and spacing that set the initial state's min_spacing
-    (graphgeom.dt_limit; None when the initial geometry failed).  stop holds
-    the relative radial oscillation and the roundness deficit
+    the dt of every accepted step, in order, and safety the step fraction
+    they were taken at (StepControl.safety_for the grid mode).  dt_limit
+    names the node, direction and spacing that set the initial state's
+    min_spacing (graphgeom.dt_limit; None when the initial geometry failed).
+    stop holds the relative radial oscillation and the roundness deficit
     1/n^n - Qtilde_min at the step that passed R_OSCILLATION_RTOL and f_tol
     (None unless converged); abort holds the error class, message, t, step
     and node index of an aborted run.
@@ -347,6 +364,7 @@ class FlowResult:
     initial_pinched: bool | None
     rhs_evaluations: int
     dts: np.ndarray
+    safety: float
     dt_limit: dict | None = None
     stop: dict | None = None
     abort: dict | None = None
@@ -409,6 +427,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             initial_pinched=initial_pinched,
             rhs_evaluations=n_steps * STAGES[control.scheme],
             dts=np.frombuffer(dts),
+            safety=control.safety_for(state.grid.mode),
             dt_limit=limit,
             stop=stop,
             abort=abort,
@@ -548,7 +567,12 @@ def _summarize(result: FlowResult) -> dict:
         decay = None
     dts = result.dts
     dt_stats = (
-        {"min": float(dts.min()), "median": float(np.median(dts)), "max": float(dts.max())}
+        {
+            "min": float(dts.min()),
+            "median": float(np.median(dts)),
+            "max": float(dts.max()),
+            "safety": result.safety,
+        }
         if dts.size
         else None
     )

@@ -391,7 +391,8 @@ class GeometryFields:
     spectrum holds the two distinct principal curvatures per node: the
     axisymmetric (lam_theta, lam_azim) or the full2d eigenvalue pair
     (lo, hi).  lam is the (N, n) principal-curvature spectrum, ascending in
-    each row, built from it on first read, and settable.
+    each row, built from it on first read, and settable.  mode is the grid's
+    mode, which sets the default step fraction of flow.stable_dt.
     """
 
     s: np.ndarray
@@ -402,6 +403,7 @@ class GeometryFields:
     area_weight: np.ndarray
     min_spacing: float
     spectrum: PairSpectrum
+    mode: str
     _lam: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -513,6 +515,7 @@ def _scalar_fields(state, params, F, H, xi, s, min_spacing, spectrum) -> Geometr
         area_weight=s ** (params.n - 1) * xi * state.grid.weights,
         min_spacing=min_spacing,
         spectrum=spectrum,
+        mode=state.grid.mode,
     )
 
 

@@ -103,7 +103,8 @@ def test_minimal_config_defaults():
     assert config.initial.grid.mode == "axisymmetric"
     assert config.initial.grid.n_theta == 256
     assert config.control.scheme == "heun"
-    assert config.control.safety == 0.2
+    assert config.control.safety is None
+    assert config.control.safety_for(config.initial.grid.mode) == 0.4
     assert config.control.dt_min == 1e-10
     assert config.control.dt_max == 1e-2
     assert config.t_end == 10.0

@@ -290,9 +290,17 @@ def test_stable_dt_scaling_and_clamps(params_n2m1):
     fields = geometry_from_graph(state, params_n2m1)
     # n = 2, m = 1: the speed gradient is (1/2, 1/2), so the trace is 1
     expected = 0.2 * fields.min_spacing**2
-    assert stable_dt(fields, params_n2m1, StepControl()) == pytest.approx(expected, rel=1e-12)
+    assert stable_dt(fields, params_n2m1, StepControl(safety=0.2)) == pytest.approx(
+        expected, rel=1e-12
+    )
     assert stable_dt(fields, params_n2m1, StepControl(dt_max=1e-6)) == 1e-6
     assert stable_dt(fields, params_n2m1, StepControl(dt_min=0.5, dt_max=1.0)) == 0.5
+    # Without an explicit safety each grid mode takes its own step fraction.
+    default = 0.4 * fields.min_spacing**2
+    assert stable_dt(fields, params_n2m1, StepControl()) == pytest.approx(default, rel=1e-12)
+    full2d = geometry_from_graph(sphere_state(make_grid("full2d", 2, 16, 32), 1.0), params_n2m1)
+    default = 0.2 * full2d.min_spacing**2
+    assert stable_dt(full2d, params_n2m1, StepControl()) == pytest.approx(default, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["axisymmetric", "full2d"])
@@ -324,7 +332,9 @@ def test_stable_dt_on_spheres_follows_the_analytic_trace(n, m, beta):
     trace = mbeta * COTH1 ** (mbeta - 1.0)
     assert fields.min_spacing == pytest.approx(math.pi / 95 * math.sinh(1.0), rel=1e-14)
     expected = 0.2 * fields.min_spacing**2 / trace
-    assert stable_dt(fields, params, StepControl()) == pytest.approx(expected, rel=1e-12)
+    assert stable_dt(fields, params, StepControl(safety=0.2)) == pytest.approx(expected, rel=1e-12)
+    default = 0.4 * fields.min_spacing**2 / trace
+    assert stable_dt(fields, params, StepControl()) == pytest.approx(default, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +640,26 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
             "min": float(dts.min()),
             "median": float(np.median(dts)),
             "max": float(dts.max()),
+            "safety": 0.4,
         }
         with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
             payloads.append((text, fh.read()))
     assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize(
+    "mode, safety, reported",
+    [("axisymmetric", None, 0.4), ("full2d", None, 0.2), ("axisymmetric", 0.3, 0.3)],
+)
+def test_summary_reports_the_step_fraction_the_run_used(mode, safety, reported, params_n2m2):
+    grid = make_grid(mode, 2, 16, 32 if mode == "full2d" else None)
+    initial = perturbed_sphere_state(grid, 1.0, 2, 0.05)
+    result = run(make_config(params_n2m2, initial, t_end=0.01, control=StepControl(safety=safety)))
+    assert result.summary["dt"]["safety"] == reported
+    # The first step was taken at that fraction, from the (filtered) initial state.
+    start = GraphState(t=0.0, grid=grid, r=polar_filter(grid, initial.r))
+    fields = geometry_from_graph(start, params_n2m2)
+    assert result.dts[0] == stable_dt(fields, params_n2m2, StepControl(safety=reported))
 
 
 def test_run_writes_output_files(tmp_path, params_n2m1):

@@ -448,6 +448,7 @@ def reference_full2d_geometry(state, params):
         area_weight=s ** (params.n - 1) * xi * state.grid.weights,
         min_spacing=min_spacing,
         spectrum=None,
+        mode=grid.mode,
         _lam=lam,
     )
 
@@ -456,7 +457,7 @@ def reference_stable_dt(fields, params, control):
     """stable_dt with the gradient trace summed from the generic speed gradient."""
     trace = speed_gradient(fields.lam, params, trace=True)
     scale = float(trace.max())
-    dt = control.safety * fields.min_spacing**2 / scale
+    dt = control.safety_for(fields.mode) * fields.min_spacing**2 / scale
     return float(min(max(dt, control.dt_min), control.dt_max))
 
 

@@ -85,6 +85,30 @@ def test_stability_margin_of_the_filtered_full2d_step(tmp_path, capsys):
     assert margin["rho_dt"] < 1.5
 
 
+def axisym_config(n, m, beta, n_theta, shape="sphere", **initial):
+    from horoflow.cli import config_from_values
+
+    values = {
+        "params.n": n, "params.m": m, "params.beta": beta, "params.kappa": -1.0,
+        "grid.n_theta": n_theta, "initial.shape": shape, "initial.r0": 1.0,
+    }
+    values.update({f"initial.{key}": value for key, value in initial.items()})
+    return config_from_values(values)
+
+
+def test_stability_margin_of_the_axisymmetric_step_at_the_default_safety():
+    stability_margin = load_script("stability_margin").stability_margin
+    # The n = 2 sphere is the stiffest axisymmetric case measured (rho * dt
+    # of 3.49 at safety 1), so the default step fraction runs it near 1.4:
+    # well inside Heun's real-axis bound of 2, and not the 0.7 of safety 0.2.
+    margin = stability_margin(axisym_config(2, 1, 1.0, 128))
+    assert margin["max_abs_imag"] <= 1e-6
+    assert 1.2 <= margin["rho_dt"] < 1.5
+    perturbed_n3m2 = axisym_config(3, 2, 1.0, 64, "perturbed_sphere", mode_l=2, amplitude=0.05)
+    assert stability_margin(perturbed_n3m2)["rho_dt"] < 1.5
+    assert stability_margin(axisym_config(2, 2, 1.5, 64))["rho_dt"] < 1.5
+
+
 # Every (owner, attribute) benchmark/tracing.py patches.  Tracer.patch skips
 # a missing name silently, so a renamed or deleted function would turn its
 # per-layer metric into 0; this list makes that a test failure instead.
