@@ -58,15 +58,7 @@ def main(argv=None) -> int:
         params = FlowParams(n=n, m=m, beta=beta, ac=ac)
         constants = solve_pinching_constants(params, n_samples=args.samples,
                                              seed=args.seed)
-        rows.append({
-            "n": n, "m": m, "beta": beta,
-            "epsilon0": constants.epsilon0,
-            "c_star": constants.c_star,
-            "degenerate": constants.degenerate,
-            "balance_evaluations": constants.balance_evaluations,
-            "n_samples": constants.n_samples,
-            "seed": constants.seed,
-        })
+        rows.append({"n": n, "m": m, "beta": beta, **constants.account()})
         print(f"{n:>3} {m:>3} {beta:>7.4f} {m * beta:>7.4f} "
               f"{constants.epsilon0:>12.8f} {constants.c_star:>12.8f} "
               f"{1.0 / n**n:>12.8f} {constants.balance_evaluations:>5} "

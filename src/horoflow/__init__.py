@@ -24,7 +24,6 @@ from .curvalg import (
 from .errors import (
     ConfigurationError,
     DomainError,
-    FeasibilityError,
     HoroflowError,
     NumericalBlowupError,
     ParabolicityLostError,
@@ -46,7 +45,6 @@ from .graphgeom import (
     GeometryFields,
     GraphState,
     GridSpec,
-    area_and_volume,
     geometry_from_graph,
     load_snapshot,
     make_grid,
@@ -98,7 +96,6 @@ __all__ = [
     "DiagnosticsRecorder",
     "DomainError",
     "ExponentialFit",
-    "FeasibilityError",
     "FlowParams",
     "FlowResult",
     "GeometryFields",
@@ -116,7 +113,6 @@ __all__ = [
     "StepControl",
     "StiffnessError",
     "analyze_diagnostics",
-    "area_and_volume",
     "ball_volume",
     "check_monotone",
     "contraction_residual",

@@ -135,7 +135,6 @@ _KNOWN_KEYS = {
     "initial.amplitude",
     "initial.mode_phi",
     "initial.snapshot",
-    "control.scheme",
     "control.safety",
     "control.dt_min",
     "control.dt_max",
@@ -202,9 +201,6 @@ def config_from_values(values: dict) -> RunConfig:
     if shape == "custom":
         snapshot = _read_snapshot(take("initial.snapshot"), problems)
 
-    scheme = take("control.scheme", StepControl.scheme)
-    if isinstance(scheme, str):
-        scheme = scheme.lower()
     # An absent control.safety stays None: the grid mode's default.
     safety = number("control.safety") if "control.safety" in values else None
     dt_min = number("control.dt_min", StepControl.dt_min)
@@ -233,7 +229,7 @@ def config_from_values(values: dict) -> RunConfig:
     problems += graphgeom.grid_problems(mode, n, n_theta, n_phi)
     if shape in ("sphere", "perturbed_sphere"):
         problems += graphgeom.initial_problems(mode, n_theta, r0, mode_l, amplitude, mode_phi)
-    problems += StepControl.problems(safety, dt_min, dt_max, scheme)
+    problems += StepControl.problems(safety, dt_min, dt_max)
     if snapshot is not None:
         r_max = float(snapshot.r.max())
     elif r0 is not None:  # r0 + |amplitude| bounds the perturbed profile
@@ -264,7 +260,6 @@ def config_from_values(values: dict) -> RunConfig:
         safety=None if safety is None else float(safety),
         dt_min=float(dt_min),
         dt_max=float(dt_max),
-        scheme=scheme,
     )
     return RunConfig(
         params=params,
@@ -381,12 +376,7 @@ def _cmd_constants(args: list[str]) -> int:
         "m": ns.m,
         "beta": ns.beta,
         "kappa": ns.kappa,
-        "epsilon0": constants.epsilon0,
-        "c_star": constants.c_star,
-        "degenerate": constants.degenerate,
-        "balance_evaluations": constants.balance_evaluations,
-        "n_samples": constants.n_samples,
-        "seed": constants.seed,
+        **constants.account(),
         "table": {
             "eps": [float(v) for v in constants.eps_grid],
             "gap_bound": [float(v) for v in constants.gap_table],

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DomainError,
-    FeasibilityError,
     ParabolicityLostError,
     RootFindingError,
 )
@@ -54,6 +53,8 @@ DEGENERATE_EPSILON_FLOOR = 1.0e-2
 DEFAULT_SAMPLES = 100_000
 # Fewest cone samples a sampler (and constants.n_samples) accepts.
 MIN_SAMPLES = 100
+# eps points of the tables, and the bracket width epsilon0 is the midpoint of.
+TABLE_POINTS = 17
 ROOT_TOL = 1.0e-8
 _SLICE_VALIDATION_SAMPLES = 200_000
 _SLICE_VALIDATION_RTOL = 1.0e-3
@@ -361,6 +362,8 @@ class ConeSampler:
             raise DomainError("sampler needs n >= 2")
         if n_samples < MIN_SAMPLES:
             raise DomainError(f"sampler needs at least {MIN_SAMPLES} points")
+        if seed < 0:
+            raise DomainError(f"sampler needs a seed >= 0, got {seed}")
         self.n = n
         self.n_samples = int(n_samples)
         self.seed = int(seed)
@@ -400,12 +403,7 @@ class ConeSampler:
         project_to_cone(self._base, eps, out=pts[: self.n_samples])
         pts[self.n_samples :] = extras
         keep = _on_cone(pts, eps)
-        if keep.all():
-            return pts
-        pts = pts[keep]
-        if pts.shape[0] == 0:
-            raise FeasibilityError(f"no feasible samples on the cone at eps = {eps}")
-        return pts
+        return pts if keep.all() else pts[keep]
 
 
 def _on_cone(pts: np.ndarray, eps: float) -> np.ndarray:
@@ -455,15 +453,6 @@ def _row_min(y: np.ndarray) -> np.ndarray:
 
 def _row_norm(y: np.ndarray) -> np.ndarray:
     return np.sqrt(functools.reduce(np.add, (c * c for c in _columns(y))))
-
-
-@dataclass(frozen=True)
-class SampledBound:
-    """A sampled extremum with the resolution it was computed at."""
-
-    value: float
-    argpoint: np.ndarray
-    n_points: int
 
 
 def _coordinate_descent(
@@ -517,7 +506,7 @@ def _coordinate_descent(
         level, start, repeat = int(trial_level[k]), int(move[k]) + 1, True
 
 
-def _polish(objective, pts, vals, eps: float, minimize: bool) -> SampledBound:
+def _polish(objective, pts, vals, eps: float, minimize: bool) -> float:
     """Refine the extremum of vals over pts by coordinate descent from it.
 
     vals must be objective's values at pts.  The objectives act row by row,
@@ -527,9 +516,8 @@ def _polish(objective, pts, vals, eps: float, minimize: bool) -> SampledBound:
     if 1.0 - pts.shape[1] * eps < 1e-12:
         # The cone is the umbilic ray alone (see ConeSampler.points): there is
         # nothing to descend on, and project_to_cone would divide by 1 - n eps = 0.
-        return SampledBound(value=float(vals[k]), argpoint=pts[k], n_points=pts.shape[0])
-    y, best = _coordinate_descent(objective, pts[k], float(vals[k]), eps, minimize)
-    return SampledBound(value=best, argpoint=y, n_points=pts.shape[0])
+        return float(vals[k])
+    return _coordinate_descent(objective, pts[k], float(vals[k]), eps, minimize)[1]
 
 
 def _gradient_floor_values(lam: np.ndarray, params: FlowParams) -> np.ndarray:
@@ -624,11 +612,17 @@ def map_rows(fn, array: np.ndarray, chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
 
 def _sampled_bounds(
     eps: float, params: FlowParams, sampler: ConeSampler
-) -> tuple[SampledBound, SampledBound]:
+) -> tuple[float, float]:
     """Return the gradient floor and the Hessian ceiling at eps.
 
-    Both come from one projection of the cloud and one pass over it, which
-    shares the speed derivatives between the two objectives.
+    The floor is the sampled minimum of the speed gradient's components on
+    the cone: the constructive constant in dF_i(lambda) >= floor *
+    |lambda|^{m beta - 1} on pinched spectra, increasing in eps and exactly
+    1/n for the linear speed (m = beta = 1).  The ceiling is the sampled
+    supremum of the quadform operator norm: decreasing in eps, identically
+    zero for the linear speed.  Both come from one projection of the cloud
+    and one pass over it, which shares the speed derivatives between the two
+    objectives.
     """
     if sampler.n != params.n:
         raise DomainError("sampler dimension does not match params.n")
@@ -640,24 +634,6 @@ def _sampled_bounds(
         _polish(floor, pts, vals[:, 0], eps, minimize=True),
         _polish(ceiling, pts, vals[:, 1], eps, minimize=False),
     )
-
-
-def gradient_floor(eps: float, params: FlowParams, sampler: ConeSampler) -> SampledBound:
-    """Return the sampled minimum of the speed gradient's components on the cone.
-
-    This is the constructive constant in the lower bound
-    dF_i(lambda) >= floor * |lambda|^{m beta - 1} on pinched spectra;
-    increasing in eps, and exactly 1/n for the linear speed (m = beta = 1).
-    """
-    return _sampled_bounds(eps, params, sampler)[0]
-
-
-def hessian_ceiling(eps: float, params: FlowParams, sampler: ConeSampler) -> SampledBound:
-    """Return the sampled supremum of the quadform operator norm on the cone.
-
-    Decreasing in eps; identically zero for the linear speed m = beta = 1.
-    """
-    return _sampled_bounds(eps, params, sampler)[1]
 
 
 def slice_constant(eps: float, n: int) -> float:
@@ -702,11 +678,22 @@ class PinchingConstants:
     balance_evaluations: int
     degenerate: bool = False
 
+    def account(self) -> dict:
+        """The scalars of the solve that the CLI, the run summary and the tables report."""
+        return {
+            "epsilon0": self.epsilon0,
+            "c_star": self.c_star,
+            "degenerate": self.degenerate,
+            "balance_evaluations": self.balance_evaluations,
+            "n_samples": self.n_samples,
+            "seed": self.seed,
+        }
+
 
 def _balance_terms(eps: float, params: FlowParams, sampler: ConeSampler):
-    """Return gradient_floor, hessian_ceiling and their balance at eps."""
+    """Return the gradient floor, the Hessian ceiling and their balance at eps."""
     n = params.n
-    w1, w2 = (bound.value for bound in _sampled_bounds(eps, params, sampler))
+    w1, w2 = _sampled_bounds(eps, params, sampler)
     coef = (n - 1) / (2.0 * math.sqrt(n))
     return w1, w2, coef * w1 * eps**2 - w2 * float(gap_bound(eps, n))
 
@@ -771,23 +758,21 @@ def solve_pinching_constants(
     params: FlowParams,
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    eps_floor: float = DEGENERATE_EPSILON_FLOOR,
-    table_points: int = 17,
-    tol: float = ROOT_TOL,
 ) -> PinchingConstants:
     """Solve for the unique balance point epsilon0 and derive C*.
 
     The balance function is negative near 0+ (the gap bound blows up) and
     positive near 1/n (the gap bound vanishes) whenever the Hessian ceiling
     is nonzero.  `_bracketed_root`, seeded with the two table points around
-    the first sign change, closes that bracket to width `tol`; epsilon0 is its
-    midpoint.  If the ceiling vanishes identically (linear speed), the
-    balance is positive throughout and epsilon0 falls back to `eps_floor`.
+    the first sign change, closes that bracket to width ROOT_TOL; epsilon0 is
+    its midpoint.  If the ceiling vanishes identically (linear speed), the
+    balance is positive throughout and epsilon0 falls back to
+    DEGENERATE_EPSILON_FLOOR.
     """
     n = params.n
     sampler = ConeSampler(n, n_samples=n_samples, seed=seed)
     eps_hi = 1.0 / n
-    eps_grid = np.linspace(eps_hi / 64.0, eps_hi * (1.0 - 1e-9), table_points)
+    eps_grid = np.linspace(eps_hi / 64.0, eps_hi * (1.0 - 1e-9), TABLE_POINTS)
     gap_table = gap_bound(eps_grid, n)
     grad_floor_table, hess_ceiling_table, balance = map(
         np.array, zip(*(_balance_terms(e, params, sampler) for e in eps_grid))
@@ -799,9 +784,10 @@ def solve_pinching_constants(
         if np.any(balance <= 0.0):
             raise RootFindingError("pinching balance is not increasing across the table")
         logger.info(
-            "pinching balance positive on all of (0, 1/n); using floor epsilon0 = %g", eps_floor
+            "pinching balance positive on all of (0, 1/n); using floor epsilon0 = %g",
+            DEGENERATE_EPSILON_FLOOR,
         )
-        epsilon0 = float(eps_floor)
+        epsilon0 = DEGENERATE_EPSILON_FLOOR
         degenerate = True
     else:
         flips = np.nonzero(balance > 0.0)[0]
@@ -816,7 +802,7 @@ def solve_pinching_constants(
             float(balance[hi_idx - 1]),
             float(eps_grid[hi_idx]),
             float(balance[hi_idx]),
-            tol,
+            ROOT_TOL,
         )
         epsilon0 = 0.5 * (lo + hi)
 

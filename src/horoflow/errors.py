@@ -64,7 +64,3 @@ class NumericalBlowupError(HoroflowError):
 
 class RootFindingError(HoroflowError):
     """An iterative solve (bisection / safeguarded Newton) failed to converge."""
-
-
-class FeasibilityError(HoroflowError):
-    """A sampling oracle found no feasible points in its constraint set."""

@@ -3,9 +3,9 @@
 The normal speed is the deviation of the curvature speed from its area
 average, so the enclosed volume is conserved by construction; the radial
 function then satisfies dr/dt = (Fbar - F) |xi| / s at every node.  The
-integrator is explicit (Heun by default, classical RK4 optionally), with the
-nonlocal average recomputed at every internal stage and a per-step time step
-from the parabolic stability scale of the linearized operator.
+integrator is Heun's explicit second-order method, with the nonlocal average
+recomputed at both stages and a per-step time step from the parabolic
+stability scale of the linearized operator.
 
 Geodesic spheres make the right-hand side vanish identically, so they are
 exact discrete equilibria; the run loop therefore declares convergence from
@@ -57,9 +57,8 @@ from .oracle import support_offset
 
 logger = logging.getLogger(__name__)
 
-# Right-hand-side evaluations per step of each scheme.
-STAGES = {"heun": 2, "rk4": 4}
-SCHEMES = tuple(STAGES)
+# Right-hand-side evaluations per Heun step.
+STAGES = 2
 
 # Consecutive steps pinned at the dt floor before the run aborts as stiff.
 STIFFNESS_PATIENCE = 10
@@ -83,7 +82,7 @@ _SUMMARY_FIT_FLOOR = 1.0e-13
 
 @dataclass(frozen=True)
 class StepControl:
-    """Explicit time-stepper knobs: step fraction, dt clamps, and the scheme.
+    """Explicit time-stepper knobs: the step fraction and the dt clamps.
 
     safety multiplies the trace bound min_spacing^2 / max trace(dF) of
     stable_dt; None takes the grid mode's DEFAULT_SAFETY.
@@ -92,23 +91,18 @@ class StepControl:
     safety: float | None = None
     dt_min: float = 1.0e-10
     dt_max: float = 1.0e-2
-    scheme: str = "heun"
 
     def __post_init__(self):
-        ConfigurationError.raise_if(
-            self.problems(self.safety, self.dt_min, self.dt_max, self.scheme)
-        )
+        ConfigurationError.raise_if(self.problems(self.safety, self.dt_min, self.dt_max))
 
     @staticmethod
-    def problems(safety, dt_min, dt_max, scheme) -> list[str]:
+    def problems(safety, dt_min, dt_max) -> list[str]:
         """The rules on the control.* keys."""
         problems = []
         if safety is not None and not 0.0 < safety <= 1.0:
             problems.append(f"control.safety must be in (0, 1], got {safety}")
         if dt_min is not None and dt_max is not None and not 0.0 < dt_min <= dt_max:
             problems.append(f"control.dt_min must be in (0, control.dt_max], got {dt_min}, {dt_max}")
-        if scheme not in SCHEMES:
-            problems.append(f"control.scheme must be one of {SCHEMES}, got {scheme!r}")
         return problems
 
     def safety_for(self, mode: str) -> float:
@@ -206,20 +200,18 @@ def scaled_radius_limit(n: int, a: float) -> float:
     return min(cube, power)
 
 
-def _stage_rate(grid: GridSpec, fields: GeometryFields) -> tuple[np.ndarray, float]:
-    """Per-node dr/dt on the grid's natural shape and the average speed it used.
+def _stage_rate(grid: GridSpec, fields: GeometryFields) -> np.ndarray:
+    """Per-node dr/dt on the grid's natural shape.
 
     On full2d the rate is polar-filtered, so a filtered state stays filtered.
     """
-    fbar = average_speed(fields)
-    rate = ((fbar - fields.F) * fields.xi_norm / fields.s).reshape(grid.shape)
-    return polar_filter(grid, rate), fbar
+    rate = ((average_speed(fields) - fields.F) * fields.xi_norm / fields.s).reshape(grid.shape)
+    return polar_filter(grid, rate)
 
 
 def flow_rhs(state: GraphState, params: FlowParams) -> np.ndarray:
     """Evaluate dr/dt = (Fbar - F) |xi| / s on the grid's natural shape."""
-    rate, _fbar = _stage_rate(state.grid, geometry_from_graph(state, params))
-    return rate
+    return _stage_rate(state.grid, geometry_from_graph(state, params))
 
 
 def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) -> float:
@@ -240,16 +232,6 @@ def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) 
     return float(min(max(dt, control.dt_min), control.dt_max))
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """One accepted step: the new state plus the start-of-step evaluation."""
-
-    state: GraphState
-    fields: GeometryFields
-    dt: float
-    fbar: float
-
-
 def _advance(state: GraphState, r_new: np.ndarray, dt: float) -> GraphState:
     try:
         return GraphState(t=state.t + dt, grid=state.grid, r=r_new)
@@ -266,29 +248,19 @@ def step(
     control: StepControl,
     fields: GeometryFields | None = None,
     dt: float | None = None,
-) -> StepResult:
-    """Advance one explicit step, recomputing the speed average per stage."""
+) -> GraphState:
+    """Advance one Heun step, recomputing the speed average per stage.
+
+    fields and dt default to the state's geometry and its stable_dt.
+    """
     if fields is None:
         fields = geometry_from_graph(state, params)
     if dt is None:
         dt = stable_dt(fields, params, control)
-    grid = state.grid
-    k1, fbar = _stage_rate(grid, fields)
-
-    if control.scheme == "heun":
-        trial = _advance(state, state.r + dt * k1, dt)
-        k2, _ = _stage_rate(grid, geometry_from_graph(trial, params))
-        r_new = state.r + (0.5 * dt) * (k1 + k2)
-    else:
-        half = _advance(state, state.r + (0.5 * dt) * k1, 0.5 * dt)
-        k2, _ = _stage_rate(grid, geometry_from_graph(half, params))
-        half2 = _advance(state, state.r + (0.5 * dt) * k2, 0.5 * dt)
-        k3, _ = _stage_rate(grid, geometry_from_graph(half2, params))
-        full = _advance(state, state.r + dt * k3, dt)
-        k4, _ = _stage_rate(grid, geometry_from_graph(full, params))
-        r_new = state.r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return StepResult(state=_advance(state, r_new, dt), fields=fields, dt=dt, fbar=fbar)
+    k1 = _stage_rate(state.grid, fields)
+    trial = _advance(state, state.r + dt * k1, dt)
+    k2 = _stage_rate(state.grid, geometry_from_graph(trial, params))
+    return _advance(state, state.r + (0.5 * dt) * (k1 + k2), dt)
 
 
 def volume_renormalize(state: GraphState, params: FlowParams, v0: float) -> GraphState:
@@ -425,7 +397,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             zeta_epsilon=zeta,
             constants=constants,
             initial_pinched=initial_pinched,
-            rhs_evaluations=n_steps * STAGES[control.scheme],
+            rhs_evaluations=n_steps * STAGES,
             dts=np.frombuffer(dts),
             safety=control.safety_for(state.grid.mode),
             dt_limit=limit,
@@ -500,10 +472,9 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
                 stiff_streak = 0
             dt = min(dt_stable, config.t_end - state.t)
 
-            result = step(state, params, control, fields=fields, dt=dt)
-            state = result.state
-            last_dt = result.dt
-            dts.append(last_dt)
+            state = step(state, params, control, fields=fields, dt=dt)
+            last_dt = dt
+            dts.append(dt)
             n_steps += 1
             if config.renormalize_volume:
                 state = volume_renormalize(state, params, v0)
@@ -593,12 +564,5 @@ def _summarize(result: FlowResult) -> dict:
         "zeta_epsilon": result.zeta_epsilon,
         "initial_pinched": result.initial_pinched,
         "params": {"n": p.n, "m": p.m, "beta": float(p.beta), "kappa": float(p.ac.kappa)},
-        "constants": {
-            "epsilon0": result.constants.epsilon0,
-            "c_star": result.constants.c_star,
-            "degenerate": result.constants.degenerate,
-            "balance_evaluations": result.constants.balance_evaluations,
-            "n_samples": result.constants.n_samples,
-            "seed": result.constants.seed,
-        },
+        "constants": result.constants.account(),
     }

@@ -42,7 +42,7 @@ import numpy as np
 
 from .curvalg import FlowParams, PairSpectrum, speed
 from .errors import ConfigurationError, DomainError, HoroflowError
-from .hypergeom import AmbientCurvature, generalized_sine, generalized_sine_cosine
+from .hypergeom import AmbientCurvature, generalized_sine_cosine
 
 logger = logging.getLogger(__name__)
 
@@ -564,26 +564,6 @@ def enclosed_volume_integrand(r, params: FlowParams):
     return _sinh_power_integral(a * np.asarray(r, dtype=float), params.n) / a ** (params.n + 1)
 
 
-def area_and_volume(state: GraphState, params: FlowParams) -> tuple[float, float]:
-    """Return (surface area, enclosed volume) of the graph.
-
-    Area sums sqrt(det g) against the round-sphere weights; volume integrates
-    the exact radial antiderivative of s^n node by node.
-    """
-    grid = state.grid
-    r = state.r_flat
-    s = generalized_sine(r, params.ac)
-    if grid.mode == "axisymmetric":
-        rp, _, _ = _axisym_scalar_derivatives(grid, state.r)
-        xi = np.sqrt(s * s + rp * rp)
-    else:
-        a, b, _, _, _ = _full2d_frame_derivatives(grid, state.r)
-        xi = np.sqrt(s * s + (a * a + b * b))
-    area = float(np.sum(s ** (params.n - 1) * xi * grid.weights))
-    volume = float(np.sum(grid.weights * enclosed_volume_integrand(r, params)))
-    return area, volume
-
-
 # ---------------------------------------------------------------------------
 # Snapshot I/O
 # ---------------------------------------------------------------------------
@@ -619,6 +599,8 @@ def load_snapshot(path: str) -> GraphState:
         n = int(match.group(2))
         t = float(match.group(3))
         body = fh.read()
+    if not math.isfinite(t):
+        raise HoroflowError(f"{path} has a non-finite time t = {t}")
     data = np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
     columns = 2 if mode == "axisymmetric" else 3
     if data.shape[1] != columns:
@@ -628,13 +610,13 @@ def load_snapshot(path: str) -> GraphState:
         if not np.allclose(data[:, 0], grid.theta, atol=1e-12):
             raise HoroflowError("snapshot colatitudes do not match a uniform grid")
         return GraphState(t=t, grid=grid, r=data[:, 1])
-    thetas = np.unique(data[:, 0])
-    phis = np.unique(data[:, 1])
-    grid = make_grid(mode, n, thetas.size, phis.size)
-    if not (
-        np.allclose(thetas, grid.theta, atol=1e-12)
-        and np.allclose(phis, grid.phi, atol=1e-12)
-    ):
-        raise HoroflowError("snapshot nodes do not match a cell-centered lat-long grid")
-    r = data[:, 2].reshape(thetas.size, phis.size)
-    return GraphState(t=t, grid=grid, r=r)
+    grid = make_grid(mode, n, np.unique(data[:, 0]).size, np.unique(data[:, 1]).size)
+    # save_snapshot's node order: theta-major, phi varying fastest.
+    nodes = np.column_stack(
+        [np.repeat(grid.theta, grid.n_phi), np.tile(grid.phi, grid.n_theta)]
+    )
+    if data.shape[0] != nodes.shape[0] or not np.allclose(data[:, :2], nodes, atol=1e-12):
+        raise HoroflowError(
+            "snapshot nodes are not a cell-centered lat-long grid in (theta, phi) row-major order"
+        )
+    return GraphState(t=t, grid=grid, r=data[:, 2].reshape(grid.shape))

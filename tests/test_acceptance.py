@@ -256,7 +256,7 @@ def test_criterion_03_equilibrium():
     state = sphere_state(make_grid("axisymmetric", 2, 256), 1.0)
     control = StepControl()
     for _ in range(10_000):
-        state = step(state, params, control).state
+        state = step(state, params, control)
     drift = float(np.max(np.abs(state.r - 1.0)))
     ok = drift < 1e-10
     assert record_acceptance(3, ok, f"sup-norm drift {drift:.2e} after 1e4 steps")

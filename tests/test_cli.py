@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +94,15 @@ def test_read_config_text_collects_all_problems():
     assert "duplicate" in problems[2]
 
 
+def test_readme_config_block_lists_every_known_key():
+    # The README's example config, commented keys included, documents the parser's keys.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(), flags=re.M | re.S)
+    (block,) = [b for b in blocks if "params.n =" in b]
+    keys = set(re.findall(r"^#?\s*([a-z_]+\.[a-z_0-9]+)\s*=", block, flags=re.M))
+    assert keys == _KNOWN_KEYS
+
+
 # ---------------------------------------------------------------------------
 # Validation and defaults
 # ---------------------------------------------------------------------------
@@ -102,7 +113,6 @@ def test_minimal_config_defaults():
     assert config.params.n == 2
     assert config.initial.grid.mode == "axisymmetric"
     assert config.initial.grid.n_theta == 256
-    assert config.control.scheme == "heun"
     assert config.control.safety is None
     assert config.control.safety_for(config.initial.grid.mode) == 0.4
     assert config.control.dt_min == 1e-10
@@ -138,7 +148,7 @@ def test_config_collects_all_problems_at_once():
     assert "params.beta must be positive" in text
     assert "params.kappa must be negative" in text
     assert "initial.shape" in text
-    assert "control.scheme" in text
+    assert "unknown key 'control.scheme'" in text
     assert "flow.t_end must be positive" in text
 
 
@@ -529,6 +539,11 @@ def test_constants_json_reports_the_balance_evaluations(tmp_path, capsys):
     assert payload["degenerate"] is False
     assert 1 <= payload["balance_evaluations"] <= 8
     capsys.readouterr()
+
+
+def test_constants_rejects_a_negative_seed(capsys):
+    assert main(["constants", "--seed", "-1", "--samples", "100"]) == EXIT_INVARIANT
+    assert capsys.readouterr().err.startswith("error: sampler needs a seed >= 0")
 
 
 def test_analyze_verdict_flow(tmp_path, capsys):

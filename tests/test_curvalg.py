@@ -36,10 +36,9 @@ from horoflow.curvalg import (
     _coordinate_descent,
     _gradient_floor_values,
     _quadform_operator_norm,
+    _sampled_bounds,
     _speed_derivatives,
     balance_function,
-    gradient_floor,
-    hessian_ceiling,
     map_rows,
     project_to_cone,
     slice_constant_bruteforce,
@@ -291,6 +290,12 @@ def test_cone_sampler_deterministic_and_includes_umbilic():
     assert np.array_equal(a, b)
     umbilic = np.full(2, 1.0 / math.sqrt(2.0))
     assert np.min(np.linalg.norm(a - umbilic, axis=1)) < 1e-14
+    # The umbilic (min = sum / n >= eps * sum) is kept on every cone, so no point set is empty.
+    for n in (2, 3, 5):
+        sampler = ConeSampler(n, n_samples=100, seed=0)
+        umbilic = np.full(n, 1.0 / math.sqrt(n))
+        for eps in np.linspace(1.0 / (64 * n), (1.0 - 1e-9) / n, 33):
+            assert (sampler.points(eps) == umbilic).all(axis=1).any()
 
 
 def test_cone_sampler_degenerates_to_umbilic_point():
@@ -300,14 +305,20 @@ def test_cone_sampler_degenerates_to_umbilic_point():
     assert np.allclose(pts[0], 1.0 / math.sqrt(3.0), rtol=1e-14)
 
 
+def test_cone_sampler_rejects_a_negative_seed(params_n2m2):
+    with pytest.raises(DomainError, match="seed >= 0"):
+        ConeSampler(2, n_samples=100, seed=-1)
+    with pytest.raises(DomainError, match="seed >= 0"):
+        solve_pinching_constants(params_n2m2, n_samples=100, seed=-1)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sampled_bounds_at_the_umbilic_cone(ac, n):
     # At eps = 1/n the cone is the umbilic ray; both bounds are its values there.
     params = FlowParams(n=n, m=2, beta=1.0, ac=ac)
     sampler = ConeSampler(n, n_samples=300, seed=1)
     umbilic = np.full((1, n), 1.0 / math.sqrt(n))
-    floor = gradient_floor(1.0 / n, params, sampler).value
-    ceiling = hessian_ceiling(1.0 / n, params, sampler).value
+    floor, ceiling = _sampled_bounds(1.0 / n, params, sampler)
     assert np.isfinite(floor) and np.isfinite(ceiling)
     assert floor == _gradient_floor_values(umbilic, params)[0]
     assert ceiling == _quadform_operator_norm(umbilic, params)[0]
@@ -371,10 +382,9 @@ def test_batched_descent_matches_sequential_loop(rng):
 
 def test_linear_speed_has_exact_floor_and_zero_ceiling(params_n2m1):
     sampler = ConeSampler(2, n_samples=2000, seed=0)
-    w1 = gradient_floor(0.2, params_n2m1, sampler)
-    w2 = hessian_ceiling(0.2, params_n2m1, sampler)
-    assert w1.value == pytest.approx(0.5, abs=1e-12)
-    assert w2.value == pytest.approx(0.0, abs=1e-13)
+    w1, w2 = _sampled_bounds(0.2, params_n2m1, sampler)
+    assert w1 == pytest.approx(0.5, abs=1e-12)
+    assert w2 == pytest.approx(0.0, abs=1e-13)
 
 
 def use_small_chunks(monkeypatch):
@@ -384,7 +394,7 @@ def use_small_chunks(monkeypatch):
 
 def sampled_bounds(params):
     sampler = ConeSampler(params.n, n_samples=20000, seed=3)
-    return gradient_floor(0.1, params, sampler).value, hessian_ceiling(0.1, params, sampler).value
+    return _sampled_bounds(0.1, params, sampler)
 
 
 def test_sampled_bounds_chunk_invariant(monkeypatch, params_n3m2):
@@ -544,12 +554,12 @@ def reference_polish(objective, pts, vals, eps, minimize):
     """_polish scoring the descent's start point again and keeping the better end."""
     k = int(np.argmin(vals)) if minimize else int(np.argmax(vals))
     if 1.0 - pts.shape[1] * eps < 1e-12:
-        return curvalg.SampledBound(value=float(vals[k]), argpoint=pts[k], n_points=pts.shape[0])
+        return float(vals[k])
     start = float(objective(pts[k][None, :])[0])
-    y, best = _coordinate_descent(objective, pts[k], start, eps, minimize)
+    best = _coordinate_descent(objective, pts[k], start, eps, minimize)[1]
     if (best > vals[k]) if minimize else (best < vals[k]):
-        y, best = pts[k], float(vals[k])
-    return curvalg.SampledBound(value=best, argpoint=y, n_points=pts.shape[0])
+        best = float(vals[k])
+    return best
 
 
 def reference_bound_values(lam, params):

@@ -18,7 +18,6 @@ from horoflow import (
     HoroflowError,
     ParabolicityLostError,
     StepControl,
-    area_and_volume,
     curvalg,
     geometry_from_graph,
     kappa_trig,
@@ -235,6 +234,13 @@ def test_sphere_full2d_curvatures_exact(params_n2m1):
     fields = geometry_from_graph(state, params_n2m1)
     _s, _c, _ta, co = kappa_trig(1.0, params_n2m1.ac)
     assert np.max(np.abs(fields.lam - co)) < 1e-12
+
+
+def area_and_volume(state, params):
+    """The area and the enclosed volume the run reads: the area weights and the volume sum."""
+    area = float(geometry_from_graph(state, params).area_weight.sum())
+    volume = float(np.sum(state.grid.weights * enclosed_volume_integrand(state.r_flat, params)))
+    return area, volume
 
 
 def test_sphere_area_volume_closed_forms(params_n2m1):
@@ -550,6 +556,30 @@ def test_snapshot_rejects_garbage(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("not a snapshot\n1,2,3\n")
     with pytest.raises(HoroflowError):
+        load_snapshot(str(path))
+
+
+def test_snapshot_rejects_a_non_finite_time(tmp_path):
+    state = sphere_state(make_grid("axisymmetric", 2, 16), 1.0)
+    path = tmp_path / "snap.csv"
+    save_snapshot(state, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith("t=0.0")
+    path.write_text("\n".join([lines[0][: -len("0.0")] + "nan"] + lines[1:]) + "\n")
+    with pytest.raises(HoroflowError, match="non-finite time"):
+        load_snapshot(str(path))
+
+
+def test_snapshot_rejects_full2d_rows_out_of_node_order(tmp_path):
+    grid = make_grid("full2d", 2, 16, 16)
+    state = perturbed_sphere_state(grid, 1.0, 2, 0.05, mode_phi=2)
+    path = tmp_path / "snap2d.csv"
+    save_snapshot(state, str(path))
+    header, *rows = path.read_text().splitlines()
+    # The same nodes, phi-major: every unique theta and phi still matches the grid.
+    swapped = [rows[i * grid.n_phi + j] for j in range(grid.n_phi) for i in range(grid.n_theta)]
+    path.write_text("\n".join([header] + swapped) + "\n")
+    with pytest.raises(HoroflowError, match="row-major order"):
         load_snapshot(str(path))
 
 

@@ -120,8 +120,6 @@ TRACED_NAMES = [
     "graphgeom.speed",
     "curvalg.speed_gradient",
     "flow.speed_gradient",
-    "curvalg.gradient_floor",
-    "curvalg.hessian_ceiling",
     "curvalg.balance_function",
     "ConeSampler.points",
     "graphgeom.geometry_from_graph",
