@@ -16,6 +16,7 @@ import logging
 import sys
 
 from horoflow import AmbientCurvature, FlowParams, solve_pinching_constants
+from horoflow.cli import exit_status
 from horoflow.curvalg import DEFAULT_SAMPLES
 
 log = logging.getLogger("constants_tables")
@@ -31,7 +32,7 @@ def parse_triple(text: str) -> tuple[int, int, float]:
     return int(parts[0]), int(parts[1]), float(parts[2])
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--triple", action="append", type=parse_triple,
                         metavar="N,M,BETA", help="add a speed (repeatable); "
@@ -69,6 +70,11 @@ def main(argv=None) -> int:
             json.dump(rows, fh, indent=2)
         log.info("wrote %d rows to %s", len(rows), args.json)
     return 0
+
+
+def main(argv=None) -> int:
+    """Exit code of the script; a failure is reported on stderr as `horoflow` reports it."""
+    return exit_status(_main, argv)
 
 
 if __name__ == "__main__":

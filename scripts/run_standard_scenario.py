@@ -23,6 +23,7 @@ from horoflow import (
     perturbed_sphere_state,
     run,
 )
+from horoflow.cli import exit_status
 
 log = logging.getLogger("run_standard_scenario")
 
@@ -52,7 +53,7 @@ def build_config(args) -> RunConfig:
     )
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--variant", choices=sorted(VARIANTS), default="n2m1")
     parser.add_argument("--n-theta", type=int, default=256)
@@ -101,6 +102,11 @@ def main(argv=None) -> int:
         and verdict["volume_drift"] < 1e-4
     )
     return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    """Exit code of the script; a failure is reported on stderr as `horoflow` reports it."""
+    return exit_status(_main, argv)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from horoflow.cli import parse_config
+from horoflow.cli import exit_status, parse_config
 from horoflow.flow import RunConfig, flow_rhs, stable_dt
 from horoflow.graphgeom import GraphState, geometry_from_graph, polar_filter
 
@@ -52,7 +52,7 @@ def stability_margin(config: RunConfig, step: float = STEP) -> dict:
     }
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", help="a horoflow run config file")
     args = parser.parse_args(argv)
@@ -60,6 +60,11 @@ def main(argv=None) -> int:
     for key, value in margin.items():
         print(f"{key:<14}{value:.6g}")
     return 0
+
+
+def main(argv=None) -> int:
+    """Exit code of the script; a failure is reported on stderr as `horoflow` reports it."""
+    return exit_status(_main, argv)
 
 
 if __name__ == "__main__":

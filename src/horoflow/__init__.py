@@ -28,7 +28,6 @@ from .errors import (
     NumericalBlowupError,
     ParabolicityLostError,
     RootFindingError,
-    SingularityError,
     StiffnessError,
 )
 from .flow import (
@@ -108,7 +107,6 @@ __all__ = [
     "PinchingConstants",
     "RootFindingError",
     "RunConfig",
-    "SingularityError",
     "SphereTrajectory",
     "StepControl",
     "StiffnessError",

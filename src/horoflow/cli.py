@@ -449,21 +449,29 @@ def main(argv: list[str] | None = None) -> int:
     if handler is None:
         sys.stderr.write(f"unknown subcommand: {command}\n\n{USAGE}")
         return EXIT_USAGE
+    return exit_status(handler, rest)
+
+
+def exit_status(command, argv) -> int:
+    """Call command(argv) and return its exit code, reporting a failure on stderr.
+
+    The one mapping from failures to messages and exit codes, shared by main
+    and the scripts: a malformed flag (argparse's SystemExit) gives
+    EXIT_USAGE, a ConfigurationError lists its problems, a numerical abort
+    gives EXIT_NUMERICAL, and any other HoroflowError or an OSError prints
+    `error: ...` and gives EXIT_INVARIANT.
+    """
     try:
-        return handler(rest)
+        return command(argv)
     except SystemExit as exc:
-        # argparse exits on malformed flags; normalize to the usage code.
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ConfigurationError as exc:
-        sys.stderr.write(f"configuration error:\n  " + "\n  ".join(exc.problems) + "\n")
+        sys.stderr.write("configuration error:\n  " + "\n  ".join(exc.problems) + "\n")
         return EXIT_INVARIANT
     except _NUMERICAL_ABORTS as exc:
         sys.stderr.write(f"numerical abort: {exc}\n")
         return EXIT_NUMERICAL
-    except HoroflowError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVARIANT
-    except OSError as exc:
+    except (HoroflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVARIANT
 

@@ -17,10 +17,6 @@ class DomainError(HoroflowError, ValueError):
     """An argument left the mathematical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """A quantity was requested exactly at a pole of its formula."""
-
-
 class ConfigurationError(DomainError):
     """A run configuration failed validation.
 
@@ -56,10 +52,6 @@ class StiffnessError(HoroflowError):
 
 class NumericalBlowupError(HoroflowError):
     """Non-finite values appeared in the evolving state."""
-
-    def __init__(self, message: str, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
 
 
 class RootFindingError(HoroflowError):

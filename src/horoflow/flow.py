@@ -11,6 +11,9 @@ Geodesic spheres make the right-hand side vanish identically, so they are
 exact discrete equilibria; the run loop therefore declares convergence from
 the state itself (roundness deficit below tolerance and relative radial
 oscillation below a fixed threshold) rather than from step counts.
+
+Each run gives one account of itself, the summary dict of run's exit, written
+to summary.json; its drift and decay fit come from monitors, as analyze's do.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +55,13 @@ from .graphgeom import (
     save_snapshot,
 )
 from .hypergeom import generalized_sine
-from .monitors import DiagnosticsRecorder, average_speed, fit_exponential, shifted_minima
+from .monitors import (
+    DiagnosticsRecorder,
+    average_speed,
+    decay_fit,
+    shifted_minima,
+    volume_drift,
+)
 from .oracle import support_offset
 
 logger = logging.getLogger(__name__)
@@ -75,9 +84,6 @@ DEFAULT_MAX_STEPS = 2_000_000
 # safety 1, peaks at 3.49 axisymmetric and 5.57 on full2d, so these run
 # Heun at rho * dt <= 1.40 and 1.11, where 2 is stable.
 DEFAULT_SAFETY = {"axisymmetric": 0.4, "full2d": 0.2}
-
-# Noise floor passed to the summary's decay fit; see monitors.FIT_NOISE_FLOOR.
-_SUMMARY_FIT_FLOOR = 1.0e-13
 
 
 @dataclass(frozen=True)
@@ -237,8 +243,7 @@ def _advance(state: GraphState, r_new: np.ndarray, dt: float) -> GraphState:
         return GraphState(t=state.t + dt, grid=state.grid, r=r_new)
     except DomainError as exc:
         raise NumericalBlowupError(
-            f"state left the graph domain at t = {state.t + dt:.6g}: {exc}",
-            last_state=state,
+            f"state left the graph domain at t = {state.t + dt:.6g}: {exc}"
         ) from exc
 
 
@@ -311,37 +316,28 @@ def pinching_constants_cached(params: FlowParams, n_samples: int, seed: int) -> 
 
 @dataclass
 class FlowResult:
-    """Everything a finished (or aborted-and-reraised) run produced.
+    """What a finished run produced.
 
-    rhs_evaluations counts evaluations of dr/dt (STAGES per step); dts holds
-    the dt of every accepted step, in order, and safety the step fraction
-    they were taken at (StepControl.safety_for the grid mode).  dt_limit
-    names the node, direction and spacing that set the initial state's
-    min_spacing (graphgeom.dt_limit; None when the initial geometry failed).
-    stop holds the relative radial oscillation and the roundness deficit
-    1/n^n - Qtilde_min at the step that passed R_OSCILLATION_RTOL and f_tol
-    (None unless converged); abort holds the error class, message, t, step
-    and node index of an aborted run.
+    status is "converged", "t_end" or "max_steps"; v0 is the initial enclosed
+    volume; dts holds the dt of every accepted step, in order; summary is the
+    run's account (see run), and diagnostics_path the CSV written to
+    output_dir (None without one).  An aborted run returns no FlowResult: its
+    error carries the summary instead.
     """
 
     params: FlowParams
     final_state: GraphState
     recorder: DiagnosticsRecorder
     status: str
-    converged: bool
     n_steps: int
     v0: float
-    zeta_epsilon: float
-    constants: PinchingConstants
-    initial_pinched: bool | None
-    rhs_evaluations: int
     dts: np.ndarray
-    safety: float
-    dt_limit: dict | None = None
-    stop: dict | None = None
-    abort: dict | None = None
+    summary: dict
     diagnostics_path: str | None = None
-    summary: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
     def arrays(self):
         return self.recorder.arrays()
@@ -352,9 +348,13 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
 
     Diagnostics rows are appended at the record cadence plus the initial
     and final states; snapshots and the summary JSON are written only when
-    output_dir is set.  The initial pinching against C* is logged here, once
-    per run.  An abort re-raises its error with the aborted summary attached
-    (HoroflowError.summary), after flushing what was recorded to output_dir.
+    output_dir is set.  The initial state is tested against C* here, once
+    per run, and the verdict logged.  An abort re-raises its error with the
+    aborted summary attached (HoroflowError.summary), after flushing what
+    was recorded to output_dir.
+
+    The summary is built once, by the local summary(), from the run's own
+    state at the exit taken; README's summary.json entry lists its keys.
     """
     params = config.params
     control = config.control
@@ -368,7 +368,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     v0 = float(np.sum(weights * enclosed_volume_integrand(state.r_flat, params)))
     zeta = support_offset(v0, params)
 
-    recorder = DiagnosticsRecorder(params, zeta_epsilon=zeta, c_star=constants.c_star)
+    recorder = DiagnosticsRecorder(params, zeta_epsilon=zeta)
     h_convexity_warned = False
 
     def observe(state, fields, dt):
@@ -385,27 +385,40 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             )
         return rec
 
-    def result_for(status, stop=None, abort=None) -> FlowResult:
-        result = FlowResult(
-            params=params,
-            final_state=state,
-            recorder=recorder,
-            status=status,
-            converged=status == "converged",
-            n_steps=n_steps,
-            v0=v0,
-            zeta_epsilon=zeta,
-            constants=constants,
-            initial_pinched=initial_pinched,
-            rhs_evaluations=n_steps * STAGES,
-            dts=np.frombuffer(dts),
-            safety=control.safety_for(state.grid.mode),
-            dt_limit=limit,
-            stop=stop,
-            abort=abort,
-        )
-        result.summary = _summarize(result)
-        return result
+    def summary(status, stop=None, abort=None) -> dict:
+        cols = recorder.arrays()
+        fit = decay_fit(cols)
+        steps = np.frombuffer(dts)
+        dt_stats = None
+        if steps.size:
+            dt_stats = {
+                "min": float(steps.min()),
+                "median": float(np.median(steps)),
+                "max": float(steps.max()),
+                "safety": control.safety_for(state.grid.mode),
+            }
+        return {
+            "converged": status == "converged",
+            "status": status,
+            "stop": stop,
+            "abort": abort,
+            "t_final": float(state.t),
+            "n_steps": n_steps,
+            "rhs_evaluations": n_steps * STAGES,
+            "dt": dt_stats,
+            "dt_limit": limit,
+            "volume_initial": v0,
+            "volume_drift": volume_drift(cols["V"]),
+            "decay_fit": None
+            if fit is None
+            else {"rate": fit.rate, "r_squared": fit.r_squared, "n_used": fit.n_used},
+            "zeta_epsilon": zeta,
+            "initial_pinched": initial_pinched,
+            "params": {
+                "n": params.n, "m": params.m, "beta": float(params.beta), "kappa": float(params.ac.kappa)
+            },
+            "constants": constants.account(),
+        }
 
     out_dir = config.output_dir
     if out_dir:
@@ -427,7 +440,8 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     try:
         fields = geometry_from_graph(state, params)
         limit = dt_limit(state, fields)
-        initial_pinched = observe(state, fields, 0.0).pinched
+        observe(state, fields, 0.0)
+        initial_pinched = shifted_minima(fields.lam, params, constants.c_star)[3]
         if initial_pinched:
             logger.info("initial state is pinched against C* = %.8g", constants.c_star)
         else:
@@ -503,7 +517,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             "step": n_steps,
             "node_index": getattr(exc, "node_index", None),
         }
-        exc.summary = result_for("aborted", abort=abort).summary
+        exc.summary = summary("aborted", abort=abort)
         if out_dir:
             _write_summary(out_dir, exc.summary)
         raise
@@ -511,7 +525,16 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     if recorder.records[-1].t != state.t:
         observe(state, fields, last_dt)
 
-    result = result_for(status, stop=stop)
+    result = FlowResult(
+        params=params,
+        final_state=state,
+        recorder=recorder,
+        status=status,
+        n_steps=n_steps,
+        v0=v0,
+        dts=np.frombuffer(dts),
+        summary=summary(status, stop=stop),
+    )
     if out_dir:
         csv_path = os.path.join(out_dir, "diagnostics.csv")
         recorder.write_csv(csv_path)
@@ -525,44 +548,3 @@ def _write_summary(out_dir: str, summary: dict) -> None:
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _summarize(result: FlowResult) -> dict:
-    cols = result.recorder.arrays()
-    v = cols["V"]
-    drift = float(np.max(np.abs(v - v[0])) / abs(v[0])) if v.size else 0.0
-    try:
-        fit = fit_exponential(cols["t"], cols["f_max"], floor=_SUMMARY_FIT_FLOOR)
-        decay = {"rate": fit.rate, "r_squared": fit.r_squared, "n_used": fit.n_used}
-    except DomainError:
-        decay = None
-    dts = result.dts
-    dt_stats = (
-        {
-            "min": float(dts.min()),
-            "median": float(np.median(dts)),
-            "max": float(dts.max()),
-            "safety": result.safety,
-        }
-        if dts.size
-        else None
-    )
-    p = result.params
-    return {
-        "converged": result.converged,
-        "status": result.status,
-        "stop": result.stop,
-        "abort": result.abort,
-        "t_final": float(result.final_state.t),
-        "n_steps": result.n_steps,
-        "rhs_evaluations": result.rhs_evaluations,
-        "dt": dt_stats,
-        "dt_limit": result.dt_limit,
-        "volume_initial": result.v0,
-        "volume_drift": drift,
-        "decay_fit": decay,
-        "zeta_epsilon": result.zeta_epsilon,
-        "initial_pinched": result.initial_pinched,
-        "params": {"n": p.n, "m": p.m, "beta": float(p.beta), "kappa": float(p.ac.kappa)},
-        "constants": result.constants.account(),
-    }

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SingularityError
+from .errors import ConfigurationError, DomainError
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,7 @@ def generalized_cotangent(x, ac: AmbientCurvature):
     """Return co(x) = c(x)/s(x) = a/tanh(a x); requires x > 0 elementwise."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
-        raise SingularityError("co(x) requires x > 0; geodesic radius hit zero")
+        raise DomainError("co(x) requires x > 0; geodesic radius hit zero")
     a = ac.a
     return a / np.tanh(a * x)
 

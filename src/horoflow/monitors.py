@@ -6,9 +6,11 @@ roundness deficit f_max = 1/n^n - Qtilde_min, the support-function minimum,
 and the speed-bound test ratio.  The shifted invariants of lam - a (the
 h-convexity margin, the trace Htilde, the pinching ratio Qtilde and the
 pinching test against C*) have their one home in shifted_minima, which the
-run loop's convergence test also reads.  Post-processing covers
-monotonicity checks, log-linear exponential fits, and the combined verdict
-used by the analyze subcommand.
+run loop's initial pinching test and convergence test also read.
+Post-processing covers monotonicity checks, log-linear exponential fits, and
+the verdict of the analyze subcommand; volume_drift and decay_fit are the one
+home of the drift and the decay fit that both that verdict and a run's
+summary.json report.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class DiagnosticsRecord:
     Qtilde_min, f_max are NaN when the shifted trace is nonpositive
     somewhere (the ratio is undefined there); Z_max is NaN when the support
     function does not clear the offset.  The CSV row carries the twelve
-    float columns; the two booleans are derived views.
+    float columns; h_convex is a derived view.
     """
 
     t: float
@@ -79,7 +81,6 @@ class DiagnosticsRecord:
     Z_max: float
     dt: float
     h_convex: bool
-    pinched: bool | None
 
     def as_row(self) -> tuple[float, ...]:
         return tuple(float(getattr(self, name)) for name in CSV_COLUMNS)
@@ -122,7 +123,6 @@ def record(
     params: FlowParams,
     zeta_epsilon: float,
     dt: float,
-    c_star: float | None = None,
 ) -> DiagnosticsRecord:
     """Condense one state into a DiagnosticsRecord.
 
@@ -133,7 +133,7 @@ def record(
     V = float((weights * enclosed_volume_integrand(state.r_flat, params)).sum())
 
     fbar = average_speed(fields)
-    lam_tilde_min, htilde_min, qtilde_min, pinched = shifted_minima(fields.lam, params, c_star)
+    lam_tilde_min, htilde_min, qtilde_min, _ = shifted_minima(fields.lam, params)
     f_max = 1.0 / params.n**params.n - qtilde_min
 
     phi_min = float(fields.Phi.min())
@@ -156,21 +156,19 @@ def record(
         Z_max=z_max,
         dt=float(dt),
         h_convex=lam_tilde_min > 0.0,
-        pinched=pinched,
     )
 
 
 class DiagnosticsRecorder:
     """Accumulates records for one run and serializes them deterministically."""
 
-    def __init__(self, params: FlowParams, zeta_epsilon: float, c_star: float | None = None):
+    def __init__(self, params: FlowParams, zeta_epsilon: float):
         self.params = params
         self.zeta_epsilon = float(zeta_epsilon)
-        self.c_star = c_star
         self.records: list[DiagnosticsRecord] = []
 
     def observe(self, state: GraphState, fields: GeometryFields, dt: float) -> DiagnosticsRecord:
-        rec = record(state, fields, self.params, self.zeta_epsilon, dt, self.c_star)
+        rec = record(state, fields, self.params, self.zeta_epsilon, dt)
         self.records.append(rec)
         return rec
 
@@ -310,6 +308,22 @@ def fit_exponential(t, y, skip_fraction: float = 0.1, floor: float | None = None
     )
 
 
+def volume_drift(v: np.ndarray) -> float:
+    """Largest relative deviation of a volume series from its first value (0 if empty)."""
+    return float(np.max(np.abs(v - v[0])) / abs(v[0])) if v.size else 0.0
+
+
+def decay_fit(cols: dict[str, np.ndarray]) -> ExponentialFit | None:
+    """Exponential fit of the recorded roundness deficit f_max above FIT_NOISE_FLOOR.
+
+    None when fewer than 10 samples survive the floor and the transient skip.
+    """
+    try:
+        return fit_exponential(cols["t"], cols["f_max"], floor=FIT_NOISE_FLOOR)
+    except DomainError:
+        return None
+
+
 def analyze_diagnostics(meta: dict, cols: dict[str, np.ndarray]) -> dict:
     """Produce the verdict dictionary for a recorded diagnostics series.
 
@@ -331,14 +345,7 @@ def analyze_diagnostics(meta: dict, cols: dict[str, np.ndarray]) -> dict:
     else:
         monotone_ok = False
 
-    v = cols["V"]
-    volume_drift = float(np.max(np.abs(v - v[0])) / abs(v[0]))
-
-    try:
-        fit = fit_exponential(t, cols["f_max"], floor=FIT_NOISE_FLOOR)
-        decay_rate, r_squared = fit.rate, fit.r_squared
-    except DomainError:
-        decay_rate, r_squared = math.nan, math.nan
+    fit = decay_fit(cols)
 
     a = AmbientCurvature(kappa=meta["kappa"]).a
     speed_floor = a ** (meta["m"] * meta["beta"]) - SPEED_FLOOR_SLACK
@@ -350,8 +357,8 @@ def analyze_diagnostics(meta: dict, cols: dict[str, np.ndarray]) -> dict:
     )
     return {
         "monotone_Qtilde": bool(monotone_ok),
-        "volume_drift": volume_drift,
-        "decay_rate": decay_rate,
-        "r_squared": r_squared,
+        "volume_drift": volume_drift(cols["V"]),
+        "decay_rate": math.nan if fit is None else fit.rate,
+        "r_squared": math.nan if fit is None else fit.r_squared,
         "bounds_respected": bounds_respected,
     }

@@ -371,7 +371,7 @@ def test_parse_config_and_run_log_the_pinching_verdict_once(tmp_path, caplog):
     )
     with caplog.at_level("INFO", logger="horoflow"):
         result = run(parse_config(path))
-    assert result.initial_pinched is False
+    assert result.summary["initial_pinched"] is False
     verdicts = [r for r in caplog.records if "initial state" in r.getMessage()]
     assert len(verdicts) == 1
     assert verdicts[0].levelname == "WARNING"
@@ -568,6 +568,52 @@ def test_analyze_verdict_flow(tmp_path, capsys):
     assert verdict["monotone_Qtilde"] is True
     assert verdict["bounds_respected"] is True
     assert verdict["volume_drift"] < 1e-8
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """The output directory and summary.json of a run long enough for a decay fit."""
+    tmp_path = tmp_path_factory.mktemp("finished")
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path,
+        **{
+            "grid.n_theta": 32,
+            "initial.shape": "perturbed_sphere",
+            "initial.mode_l": 2,
+            "initial.amplitude": 0.05,
+            "flow.t_end": 0.1,
+            "constants.n_samples": 2000,
+            "output.dir": str(out_dir),
+        },
+    )
+    run(parse_config(path))
+    return out_dir, json.loads((out_dir / "summary.json").read_text())
+
+
+def test_analyze_and_the_summary_report_the_same_drift_and_fit(finished_run, capsys):
+    out_dir, summary = finished_run
+    assert main(["analyze", str(out_dir / "diagnostics.csv")]) == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)
+    assert summary["decay_fit"] is not None and summary["volume_drift"] > 0.0
+    assert verdict["volume_drift"] == summary["volume_drift"]
+    assert verdict["decay_rate"] == summary["decay_fit"]["rate"]
+    assert verdict["r_squared"] == summary["decay_fit"]["r_squared"]
+
+
+def test_readme_lists_every_summary_key(finished_run):
+    # The README's summary.json entry names each top-level key on its own sub-bullet.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    lines = text[text.index("- `summary.json` - "):].splitlines()[1:]
+    keys = []
+    for line in lines:
+        match = re.match(r"  - `(\w+)` - ", line)
+        if match is None:
+            break
+        keys.append(match.group(1))
+    _out_dir, summary = finished_run
+    assert sorted(keys) == sorted(summary)
 
 
 def test_analyze_headerless_needs_flags(tmp_path, capsys):

@@ -156,9 +156,8 @@ def test_heun_step_is_the_documented_two_stage_average(params_n2m1):
 
 def test_stage_that_leaves_the_graph_domain_raises_blowup(params_n2m1):
     state = perturbed_sphere_state(make_grid("axisymmetric", 2, 64), 1.0, 2, 0.05)
-    with pytest.raises(NumericalBlowupError, match="left the graph domain") as err:
+    with pytest.raises(NumericalBlowupError, match="left the graph domain"):
         step(state, params_n2m1, StepControl(), dt=100.0)
-    assert err.value.last_state is state
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from horoflow.monitors import shifted_minima
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
 
 
-def sphere_record(params, zeta=0.02, dt=1e-3, c_star=None, n_theta=128):
+def sphere_record(params, zeta=0.02, dt=1e-3, n_theta=128):
     state = sphere_state(make_grid("axisymmetric", params.n, n_theta), 1.0)
     fields = geometry_from_graph(state, params)
-    return state, fields, record(state, fields, params, zeta, dt, c_star)
+    return state, fields, record(state, fields, params, zeta, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +56,6 @@ def test_unit_sphere_record_values(params_n2m1):
     assert rec.Phi_min == pytest.approx(math.sinh(1.0), abs=1e-13)
     assert rec.Z_max == pytest.approx(COTH1 / (math.sinh(1.0) - 0.02), abs=1e-12)
     assert rec.h_convex is True
-    assert rec.pinched is None
-
-
-def test_record_pinched_flag(params_n2m1):
-    _state, _fields, rec = sphere_record(params_n2m1, c_star=0.15)
-    assert rec.pinched is True
-    _state, _fields, rec2 = sphere_record(params_n2m1, c_star=0.49)
-    assert rec2.pinched is False
 
 
 def test_record_nan_branches(params_n2m1):
@@ -192,7 +184,7 @@ def test_shifted_minima_pinching_verdict(params_n2m1):
 
 
 def test_recorder_round_trip_is_bitwise(tmp_path, params_n2m1):
-    recorder = DiagnosticsRecorder(params_n2m1, zeta_epsilon=0.02, c_star=0.15)
+    recorder = DiagnosticsRecorder(params_n2m1, zeta_epsilon=0.02)
     state = sphere_state(make_grid("axisymmetric", 2, 64), 1.0)
     fields = geometry_from_graph(state, params_n2m1)
     for dt in (1e-3, 2e-3, 4e-3):

@@ -51,6 +51,28 @@ def test_constants_tables_default_samples_is_the_solver_default(monkeypatch):
     assert seen == [curvalg.DEFAULT_SAMPLES]
 
 
+def test_constants_tables_reports_errors_like_the_cli(capsys):
+    constants_tables = load_script("constants_tables")
+    assert constants_tables.main(["--triple", "2,1,1.0", "--samples", "100", "--seed", "-1"]) == 1
+    assert "error: sampler needs a seed >= 0" in capsys.readouterr().err
+    assert constants_tables.main(["--triple", "2,3,1.0", "--samples", "100"]) == 1
+    assert "configuration error:\n  params.m must be" in capsys.readouterr().err
+
+
+def test_standard_scenario_reports_errors_like_the_cli(tmp_path, capsys):
+    out = str(tmp_path / "standard")
+    argv = ["--n-theta", "16", "--amplitude", "5", "--samples", "200", "--output", out]
+    assert load_script("run_standard_scenario").main(argv) == 1
+    assert "configuration error:\n  initial.amplitude" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_stability_margin_reports_errors_like_the_cli(tmp_path, capsys):
+    missing = str(tmp_path / "absent.conf")
+    assert load_script("stability_margin").main([missing]) == 1
+    assert f"configuration error:\n  config file not found: {missing}" in capsys.readouterr().err
+
+
 FULL2D_N2M2 = """\
 params.n = 2
 params.m = 2
