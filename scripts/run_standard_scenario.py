@@ -18,12 +18,14 @@ from horoflow import (
     AmbientCurvature,
     FlowParams,
     RunConfig,
+    StepControl,
     analyze_diagnostics,
     make_grid,
     perturbed_sphere_state,
     run,
 )
 from horoflow.cli import exit_status
+from horoflow.flow import SCHEMES
 
 log = logging.getLogger("run_standard_scenario")
 
@@ -46,7 +48,7 @@ def build_config(args) -> RunConfig:
         initial=perturbed_sphere_state(grid, args.radius, args.mode, args.amplitude),
         t_end=args.t_end if args.t_end is not None else preset["t_end"],
         snapshot_interval=args.snapshot_interval,
-        renormalize_volume=args.renormalize,
+        control=StepControl(scheme=args.scheme),
         output_dir=args.output,
         constants_samples=args.samples,
         constants_seed=args.seed,
@@ -64,8 +66,8 @@ def _main(argv) -> int:
     parser.add_argument("--t-end", type=float, default=None,
                         help="override the variant's default horizon")
     parser.add_argument("--snapshot-interval", type=float, default=1.0)
-    parser.add_argument("--renormalize", action="store_true",
-                        help="re-solve the enclosed volume after every step")
+    parser.add_argument("--scheme", choices=SCHEMES, default=StepControl.scheme,
+                        help="time stepper: damped RKC2 closed on the volume, or plain Heun")
     parser.add_argument("--samples", type=int, default=20_000,
                         help="sample count for the pinching constants")
     parser.add_argument("--seed", type=int, default=0)

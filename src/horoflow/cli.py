@@ -135,6 +135,7 @@ _KNOWN_KEYS = {
     "initial.amplitude",
     "initial.mode_phi",
     "initial.snapshot",
+    "control.scheme",
     "control.safety",
     "control.dt_min",
     "control.dt_max",
@@ -142,7 +143,6 @@ _KNOWN_KEYS = {
     "flow.f_tol",
     "flow.record_interval",
     "flow.snapshot_interval",
-    "flow.renormalize_volume",
     "flow.seed",
     "constants.n_samples",
     "constants.seed",
@@ -201,6 +201,7 @@ def config_from_values(values: dict) -> RunConfig:
     if shape == "custom":
         snapshot = _read_snapshot(take("initial.snapshot"), problems)
 
+    scheme = take("control.scheme", StepControl.scheme)
     # An absent control.safety stays None: the grid mode's default.
     safety = number("control.safety") if "control.safety" in values else None
     dt_min = number("control.dt_min", StepControl.dt_min)
@@ -210,9 +211,6 @@ def config_from_values(values: dict) -> RunConfig:
     f_tol = number("flow.f_tol", RunConfig.f_tol)
     record_interval = number("flow.record_interval", RunConfig.record_interval)
     snapshot_interval = number("flow.snapshot_interval", 0) or None  # 0 disables snapshots
-    renormalize = take("flow.renormalize_volume", RunConfig.renormalize_volume)
-    if not isinstance(renormalize, bool):
-        problems.append(f"flow.renormalize_volume must be a boolean, got {renormalize!r}")
     # flow.seed is read only as the default of constants.seed.
     seed = number("flow.seed", RunConfig.constants_seed, integer=True)
     constants_samples = number("constants.n_samples", RunConfig.constants_samples, integer=True)
@@ -229,7 +227,7 @@ def config_from_values(values: dict) -> RunConfig:
     problems += graphgeom.grid_problems(mode, n, n_theta, n_phi)
     if shape in ("sphere", "perturbed_sphere"):
         problems += graphgeom.initial_problems(mode, n_theta, r0, mode_l, amplitude, mode_phi)
-    problems += StepControl.problems(safety, dt_min, dt_max)
+    problems += StepControl.problems(safety, dt_min, dt_max, scheme)
     if snapshot is not None:
         r_max = float(snapshot.r.max())
     elif r0 is not None:  # r0 + |amplitude| bounds the perturbed profile
@@ -257,6 +255,7 @@ def config_from_values(values: dict) -> RunConfig:
         except DomainError as exc:  # the profile overflows a float
             raise ConfigurationError([f"initial.shape = {shape} is not representable: {exc}"])
     control = StepControl(
+        scheme=scheme,
         safety=None if safety is None else float(safety),
         dt_min=float(dt_min),
         dt_max=float(dt_max),
@@ -270,7 +269,6 @@ def config_from_values(values: dict) -> RunConfig:
         snapshot_interval=float(snapshot_interval) if snapshot_interval else None,
         f_tol=float(f_tol),
         output_dir=output_dir,
-        renormalize_volume=renormalize,
         constants_samples=constants_samples,
         constants_seed=constants_seed,
     )

@@ -60,14 +60,33 @@ def make_params(n, m, beta, kappa=-1.0):
     return FlowParams(n=n, m=m, beta=beta, ac=AmbientCurvature(kappa=kappa))
 
 
-def scenario_config(params, n_theta, t_end, output_dir=None, snapshot_interval=None):
+# The criteria's scenario runs step with Heun, the reference; the rkc runs
+# below are held to the same verdicts and to Heun's decay rates.
+HEUN = StepControl(scheme="heun")
+RKC = StepControl(scheme="rkc")
+
+
+def scenario_config(params, n_theta, t_end, control, output_dir=None, snapshot_interval=None):
     grid = make_grid("axisymmetric", params.n, n_theta)
     return RunConfig(
         params=params,
         initial=perturbed_sphere_state(grid, 1.0, 2, 0.05),
         t_end=t_end,
+        control=control,
         snapshot_interval=snapshot_interval,
         output_dir=output_dir,
+        constants_samples=CONSTANTS_SAMPLES,
+    )
+
+
+def full2d_config(control):
+    """n2m2 on a 16 x 32 full2d grid, perturbed by the l = 2, mode_phi = 2 harmonic."""
+    grid = make_grid("full2d", 2, 16, 32)
+    return RunConfig(
+        params=make_params(2, 2, 1.0),
+        initial=perturbed_sphere_state(grid, 1.0, 2, 0.05, mode_phi=2),
+        t_end=10.0,
+        control=control,
         constants_samples=CONSTANTS_SAMPLES,
     )
 
@@ -82,7 +101,7 @@ def verdict_for(result):
 def standard_run(tmp_path_factory):
     """Standard scenario: n=2, m=1, beta=1, kappa=-1, N=256, snapshots hourly."""
     out = str(tmp_path_factory.mktemp("standard"))
-    result = run(scenario_config(make_params(2, 1, 1.0), 256, 16.0,
+    result = run(scenario_config(make_params(2, 1, 1.0), 256, 16.0, HEUN,
                                  output_dir=out, snapshot_interval=1.0))
     assert result.status == "converged", result.status
     return result
@@ -90,21 +109,21 @@ def standard_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def standard_run_n128():
-    result = run(scenario_config(make_params(2, 1, 1.0), 128, 16.0))
+    result = run(scenario_config(make_params(2, 1, 1.0), 128, 16.0, HEUN))
     assert result.status == "converged", result.status
     return result
 
 
 @pytest.fixture(scope="module")
 def variant_n3m2():
-    result = run(scenario_config(make_params(3, 2, 1.0), 256, 6.0))
+    result = run(scenario_config(make_params(3, 2, 1.0), 256, 6.0, HEUN))
     assert result.status == "converged", result.status
     return result
 
 
 @pytest.fixture(scope="module")
 def variant_n2m2():
-    result = run(scenario_config(make_params(2, 2, 1.0), 256, 5.0))
+    result = run(scenario_config(make_params(2, 2, 1.0), 256, 5.0, HEUN))
     assert result.status == "converged", result.status
     return result
 
@@ -277,7 +296,7 @@ def test_criterion_04_volume(standard_run, standard_run_n128):
     # At N >= 128 the drift sits within a decade of the rounding floor
     # (~2e-13 relative), so the refinement ratio is measured on the 64 -> 128
     # doubling, the finest pair where truncation still dominates.
-    drift_64 = drift_of(run(scenario_config(make_params(2, 1, 1.0), 64, 16.0)))
+    drift_64 = drift_of(run(scenario_config(make_params(2, 1, 1.0), 64, 16.0, HEUN)))
     ratio = drift_64 / drift_128
     ok = drift_256 <= 1e-4 and drift_128 <= 1e-4 and ratio >= 3.0
     detail = (
@@ -445,9 +464,62 @@ def test_criterion_10_reproducibility(tmp_path):
     payloads = []
     for leg in ("a", "b"):
         out = str(tmp_path / leg)
-        run(scenario_config(params, 128, 1.0, output_dir=out))
+        run(scenario_config(params, 128, 1.0, HEUN, output_dir=out))
         with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
             payloads.append(fh.read())
     ok = payloads[0] == payloads[1] and len(payloads[0]) > 10_000
     detail = f"two identical configs, {len(payloads[0])} bytes of diagnostics each"
     assert record_acceptance(10, ok, detail)
+
+
+# ---------------------------------------------------------------------------
+# Criteria 5-7 and 10 under rkc, the default scheme
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def rkc_runs():
+    """The three criterion scenarios and the 16 x 32 full2d case under rkc, to convergence."""
+    runs = {
+        "n2m1": run(scenario_config(make_params(2, 1, 1.0), 256, 16.0, RKC)),
+        "n3m2": run(scenario_config(make_params(3, 2, 1.0), 256, 6.0, RKC)),
+        "n2m2": run(scenario_config(make_params(2, 2, 1.0), 256, 5.0, RKC)),
+        "full2d": run(full2d_config(RKC)),
+    }
+    for name, result in runs.items():
+        assert result.status == "converged", (name, result.status)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def heun_full2d():
+    result = run(full2d_config(HEUN))
+    assert result.status == "converged", result.status
+    return result
+
+
+def test_rkc_runs_keep_the_verdicts_and_heuns_decay_rates(
+    rkc_runs, standard_run, variant_n3m2, variant_n2m2, heun_full2d
+):
+    heun = {"n2m1": standard_run, "n3m2": variant_n3m2, "n2m2": variant_n2m2, "full2d": heun_full2d}
+    for name, result in rkc_runs.items():
+        verdict = verdict_for(result)
+        assert verdict["monotone_Qtilde"], name
+        assert verdict["bounds_respected"], name
+        assert verdict["decay_rate"] > 0.0 and verdict["r_squared"] >= 0.99, (name, verdict)
+        assert verdict["volume_drift"] <= 1e-11, (name, verdict["volume_drift"])
+        heun_rate = verdict_for(heun[name])["decay_rate"]
+        assert abs(verdict["decay_rate"] / heun_rate - 1.0) <= 1e-3, (name, verdict, heun_rate)
+        # Far fewer right-hand-side evaluations than Heun's.
+        assert result.summary["rhs_evaluations"] < heun[name].summary["rhs_evaluations"], name
+
+
+def test_rkc_runs_are_reproducible(tmp_path):
+    params = make_params(2, 1, 1.0)
+    payloads = []
+    for leg in ("a", "b"):
+        out = str(tmp_path / leg)
+        run(scenario_config(params, 128, 1.0, RKC, output_dir=out))
+        with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
+            payloads.append(fh.read())
+    assert payloads[0] == payloads[1] and len(payloads[0]) > 10_000

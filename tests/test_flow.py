@@ -35,7 +35,15 @@ from horoflow import (
     step,
     volume_renormalize,
 )
-from horoflow.flow import R_OSCILLATION_RTOL, average_speed, scaled_radius_limit
+from horoflow.flow import (
+    R_OSCILLATION_RTOL,
+    RKC_MAX_STAGES,
+    average_speed,
+    rkc_coefficients,
+    rkc_plan,
+    rkc_step,
+    scaled_radius_limit,
+)
 from horoflow.graphgeom import (
     POLE_REGULARIZATION_CELLS,
     dt_limit,
@@ -158,6 +166,10 @@ def test_stage_that_leaves_the_graph_domain_raises_blowup(params_n2m1):
     state = perturbed_sphere_state(make_grid("axisymmetric", 2, 64), 1.0, 2, 0.05)
     with pytest.raises(NumericalBlowupError, match="left the graph domain"):
         step(state, params_n2m1, StepControl(), dt=100.0)
+    # RKC's first stage moves by mu~_1 dt F_0: Heun's trial step at dt = 100.
+    dt = 100.0 / rkc_coefficients(4)[3][0]
+    with pytest.raises(NumericalBlowupError, match="left the graph domain"):
+        rkc_step(state, params_n2m1, dt, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +265,52 @@ def test_time_integration_orders(params_n2m1):
     ]
     heun_orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(heun_orders > 1.8), errs
+
+    # RKC2 is second order at any stage count, against the same reference.
+    for stages in (2, 5):
+        errs = []
+        for k in (10, 20, 40):
+            current = state
+            for _ in range(k):
+                current = rkc_step(current, params_n2m1, t_end / k, stages)
+            errs.append(float(np.max(np.abs(current.r - ref))))
+        rkc_orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(rkc_orders >= 1.8), (stages, errs)
+
+
+def test_rkc_keeps_a_sphere_fixed_with_its_volume_closure(params_n3m2):
+    grid = make_grid("axisymmetric", 3, 64)
+    state = sphere_state(grid, 1.0)
+    v0 = float(np.sum(grid.weights * enclosed_volume_integrand(state.r_flat, params_n3m2)))
+    control = StepControl()
+    fields = geometry_from_graph(state, params_n3m2)
+    stages, dt = rkc_plan(control.dt_max, stable_dt(fields, params_n3m2, control))
+    assert stages > 2
+    for _ in range(1000):
+        state = volume_renormalize(rkc_step(state, params_n3m2, dt, stages), params_n3m2, v0)
+    assert state.t == pytest.approx(1000 * dt, rel=1e-12)
+    assert float(np.max(np.abs(state.r - 1.0))) < 1e-10
+
+
+def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1):
+    dt_stable = 1e-4
+    for dt in (5e-5, 1e-4, 1e-3, 1e-2):
+        stages, taken = rkc_plan(dt, dt_stable)
+        assert taken == dt
+        assert rkc_coefficients(stages)[0] >= 2.0 * dt / dt_stable
+        assert stages == 2 or rkc_coefficients(stages - 1)[0] < 2.0 * dt / dt_stable
+    # Past the cap the stages stop growing and dt shrinks to what they cover.
+    stages, taken = rkc_plan(1.0, dt_stable)
+    assert stages == RKC_MAX_STAGES
+    assert taken == 0.5 * rkc_coefficients(RKC_MAX_STAGES)[0] * dt_stable < 1.0
+    # A run takes that step: at N = 256, dt_max = 0.5 would need about 145 stages.
+    config = perturbed_config(
+        params_n2m1, n_theta=256, t_end=10.0, control=StepControl(dt_max=0.5)
+    )
+    result = run(config, max_steps=3)
+    assert np.all(result.stages == RKC_MAX_STAGES)
+    assert np.all(result.dts < 0.5)
+    assert result.summary["rhs_evaluations"] == 3 * RKC_MAX_STAGES
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +439,7 @@ def test_converged_summary_reports_the_stopping_tests(params_n2m1):
 
 
 def test_short_run_decays_and_conserves_volume(params_n2m1):
-    config = perturbed_config(params_n2m1, t_end=0.6)
+    config = perturbed_config(params_n2m1, t_end=0.6, control=StepControl(scheme="heun"))
     result = run(config)
     assert result.status == "t_end"
     assert result.n_steps > 100
@@ -400,10 +458,11 @@ def test_full2d_run_matches_the_tensor_assembly(tmp_path, params_n2m2, monkeypat
     grid = make_grid("full2d", 2, 16, 32)
     initial = perturbed_sphere_state(grid, 1.0, 2, 0.05, mode_phi=2)
     texts = []
-    # The polar filter's dt takes about 430 steps per unit time on 16 x 32.
+    # The polar filter's dt takes about 430 Heun steps per unit time on 16 x 32.
+    heun = StepControl(scheme="heun")
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        result = run(make_config(params_n2m2, initial, t_end=0.3, output_dir=out))
+        result = run(make_config(params_n2m2, initial, t_end=0.3, output_dir=out, control=heun))
         for file_name in ("diagnostics.csv", "summary.json"):
             with open(os.path.join(out, file_name)) as fh:
                 texts.append(fh.read())
@@ -416,7 +475,7 @@ def test_full2d_run_matches_the_tensor_assembly(tmp_path, params_n2m2, monkeypat
 
     monkeypatch.setattr(flow, "geometry_from_graph", reference_full2d_geometry)
     monkeypatch.setattr(flow, "stable_dt", reference_stable_dt)
-    reference = run(make_config(params_n2m2, initial, t_end=0.3))
+    reference = run(make_config(params_n2m2, initial, t_end=0.3, control=heun))
     assert reference.n_steps == result.n_steps
     want = reference.arrays()
     for name, got in cols.items():
@@ -448,15 +507,18 @@ def _unfiltered(grid):
 
 
 def test_polar_filter_error_falls_under_refinement(params_n2m2):
-    # The filter's error against the unfiltered discretisation (at its own,
-    # pole-limited dt) falls as the grid is refined.
+    # The filter's error against the unfiltered discretisation (each at its
+    # own, pole-limited Heun dt) falls as the grid is refined.
+    heun = StepControl(scheme="heun")
     errors = []
     for n_theta, n_phi in ((16, 32), (32, 64)):
         grid = make_grid("full2d", 2, n_theta, n_phi)
         finals = []
         for g in (grid, _unfiltered(grid)):
             initial = perturbed_sphere_state(g, 1.0, 2, 0.05, mode_phi=2)
-            result = run(make_config(params_n2m2, initial, t_end=0.01, record_interval=0.01))
+            result = run(
+                make_config(params_n2m2, initial, t_end=0.01, record_interval=0.01, control=heun)
+            )
             assert result.status == "t_end"
             finals.append(result.final_state.r)
         errors.append(float(np.max(np.abs(finals[0] - finals[1]))))
@@ -524,7 +586,7 @@ def test_stiff_floor_aborts(params_n2m1):
         params_n2m1,
         n_theta=96,
         amplitude=0.01,
-        control=StepControl(dt_min=1e-3, dt_max=1e-2),
+        control=StepControl(scheme="heun", dt_min=1e-3, dt_max=1e-2),
         t_end=10.0,
     )
     with pytest.raises(StiffnessError):
@@ -588,35 +650,51 @@ def test_aborted_initial_state_writes_a_deterministic_summary(tmp_path, ac):
 
 
 def test_renormalized_run_keeps_volume_exact(params_n2m1):
-    config = perturbed_config(params_n2m1, t_end=0.3, renormalize_volume=True)
+    # rkc, the default scheme, closes every step on the initial volume.
+    config = perturbed_config(params_n2m1, t_end=0.3)
     result = run(config)
     v = result.arrays()["V"]
     assert np.max(np.abs(v - v[0])) / v[0] < 2e-12
 
 
 def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, params_n2m1):
-    payloads = []
-    for name in ("a", "b"):
-        out = str(tmp_path / name)
-        config = perturbed_config(params_n2m1, t_end=0.05, output_dir=out)
-        result = run(config)
-        with open(os.path.join(out, "summary.json")) as fh:
-            text = fh.read()
-        summary = json.loads(text)
-        assert summary["constants"]["balance_evaluations"] == 0  # n2m1 is degenerate
-        assert summary["rhs_evaluations"] == 2 * result.n_steps
-        dts = result.dts
-        assert dts.size == result.n_steps
-        assert math.fsum(dts) == pytest.approx(result.final_state.t, rel=1e-12)
-        assert summary["dt"] == {
-            "min": float(dts.min()),
-            "median": float(np.median(dts)),
-            "max": float(dts.max()),
-            "safety": 0.4,
-        }
-        with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
-            payloads.append((text, fh.read()))
-    assert payloads[0] == payloads[1]
+    for scheme in ("rkc", "heun"):
+        payloads = []
+        for name in ("a", "b"):
+            out = str(tmp_path / scheme / name)
+            config = perturbed_config(
+                params_n2m1, t_end=0.05, output_dir=out, control=StepControl(scheme=scheme)
+            )
+            result = run(config)
+            with open(os.path.join(out, "summary.json")) as fh:
+                text = fh.read()
+            summary = json.loads(text)
+            assert summary["constants"]["balance_evaluations"] == 0  # n2m1 is degenerate
+            stages = result.stages
+            assert stages.size == result.n_steps
+            assert summary["rhs_evaluations"] == int(stages.sum())
+            if scheme == "heun":
+                assert summary["rhs_evaluations"] == 2 * result.n_steps
+            else:
+                assert stages.min() > 2  # dt_max is past Heun's step at N = 48
+            dts = result.dts
+            assert dts.size == result.n_steps
+            assert math.fsum(dts) == pytest.approx(result.final_state.t, rel=1e-12)
+            assert summary["dt"] == {
+                "min": float(dts.min()),
+                "median": float(np.median(dts)),
+                "max": float(dts.max()),
+                "safety": 0.4,
+                "scheme": scheme,
+                "stages": {
+                    "min": int(stages.min()),
+                    "median": float(np.median(stages)),
+                    "max": int(stages.max()),
+                },
+            }
+            with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
+                payloads.append((text, fh.read()))
+        assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize(
@@ -626,7 +704,8 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
 def test_summary_reports_the_step_fraction_the_run_used(mode, safety, reported, params_n2m2):
     grid = make_grid(mode, 2, 16, 32 if mode == "full2d" else None)
     initial = perturbed_sphere_state(grid, 1.0, 2, 0.05)
-    result = run(make_config(params_n2m2, initial, t_end=0.01, control=StepControl(safety=safety)))
+    control = StepControl(scheme="heun", safety=safety)
+    result = run(make_config(params_n2m2, initial, t_end=0.01, control=control))
     assert result.summary["dt"]["safety"] == reported
     # The first step was taken at that fraction, from the (filtered) initial state.
     start = GraphState(t=0.0, grid=grid, r=polar_filter(grid, initial.r))
@@ -649,6 +728,11 @@ def test_run_writes_output_files(tmp_path, params_n2m1):
     assert "snapshot_000001.csv" in names  # first interval crossing
     final = load_snapshot(os.path.join(out, "final_state.csv"))
     assert np.array_equal(final.r, result.final_state.r)
+    # rkc's tenth step of 0.01 lands a rounding error short of t = 0.1; it
+    # takes that snapshot, and the next step does not take it again.
+    snapshots = sorted(name for name in names if name.startswith("snapshot_"))
+    times = [load_snapshot(os.path.join(out, name)).t for name in snapshots]
+    assert times == pytest.approx([0.0, 0.1, 0.2], abs=1e-12)
 
 
 def test_resume_from_snapshot_matches_uninterrupted_run(tmp_path, params_n2m1):
