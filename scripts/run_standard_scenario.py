@@ -18,14 +18,12 @@ from horoflow import (
     AmbientCurvature,
     FlowParams,
     RunConfig,
-    StepControl,
     analyze_diagnostics,
     make_grid,
     perturbed_sphere_state,
     run,
 )
 from horoflow.cli import exit_status
-from horoflow.flow import SCHEMES
 
 log = logging.getLogger("run_standard_scenario")
 
@@ -48,7 +46,6 @@ def build_config(args) -> RunConfig:
         initial=perturbed_sphere_state(grid, args.radius, args.mode, args.amplitude),
         t_end=args.t_end if args.t_end is not None else preset["t_end"],
         snapshot_interval=args.snapshot_interval,
-        control=StepControl(scheme=args.scheme),
         output_dir=args.output,
         constants_samples=args.samples,
         constants_seed=args.seed,
@@ -66,8 +63,6 @@ def _main(argv) -> int:
     parser.add_argument("--t-end", type=float, default=None,
                         help="override the variant's default horizon")
     parser.add_argument("--snapshot-interval", type=float, default=1.0)
-    parser.add_argument("--scheme", choices=SCHEMES, default=StepControl.scheme,
-                        help="time stepper: damped RKC2 closed on the volume, or plain Heun")
     parser.add_argument("--samples", type=int, default=20_000,
                         help="sample count for the pinching constants")
     parser.add_argument("--seed", type=int, default=0)

@@ -135,7 +135,6 @@ _KNOWN_KEYS = {
     "initial.amplitude",
     "initial.mode_phi",
     "initial.snapshot",
-    "control.scheme",
     "control.safety",
     "control.dt_min",
     "control.dt_max",
@@ -201,7 +200,6 @@ def config_from_values(values: dict) -> RunConfig:
     if shape == "custom":
         snapshot = _read_snapshot(take("initial.snapshot"), problems)
 
-    scheme = take("control.scheme", StepControl.scheme)
     # An absent control.safety stays None: the grid mode's default.
     safety = number("control.safety") if "control.safety" in values else None
     dt_min = number("control.dt_min", StepControl.dt_min)
@@ -227,7 +225,7 @@ def config_from_values(values: dict) -> RunConfig:
     problems += graphgeom.grid_problems(mode, n, n_theta, n_phi)
     if shape in ("sphere", "perturbed_sphere"):
         problems += graphgeom.initial_problems(mode, n_theta, r0, mode_l, amplitude, mode_phi)
-    problems += StepControl.problems(safety, dt_min, dt_max, scheme)
+    problems += StepControl.problems(safety, dt_min, dt_max)
     if snapshot is not None:
         r_max = float(snapshot.r.max())
     elif r0 is not None:  # r0 + |amplitude| bounds the perturbed profile
@@ -255,7 +253,6 @@ def config_from_values(values: dict) -> RunConfig:
         except DomainError as exc:  # the profile overflows a float
             raise ConfigurationError([f"initial.shape = {shape} is not representable: {exc}"])
     control = StepControl(
-        scheme=scheme,
         safety=None if safety is None else float(safety),
         dt_min=float(dt_min),
         dt_max=float(dt_max),

@@ -148,17 +148,11 @@ def test_config_collects_all_problems_at_once():
     assert "params.beta must be positive" in text
     assert "params.kappa must be negative" in text
     assert "initial.shape" in text
-    assert "control.scheme must be one of rkc, heun, got 'euler'" in text
+    assert "unknown key 'control.scheme'" in text
     assert "flow.t_end must be positive" in text
 
 
-def test_config_scheme_is_validated_and_renormalize_volume_is_gone():
-    for scheme in ("rkc", "heun"):
-        assert config_from_values({**MINIMAL, "control.scheme": scheme}).control.scheme == scheme
-    for bad in ("RKC", "rk4", 2):
-        with pytest.raises(ConfigurationError) as err:
-            config_from_values({**MINIMAL, "control.scheme": bad})
-        assert err.value.problems == [f"control.scheme must be one of rkc, heun, got {bad!r}"]
+def test_config_rejects_the_deleted_renormalize_volume_key():
     # rkc always closes each step on the volume, so the old switch is an unknown key.
     with pytest.raises(ConfigurationError) as err:
         config_from_values({**MINIMAL, "flow.renormalize_volume": True})

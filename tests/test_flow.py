@@ -37,6 +37,7 @@ from horoflow import (
 )
 from horoflow.flow import (
     R_OSCILLATION_RTOL,
+    RKC_ACCURACY,
     RKC_MAX_STAGES,
     average_speed,
     rkc_coefficients,
@@ -59,9 +60,9 @@ def make_config(params, initial, t_end=1.0, **overrides):
     return RunConfig(params=params, initial=initial, t_end=t_end, constants_samples=2000, **overrides)
 
 
-def perturbed_config(params, n_theta=48, amplitude=0.05, **overrides):
+def perturbed_config(params, n_theta=48, amplitude=0.05, radius=1.0, **overrides):
     grid = make_grid("axisymmetric", params.n, n_theta)
-    initial = perturbed_sphere_state(grid, 1.0, 2, amplitude)
+    initial = perturbed_sphere_state(grid, radius, 2, amplitude)
     return make_config(params, initial, **overrides)
 
 
@@ -77,6 +78,8 @@ def test_step_control_validation():
         StepControl(safety=1.5)
     with pytest.raises(DomainError):
         StepControl(dt_min=1e-2, dt_max=1e-3)
+    with pytest.raises(DomainError, match="scheme must be one of rkc, heun, got 'rk4'"):
+        StepControl(scheme="rk4")
 
 
 @pytest.mark.parametrize(
@@ -292,6 +295,26 @@ def test_rkc_keeps_a_sphere_fixed_with_its_volume_closure(params_n3m2):
     assert float(np.max(np.abs(state.r - 1.0))) < 1e-10
 
 
+def test_rkc_keeps_heuns_decay_rate_on_a_small_sphere(params_n2m2):
+    # About R = 0.3 the l = 2 mode decays at mu_2 of about 150, so a step of
+    # dt_max = 0.01 would span 1.5 e-folding times; the accuracy step keeps
+    # rkc on Heun's rate there.
+    results = {}
+    for scheme in ("heun", "rkc"):
+        config = perturbed_config(
+            params_n2m2, n_theta=64, radius=0.3, amplitude=0.015, t_end=1.0,
+            control=StepControl(scheme=scheme),
+        )
+        results[scheme] = run(config)
+        assert results[scheme].status == "converged", scheme
+    heun, rkc = (results[name].summary for name in ("heun", "rkc"))
+    assert rkc["decay_fit"]["r_squared"] >= 0.99
+    assert abs(rkc["decay_fit"]["rate"] / heun["decay_fit"]["rate"] - 1.0) <= 1e-3
+    # Each step spans at most RKC_ACCURACY of the measured e-folding time 2 / rate.
+    assert rkc["dt"]["max"] * heun["decay_fit"]["rate"] / 2.0 <= RKC_ACCURACY
+    assert rkc["rhs_evaluations"] < heun["rhs_evaluations"]
+
+
 def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1):
     dt_stable = 1e-4
     for dt in (5e-5, 1e-4, 1e-3, 1e-2):
@@ -303,14 +326,16 @@ def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1):
     stages, taken = rkc_plan(1.0, dt_stable)
     assert stages == RKC_MAX_STAGES
     assert taken == 0.5 * rkc_coefficients(RKC_MAX_STAGES)[0] * dt_stable < 1.0
-    # A run takes that step: at N = 256, dt_max = 0.5 would need about 145 stages.
+    # A run takes that step: under dt_max = 0.5 the accuracy step (about
+    # 0.033) binds, and at N = 512 it would need about 75 stages.
     config = perturbed_config(
-        params_n2m1, n_theta=256, t_end=10.0, control=StepControl(dt_max=0.5)
+        params_n2m1, n_theta=512, t_end=10.0, control=StepControl(dt_max=0.5)
     )
     result = run(config, max_steps=3)
-    assert np.all(result.stages == RKC_MAX_STAGES)
-    assert np.all(result.dts < 0.5)
+    cap = {"min": RKC_MAX_STAGES, "median": float(RKC_MAX_STAGES), "max": RKC_MAX_STAGES}
+    assert result.summary["dt"]["stages"] == cap
     assert result.summary["rhs_evaluations"] == 3 * RKC_MAX_STAGES
+    assert np.all(result.dts < 0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +695,14 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
                 text = fh.read()
             summary = json.loads(text)
             assert summary["constants"]["balance_evaluations"] == 0  # n2m1 is degenerate
-            stages = result.stages
-            assert stages.size == result.n_steps
-            assert summary["rhs_evaluations"] == int(stages.sum())
+            stages = summary["dt"]["stages"]
             if scheme == "heun":
+                assert stages == {"min": 2, "median": 2.0, "max": 2}
                 assert summary["rhs_evaluations"] == 2 * result.n_steps
             else:
-                assert stages.min() > 2  # dt_max is past Heun's step at N = 48
+                # dt_max is past Heun's step at N = 48, and every step takes it.
+                assert stages["min"] == stages["max"] > 2
+                assert summary["rhs_evaluations"] == stages["min"] * result.n_steps
             dts = result.dts
             assert dts.size == result.n_steps
             assert math.fsum(dts) == pytest.approx(result.final_state.t, rel=1e-12)
@@ -686,11 +712,7 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
                 "max": float(dts.max()),
                 "safety": 0.4,
                 "scheme": scheme,
-                "stages": {
-                    "min": int(stages.min()),
-                    "median": float(np.median(stages)),
-                    "max": int(stages.max()),
-                },
+                "stages": stages,
             }
             with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
                 payloads.append((text, fh.read()))

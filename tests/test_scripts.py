@@ -6,8 +6,6 @@ import importlib.util
 import json
 import os
 
-from horoflow.cli import EXIT_USAGE
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
 
@@ -27,20 +25,6 @@ def test_standard_scenario_writes_diagnostics(tmp_path):
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
     with open(os.path.join(out, "summary.json")) as fh:
         assert json.load(fh)["dt"]["scheme"] == "rkc"
-
-
-def test_standard_scenario_takes_the_scheme(tmp_path, capsys):
-    script = load_script("run_standard_scenario")
-    out = str(tmp_path / "heun")
-    argv = ["--n-theta", "16", "--t-end", "0.02", "--samples", "200", "--output", out]
-    script.main(argv + ["--scheme", "heun"])
-    with open(os.path.join(out, "summary.json")) as fh:
-        summary = json.load(fh)
-    assert summary["dt"]["scheme"] == "heun"
-    assert summary["rhs_evaluations"] == 2 * summary["n_steps"]
-    capsys.readouterr()
-    assert script.main(argv + ["--scheme", "rk4"]) == EXIT_USAGE
-    assert "invalid choice: 'rk4'" in capsys.readouterr().err
 
 
 def test_constants_tables_runs_one_speed(tmp_path, capsys):
