@@ -137,7 +137,6 @@ _KNOWN_KEYS = {
     "initial.snapshot",
     "control.safety",
     "control.dt_min",
-    "control.dt_max",
     "flow.t_end",
     "flow.f_tol",
     "flow.record_interval",
@@ -203,7 +202,6 @@ def config_from_values(values: dict) -> RunConfig:
     # An absent control.safety stays None: the grid mode's default.
     safety = number("control.safety") if "control.safety" in values else None
     dt_min = number("control.dt_min", StepControl.dt_min)
-    dt_max = number("control.dt_max", StepControl.dt_max)
 
     t_end = number("flow.t_end", 10.0)
     f_tol = number("flow.f_tol", RunConfig.f_tol)
@@ -225,7 +223,7 @@ def config_from_values(values: dict) -> RunConfig:
     problems += graphgeom.grid_problems(mode, n, n_theta, n_phi)
     if shape in ("sphere", "perturbed_sphere"):
         problems += graphgeom.initial_problems(mode, n_theta, r0, mode_l, amplitude, mode_phi)
-    problems += StepControl.problems(safety, dt_min, dt_max)
+    problems += StepControl.problems(safety, dt_min)
     if snapshot is not None:
         r_max = float(snapshot.r.max())
     elif r0 is not None:  # r0 + |amplitude| bounds the perturbed profile
@@ -255,7 +253,6 @@ def config_from_values(values: dict) -> RunConfig:
     control = StepControl(
         safety=None if safety is None else float(safety),
         dt_min=float(dt_min),
-        dt_max=float(dt_max),
     )
     return RunConfig(
         params=params,

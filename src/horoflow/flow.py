@@ -5,11 +5,12 @@ average, so the enclosed volume is conserved by construction; the radial
 function then satisfies dr/dt = (Fbar - F) |xi| / s at every node.  Two
 explicit second-order integrators recompute the nonlocal average at every
 stage.  The default, damped RKC2 (Sommeijer, Shampine & Verwer, J. Comput.
-Appl. Math. 88 (1998)), takes dt = control.dt_max, or less where the
-slowest decaying mode needs it (rkc_accuracy_dt), and enough Chebyshev
-stages to cover the parabolic stability scale of the linearized operator,
-then closes each step on the initial volume with one uniform radial shift.
-Heun's method, the reference, takes the stability scale itself as its dt.
+Appl. Math. 88 (1998)), takes a fixed share of the slowest mode's decay
+time about the limit sphere (oracle.linearized_rate) as its dt, and enough
+Chebyshev stages to cover the parabolic stability scale of the linearized
+operator, then closes each step on the initial volume with one uniform
+radial shift.  Heun's method, the reference, takes the stability scale
+itself as its dt.
 
 Geodesic spheres make the right-hand side vanish identically, so they are
 exact discrete equilibria; the run loop therefore declares convergence from
@@ -67,7 +68,7 @@ from .monitors import (
     shifted_minima,
     volume_drift,
 )
-from .oracle import psi_inverse, support_offset
+from .oracle import linearized_rate, psi_inverse, support_offset
 
 logger = logging.getLogger(__name__)
 
@@ -105,34 +106,33 @@ DEFAULT_SAFETY = {"axisymmetric": 0.4, "full2d": 0.2}
 
 @dataclass(frozen=True)
 class StepControl:
-    """Explicit time-stepper knobs: the scheme, the step fraction and the dt clamps.
+    """Explicit time-stepper knobs: the scheme, the step fraction and the dt floor.
 
     safety multiplies the trace bound min_spacing^2 / max trace(dF) of
     stable_dt; None takes the grid mode's DEFAULT_SAFETY.  Heun steps at
-    stable_dt; rkc steps at dt_max, or less where rkc_accuracy_dt or t_end
-    ask for it, with the stages that stable_dt asks for.  scheme is no config
-    key: heun is the reference that tests compare rkc against.
+    stable_dt; rkc steps at RKC_ACCURACY / mu_2, or less where t_end asks for
+    it, with the stages that stable_dt asks for.  scheme is no config key:
+    heun is the reference that tests compare rkc against.
     """
 
     scheme: str = "rkc"
     safety: float | None = None
     dt_min: float = 1.0e-10
-    dt_max: float = 1.0e-2
 
     def __post_init__(self):
-        problems = self.problems(self.safety, self.dt_min, self.dt_max)
+        problems = self.problems(self.safety, self.dt_min)
         if self.scheme not in SCHEMES:
             problems.append(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
         ConfigurationError.raise_if(problems)
 
     @staticmethod
-    def problems(safety, dt_min, dt_max) -> list[str]:
+    def problems(safety, dt_min) -> list[str]:
         """The rules on the control.* keys."""
         problems = []
         if safety is not None and not 0.0 < safety <= 1.0:
             problems.append(f"control.safety must be in (0, 1], got {safety}")
-        if dt_min is not None and dt_max is not None and not 0.0 < dt_min <= dt_max:
-            problems.append(f"control.dt_min must be in (0, control.dt_max], got {dt_min}, {dt_max}")
+        if dt_min is not None and not dt_min > 0.0:
+            problems.append(f"control.dt_min must be positive, got {dt_min}")
         return problems
 
     def safety_for(self, mode: str) -> float:
@@ -252,13 +252,13 @@ def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) 
     the largest eigenvalue including the pole-regularized azimuthal cells,
     so dt = safety * (min induced spacing)^2 / max_nodes trace(dF), with the
     trace in closed form on the fields' pair spectrum and safety resolved for
-    the fields' grid mode.
+    the fields' grid mode, floored at control.dt_min.
     """
     scale = float(speed_gradient(fields.spectrum, params, trace=True).max())
     if not math.isfinite(scale) or scale <= 0.0:
         raise DomainError("diffusion scale must be positive and finite")
     dt = control.safety_for(fields.mode) * fields.min_spacing**2 / scale
-    return float(min(max(dt, control.dt_min), control.dt_max))
+    return float(max(dt, control.dt_min))
 
 
 def _advance(state: GraphState, r_new: np.ndarray, dt: float) -> GraphState:
@@ -333,22 +333,6 @@ def rkc_plan(dt: float, dt_stable: float) -> tuple[int, float]:
         if rkc_coefficients(stages)[0] >= need:
             return stages, dt
     return RKC_MAX_STAGES, min(dt, 0.5 * rkc_coefficients(RKC_MAX_STAGES)[0] * dt_stable)
-
-
-def rkc_accuracy_dt(fields: GeometryFields, params: FlowParams, radius: float) -> float:
-    """The longest RKC step that resolves the slowest decaying mode.
-
-    About the geodesic sphere of radius R, the spherical-harmonic mode l of
-    the graph decays at mu_l = (trace dF / n) (l(l+n-1) - n) / s_kappa(R)^2,
-    mode 1 (a translation) not at all, so l = 2 is the slowest, at
-    mu_2 = (trace dF / n) (n + 2) / s_kappa(R)^2.  The largest trace over the
-    nodes of fields stands in for the sphere's; the step is
-    RKC_ACCURACY / mu_2.  radius is the run's limit sphere, the geodesic ball
-    of the initial volume.
-    """
-    trace = float(speed_gradient(fields.spectrum, params, trace=True).max())
-    s = float(generalized_sine(radius, params.ac))
-    return RKC_ACCURACY * params.n * s * s / ((params.n + 2) * trace)
 
 
 def rkc_step(
@@ -433,10 +417,9 @@ class FlowResult:
     """What a finished run produced.
 
     status is "converged", "t_end" or "max_steps"; v0 is the initial enclosed
-    volume; dts holds the dt of every accepted step, in order; summary is the
-    run's account (see run), and diagnostics_path the CSV written to
-    output_dir (None without one).  An aborted run returns no FlowResult: its
-    error carries the summary instead.
+    volume; summary is the run's account (see run), and diagnostics_path the
+    CSV written to output_dir (None without one).  An aborted run returns no
+    FlowResult: its error carries the summary instead.
     """
 
     params: FlowParams
@@ -445,7 +428,6 @@ class FlowResult:
     status: str
     n_steps: int
     v0: float
-    dts: np.ndarray
     summary: dict
     diagnostics_path: str | None = None
 
@@ -481,6 +463,10 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     weights = state.grid.weights
     v0 = float(np.sum(weights * enclosed_volume_integrand(state.r_flat, params)))
     zeta = support_offset(v0, params)
+    # The flow's limit is the geodesic sphere of the initial volume; its
+    # slowest mode sets rkc's step and the decay rate f_max should show.
+    mu_2 = linearized_rate(params, psi_inverse(v0, params), 2)
+    dt_accurate = RKC_ACCURACY / mu_2
 
     recorder = DiagnosticsRecorder(params, zeta_epsilon=zeta)
     h_convexity_warned = False
@@ -533,6 +519,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             "decay_fit": None
             if fit is None
             else {"rate": fit.rate, "r_squared": fit.r_squared, "n_used": fit.n_used},
+            "predicted_rate": 2.0 * mu_2,
             "zeta_epsilon": zeta,
             "initial_pinched": initial_pinched,
             "params": {
@@ -562,8 +549,6 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     try:
         fields = geometry_from_graph(state, params)
         limit = dt_limit(state, fields)
-        if control.scheme == "rkc":
-            dt_accurate = rkc_accuracy_dt(fields, params, psi_inverse(v0, params))
         observe(state, fields, 0.0)
         initial_pinched = shifted_minima(fields.lam, params, constants.c_star)[3]
         if initial_pinched:
@@ -613,7 +598,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
                 state = step(state, params, control, fields=fields, dt=dt)
                 stages = 2
             else:
-                dt = min(control.dt_max, dt_accurate, config.t_end - state.t)
+                dt = min(dt_accurate, config.t_end - state.t)
                 stages, dt = rkc_plan(dt, dt_stable)
                 state = rkc_step(state, params, dt, stages, fields=fields)
                 state = volume_renormalize(state, params, v0)
@@ -624,8 +609,8 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             fields = geometry_from_graph(state, params)
 
             # A step that lands within 1e-12 below a cadence point counts as
-            # reaching it, so the next point is the one after it; rkc's
-            # steps of dt_max land there every few steps.
+            # reaching it, so the next point is the one after it; a sum of
+            # equal rkc steps can land a rounding error short of one.
             reached = state.t + 1e-12
             if reached >= next_record:
                 observe(state, fields, last_dt)
@@ -663,7 +648,6 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
         status=status,
         n_steps=n_steps,
         v0=v0,
-        dts=np.frombuffer(dts),
         summary=summary(status, stop=stop),
     )
     if out_dir:

@@ -4,9 +4,10 @@ Geodesic spheres evolve by radius alone: without the volume constraint a
 sphere of radius r contracts at speed co(r)^{m beta}, which gives both an
 independently integrable ODE and an implicit first integral to test any
 trajectory against.  The module also provides the volume-to-radius inverse
-(the radius of the ball with a prescribed volume), the inner-radius
-comparison map for h-convex domains, and an inner-radius estimator for
-simulated states based on ambient distances.
+(the radius of the ball with a prescribed volume), the linearized decay
+rate of each mode about a sphere, the inner-radius comparison map for
+h-convex domains, and an inner-radius estimator for simulated states based
+on ambient distances.
 
 Everything here deliberately avoids the discretized geometry pipeline, so
 agreement between the two is evidence, not tautology.
@@ -179,6 +180,22 @@ def psi_inverse(volume: float, params: FlowParams) -> float:
             if hi > 1e6:
                 raise RootFindingError("ball volume bracket exploded; volume too large")
         return _bisect(lambda s: float(ball_volume(s, params)) - volume, 0.0, hi)
+
+
+def linearized_rate(params: FlowParams, radius: float, l: int) -> float:
+    """Decay rate mu_l of the degree-l spherical-harmonic mode about the sphere of this radius R.
+
+    Every principal curvature of the sphere is lambda = co(R), so each
+    dF/dlambda_i is (m beta / n) lambda^(m beta - 1); linearized, the flow
+    damps the mode at mu_l = (m beta / n) co(R)^(m beta - 1)
+    (l(l + n - 1) - n) / s(R)^2 (Escher & Simonett, Proc. AMS 126 (1998);
+    Cabezas-Rivas & Sinestrari, Calc. Var. PDE 38 (2010)).  Mode 1, a
+    translation, does not decay, so l = 2 is the slowest decaying mode.
+    """
+    n, mbeta = params.n, params.mbeta
+    co = float(generalized_cotangent(radius, params.ac))
+    s = float(generalized_sine(radius, params.ac))
+    return (mbeta / n) * co ** (mbeta - 1.0) * (l * (l + n - 1) - n) / (s * s)
 
 
 def _xi_forward(s: float, params: FlowParams) -> float:

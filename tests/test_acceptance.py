@@ -515,11 +515,12 @@ def test_rkc_runs_keep_the_verdicts_and_heuns_decay_rates(
 
 
 def test_rkc_runs_are_reproducible(tmp_path):
+    # rkc writes one row per step of about 0.035; t = 2 takes 58 of them.
     params = make_params(2, 1, 1.0)
     payloads = []
     for leg in ("a", "b"):
         out = str(tmp_path / leg)
-        run(scenario_config(params, 128, 1.0, RKC, output_dir=out))
+        run(scenario_config(params, 128, 2.0, RKC, output_dir=out))
         with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
             payloads.append(fh.read())
     assert payloads[0] == payloads[1] and len(payloads[0]) > 10_000

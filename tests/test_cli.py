@@ -116,7 +116,6 @@ def test_minimal_config_defaults():
     assert config.control.safety is None
     assert config.control.safety_for(config.initial.grid.mode) == 0.4
     assert config.control.dt_min == 1e-10
-    assert config.control.dt_max == 1e-2
     assert config.t_end == 10.0
     assert config.f_tol == 1e-8
     assert config.record_interval == 0.002
@@ -152,11 +151,19 @@ def test_config_collects_all_problems_at_once():
     assert "flow.t_end must be positive" in text
 
 
-def test_config_rejects_the_deleted_renormalize_volume_key():
-    # rkc always closes each step on the volume, so the old switch is an unknown key.
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # rkc always closes each step on the volume, so the old switch is an unknown key.
+        ("flow.renormalize_volume", True),
+        # rkc's step comes from the limit sphere's slowest mode, not from a cap.
+        ("control.dt_max", 1e-2),
+    ],
+)
+def test_config_rejects_deleted_keys(key, value):
     with pytest.raises(ConfigurationError) as err:
-        config_from_values({**MINIMAL, "flow.renormalize_volume": True})
-    assert err.value.problems == ["unknown key 'flow.renormalize_volume'"]
+        config_from_values({**MINIMAL, key: value})
+    assert err.value.problems == [f"unknown key {key!r}"]
 
 
 def test_config_perturbation_rules():
@@ -214,7 +221,7 @@ def test_config_snapshot_interval_zero_disables():
         ("flow.t_end", "inf"),
         ("flow.t_end", "nan"),
         ("flow.record_interval", "nan"),
-        ("control.dt_max", "inf"),
+        ("control.dt_min", "inf"),
         ("flow.f_tol", "inf"),
         ("flow.snapshot_interval", "nan"),
         ("flow.snapshot_interval", "inf"),
@@ -247,7 +254,9 @@ def test_config_bounds_the_radius_below_double_overflow(kappa):
     }
     under = config_from_values({**values, "initial.r0": limit * (1.0 - 1e-4) - 0.01})
     result = run(under, max_steps=5)
-    assert result.n_steps == 5
+    # mu_2 is below 1e-140 about so large a sphere, so rkc's step, 0.05 / mu_2,
+    # is cut to t_end: one step covers the run.
+    assert result.status == "t_end" and result.n_steps == 1
     cols = result.arrays()
     for name in set(cols) - {"Qtilde_min", "f_max"}:  # undefined where lam - a rounds to 0
         assert np.all(np.isfinite(cols[name])), name
@@ -455,7 +464,6 @@ def test_run_stiff_config_exits_numerical(tmp_path, capsys):
             "initial.mode_l": 2,
             "initial.amplitude": 0.01,
             "control.dt_min": 1e-3,
-            "control.dt_max": 1e-2,
             "flow.t_end": 10.0,
             "constants.n_samples": 2000,
         },
@@ -589,7 +597,7 @@ def finished_run(tmp_path_factory):
             "initial.shape": "perturbed_sphere",
             "initial.mode_l": 2,
             "initial.amplitude": 0.05,
-            "flow.t_end": 0.1,
+            "flow.t_end": 1.0,
             "constants.n_samples": 2000,
             "output.dir": str(out_dir),
         },

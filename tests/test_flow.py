@@ -51,6 +51,7 @@ from horoflow.graphgeom import (
     enclosed_volume_integrand,
     polar_filter,
 )
+from horoflow.oracle import linearized_rate, psi_inverse
 from test_graphgeom import reference_full2d_geometry, reference_stable_dt
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
@@ -66,6 +67,17 @@ def perturbed_config(params, n_theta=48, amplitude=0.05, radius=1.0, **overrides
     return make_config(params, initial, **overrides)
 
 
+def accuracy_dt(params, initial):
+    """rkc's step from this axisymmetric initial state: RKC_ACCURACY / mu_2 about its limit sphere."""
+    v0 = float(np.sum(initial.grid.weights * enclosed_volume_integrand(initial.r_flat, params)))
+    return RKC_ACCURACY / linearized_rate(params, psi_inverse(v0, params), 2)
+
+
+def diagnostics_dts(path):
+    """The dt column of a diagnostics.csv, without the initial row's 0."""
+    return np.loadtxt(path, delimiter=",", skiprows=2, usecols=-1, ndmin=1)[1:]
+
+
 # ---------------------------------------------------------------------------
 # Stage algebra
 # ---------------------------------------------------------------------------
@@ -76,8 +88,8 @@ def test_step_control_validation():
         StepControl(safety=0.0)
     with pytest.raises(DomainError):
         StepControl(safety=1.5)
-    with pytest.raises(DomainError):
-        StepControl(dt_min=1e-2, dt_max=1e-3)
+    with pytest.raises(DomainError, match="control.dt_min must be positive"):
+        StepControl(dt_min=0.0)
     with pytest.raises(DomainError, match="scheme must be one of rkc, heun, got 'rk4'"):
         StepControl(scheme="rk4")
 
@@ -119,9 +131,11 @@ def test_run_config_bounds_the_radius_below_double_overflow(n, m):
     amplitude = 0.01  # the largest radius is r0 + amplitude, at theta = 0
 
     under = perturbed_sphere_state(grid, limit * (1.0 - 1e-4) - amplitude, 2, amplitude)
+    # mu_2 is below 1e-140 about so large a sphere, so rkc's step, 0.05 / mu_2,
+    # is cut to t_end: one step covers the run.
     config = RunConfig(params=params, initial=under, t_end=1.0, constants_samples=200)
     result = run(config, max_steps=5)
-    assert result.n_steps == 5
+    assert result.status == "t_end" and result.n_steps == 1
     cols = result.arrays()
     # At this radius the shifted spectrum lam - a rounds to 0, where the
     # pinching ratio is undefined by design.
@@ -250,7 +264,7 @@ def test_rhs_matches_50_digit_recomputation():
 
 
 def integrate_fixed(state, params, dt, n_steps):
-    control = StepControl(dt_max=1.0)
+    control = StepControl()
     for _ in range(n_steps):
         state = step(state, params, control, dt=dt)
     return state.r
@@ -285,9 +299,9 @@ def test_rkc_keeps_a_sphere_fixed_with_its_volume_closure(params_n3m2):
     grid = make_grid("axisymmetric", 3, 64)
     state = sphere_state(grid, 1.0)
     v0 = float(np.sum(grid.weights * enclosed_volume_integrand(state.r_flat, params_n3m2)))
-    control = StepControl()
     fields = geometry_from_graph(state, params_n3m2)
-    stages, dt = rkc_plan(control.dt_max, stable_dt(fields, params_n3m2, control))
+    dt_accurate = RKC_ACCURACY / linearized_rate(params_n3m2, 1.0, 2)
+    stages, dt = rkc_plan(dt_accurate, stable_dt(fields, params_n3m2, StepControl()))
     assert stages > 2
     for _ in range(1000):
         state = volume_renormalize(rkc_step(state, params_n3m2, dt, stages), params_n3m2, v0)
@@ -297,8 +311,8 @@ def test_rkc_keeps_a_sphere_fixed_with_its_volume_closure(params_n3m2):
 
 def test_rkc_keeps_heuns_decay_rate_on_a_small_sphere(params_n2m2):
     # About R = 0.3 the l = 2 mode decays at mu_2 of about 150, so a step of
-    # dt_max = 0.01 would span 1.5 e-folding times; the accuracy step keeps
-    # rkc on Heun's rate there.
+    # 0.01 would span 1.5 e-folding times; the accuracy step keeps rkc on
+    # Heun's rate there.
     results = {}
     for scheme in ("heun", "rkc"):
         config = perturbed_config(
@@ -326,16 +340,14 @@ def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1):
     stages, taken = rkc_plan(1.0, dt_stable)
     assert stages == RKC_MAX_STAGES
     assert taken == 0.5 * rkc_coefficients(RKC_MAX_STAGES)[0] * dt_stable < 1.0
-    # A run takes that step: under dt_max = 0.5 the accuracy step (about
-    # 0.033) binds, and at N = 512 it would need about 75 stages.
-    config = perturbed_config(
-        params_n2m1, n_theta=512, t_end=10.0, control=StepControl(dt_max=0.5)
-    )
+    # A run takes that step: at N = 512 the accuracy step (about 0.035)
+    # would need about 75 stages.
+    config = perturbed_config(params_n2m1, n_theta=512, t_end=10.0)
     result = run(config, max_steps=3)
     cap = {"min": RKC_MAX_STAGES, "median": float(RKC_MAX_STAGES), "max": RKC_MAX_STAGES}
     assert result.summary["dt"]["stages"] == cap
     assert result.summary["rhs_evaluations"] == 3 * RKC_MAX_STAGES
-    assert np.all(result.dts < 0.03)
+    assert result.summary["dt"]["max"] < 0.03
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +356,7 @@ def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1):
 
 
 def test_stable_dt_scaling_and_clamps(params_n2m1):
+    # stable_dt has one clamp, the dt_min floor that the stiffness abort reads.
     state = sphere_state(make_grid("axisymmetric", 2, 96), 1.0)
     fields = geometry_from_graph(state, params_n2m1)
     # n = 2, m = 1: the speed gradient is (1/2, 1/2), so the trace is 1
@@ -351,8 +364,7 @@ def test_stable_dt_scaling_and_clamps(params_n2m1):
     assert stable_dt(fields, params_n2m1, StepControl(safety=0.2)) == pytest.approx(
         expected, rel=1e-12
     )
-    assert stable_dt(fields, params_n2m1, StepControl(dt_max=1e-6)) == 1e-6
-    assert stable_dt(fields, params_n2m1, StepControl(dt_min=0.5, dt_max=1.0)) == 0.5
+    assert stable_dt(fields, params_n2m1, StepControl(dt_min=0.5)) == 0.5
     # Without an explicit safety each grid mode takes its own step fraction.
     default = 0.4 * fields.min_spacing**2
     assert stable_dt(fields, params_n2m1, StepControl()) == pytest.approx(default, rel=1e-12)
@@ -393,6 +405,12 @@ def test_stable_dt_on_spheres_follows_the_analytic_trace(n, m, beta):
     assert stable_dt(fields, params, StepControl(safety=0.2)) == pytest.approx(expected, rel=1e-12)
     default = 0.4 * fields.min_spacing**2 / trace
     assert stable_dt(fields, params, StepControl()) == pytest.approx(default, rel=1e-12)
+    # The same trace, as the speed gradient sums it, sets mode l's linearized
+    # rate (trace / n) (l(l + n - 1) - n) / sinh(1)^2; mode 1 does not decay.
+    summed = float(flow.speed_gradient(fields.spectrum, params, trace=True).max())
+    for l in (1, 2, 3):
+        want = (summed / n) * (l * (l + n - 1) - n) / math.sinh(1.0) ** 2
+        assert linearized_rate(params, 1.0, l) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +602,8 @@ def test_record_cadence(params_n2m1):
     for k in (1, 2, 3):
         target = 0.05 * k
         after = t[t + 1e-12 >= target]
-        assert after.size and after[0] - target < 2e-2  # within a few steps
+        # The row falls on the first step that reaches the point.
+        assert after.size and after[0] - target < result.summary["dt"]["max"]
 
 
 def test_run_warns_once_when_h_convexity_is_lost(caplog, params_n2m1):
@@ -611,7 +630,7 @@ def test_stiff_floor_aborts(params_n2m1):
         params_n2m1,
         n_theta=96,
         amplitude=0.01,
-        control=StepControl(scheme="heun", dt_min=1e-3, dt_max=1e-2),
+        control=StepControl(scheme="heun", dt_min=1e-3),
         t_end=10.0,
     )
     with pytest.raises(StiffnessError):
@@ -624,7 +643,7 @@ def test_abort_flushes_diagnostics(tmp_path, params_n2m1):
         params_n2m1,
         n_theta=96,
         amplitude=0.01,
-        control=StepControl(dt_min=1e-3, dt_max=1e-2),
+        control=StepControl(dt_min=1e-3),
         t_end=10.0,
         output_dir=out,
     )
@@ -683,12 +702,16 @@ def test_renormalized_run_keeps_volume_exact(params_n2m1):
 
 
 def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, params_n2m1):
+    grid = make_grid("axisymmetric", 2, 48)
+    initial = perturbed_sphere_state(grid, 1.0, 2, 0.05)
+    # Two whole accuracy steps, so every rkc step has the same dt and stages.
+    t_end = 2.0 * accuracy_dt(params_n2m1, initial)
     for scheme in ("rkc", "heun"):
         payloads = []
         for name in ("a", "b"):
             out = str(tmp_path / scheme / name)
-            config = perturbed_config(
-                params_n2m1, t_end=0.05, output_dir=out, control=StepControl(scheme=scheme)
+            config = make_config(
+                params_n2m1, initial, t_end=t_end, output_dir=out, control=StepControl(scheme=scheme)
             )
             result = run(config)
             with open(os.path.join(out, "summary.json")) as fh:
@@ -700,10 +723,12 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
                 assert stages == {"min": 2, "median": 2.0, "max": 2}
                 assert summary["rhs_evaluations"] == 2 * result.n_steps
             else:
-                # dt_max is past Heun's step at N = 48, and every step takes it.
-                assert stages["min"] == stages["max"] > 2
+                # The accuracy step is past Heun's step at N = 48.
+                assert result.n_steps == 2 and stages["min"] == stages["max"] > 2
                 assert summary["rhs_evaluations"] == stages["min"] * result.n_steps
-            dts = result.dts
+            # Every step passes a record point (record_interval 0.002), so
+            # the rows after the initial one carry each step's dt.
+            dts = diagnostics_dts(result.diagnostics_path)
             assert dts.size == result.n_steps
             assert math.fsum(dts) == pytest.approx(result.final_state.t, rel=1e-12)
             assert summary["dt"] == {
@@ -729,16 +754,22 @@ def test_summary_reports_the_step_fraction_the_run_used(mode, safety, reported, 
     control = StepControl(scheme="heun", safety=safety)
     result = run(make_config(params_n2m2, initial, t_end=0.01, control=control))
     assert result.summary["dt"]["safety"] == reported
-    # The first step was taken at that fraction, from the (filtered) initial state.
+    # The first step was taken at that fraction, from the (filtered) initial
+    # state; it passes the first record point, so the second row carries it.
     start = GraphState(t=0.0, grid=grid, r=polar_filter(grid, initial.r))
     fields = geometry_from_graph(start, params_n2m2)
-    assert result.dts[0] == stable_dt(fields, params_n2m2, StepControl(safety=reported))
+    cols = result.arrays()
+    assert cols["t"][1] == cols["dt"][1]
+    assert cols["dt"][1] == stable_dt(fields, params_n2m2, StepControl(safety=reported))
 
 
 def test_run_writes_output_files(tmp_path, params_n2m1):
     out = str(tmp_path / "runout")
-    config = perturbed_config(
-        params_n2m1, t_end=0.2, snapshot_interval=0.1, output_dir=out
+    grid = make_grid("axisymmetric", 2, 48)
+    initial = perturbed_sphere_state(grid, 1.0, 2, 0.05)
+    interval = 10.0 * accuracy_dt(params_n2m1, initial)
+    config = make_config(
+        params_n2m1, initial, t_end=2.0 * interval, snapshot_interval=interval, output_dir=out
     )
     result = run(config)
     assert result.diagnostics_path == os.path.join(out, "diagnostics.csv")
@@ -750,11 +781,11 @@ def test_run_writes_output_files(tmp_path, params_n2m1):
     assert "snapshot_000001.csv" in names  # first interval crossing
     final = load_snapshot(os.path.join(out, "final_state.csv"))
     assert np.array_equal(final.r, result.final_state.r)
-    # rkc's tenth step of 0.01 lands a rounding error short of t = 0.1; it
+    # rkc's tenth step lands within a rounding error of the interval; it
     # takes that snapshot, and the next step does not take it again.
     snapshots = sorted(name for name in names if name.startswith("snapshot_"))
     times = [load_snapshot(os.path.join(out, name)).t for name in snapshots]
-    assert times == pytest.approx([0.0, 0.1, 0.2], abs=1e-12)
+    assert times == pytest.approx([0.0, interval, 2.0 * interval], abs=1e-12)
 
 
 def test_resume_from_snapshot_matches_uninterrupted_run(tmp_path, params_n2m1):
@@ -763,10 +794,84 @@ def test_resume_from_snapshot_matches_uninterrupted_run(tmp_path, params_n2m1):
 
     whole = run(make_config(params_n2m1, initial, t_end=0.3))
 
+    # Leg 1 stops after four whole accuracy steps, on the uninterrupted run's step grid.
     out = str(tmp_path / "leg1")
-    leg1 = run(make_config(params_n2m1, initial, t_end=0.15, output_dir=out))
+    leg1_end = 4.0 * accuracy_dt(params_n2m1, initial)
+    leg1 = run(make_config(params_n2m1, initial, t_end=leg1_end, output_dir=out))
     resumed_state = load_snapshot(os.path.join(out, "final_state.csv"))
     leg2 = run(make_config(params_n2m1, resumed_state, t_end=0.3))
 
     assert leg2.final_state.t == pytest.approx(whole.final_state.t, abs=1e-12)
     assert np.max(np.abs(leg2.final_state.r - whole.final_state.r)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The linearized rate about the limit sphere
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, m, beta, r0",
+    [
+        (2, 1, 1.0, 1.0),
+        (3, 2, 1.0, 1.0),
+        (2, 2, 1.0, 1.0),
+        (2, 2, 1.5, 1.0),
+        (3, 3, 1.0 / 3.0, 1.0),
+        (2, 2, 1.0, 0.5),
+    ],
+)
+def test_decay_rate_converges_to_the_predicted_rate(n, m, beta, r0):
+    # f_max is quadratic in the perturbation, so it decays at 2 mu_2.  At
+    # amplitude 0.002 r0 the amplitude term is below the grid's h^2 term, so
+    # the residual fit / predicted - 1 falls with the grid at second order.
+    params = FlowParams(n=n, m=m, beta=beta, ac=AmbientCurvature(kappa=-1.0))
+    residuals = []
+    for n_theta in (64, 128):
+        initial = perturbed_sphere_state(make_grid("axisymmetric", n, n_theta), r0, 2, 0.002 * r0)
+        summary = run(make_config(params, initial, t_end=50.0)).summary
+        assert summary["status"] == "converged"
+        residuals.append(summary["decay_fit"]["rate"] / summary["predicted_rate"] - 1.0)
+    assert abs(residuals[1]) <= 1e-3, residuals
+    assert abs(residuals[0]) >= 3.0 * abs(residuals[1]), residuals
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
+def test_runs_are_scale_covariant(n, m):
+    # With kappa = -a^2 the flow from (r0 / a, amplitude / a) is the kappa = -1
+    # flow with lengths over a and times over a^(m beta + 1).  Heun's
+    # stable_dt and rkc's 0.05 / mu_2 both carry that time scale.
+    a = 2.0
+    grid = make_grid("axisymmetric", n, 32)
+    finals = {}
+    for kappa in (-1.0, -a * a):
+        scale = math.sqrt(-kappa)
+        params = FlowParams(n=n, m=m, beta=1.0, ac=AmbientCurvature(kappa=kappa))
+        initial = perturbed_sphere_state(grid, 1.0 / scale, 2, 0.05 / scale)
+        for scheme in ("heun", "rkc"):
+            result = run(
+                make_config(
+                    params, initial, t_end=1.0 / scale ** (params.mbeta + 1.0),
+                    control=StepControl(scheme=scheme),
+                )
+            )
+            finals[kappa, scheme] = (result.n_steps, scale * result.final_state.r)
+    heun, heun_scaled = finals[-1.0, "heun"], finals[-a * a, "heun"]
+    assert heun[0] == heun_scaled[0]
+    assert np.array_equal(heun[1], heun_scaled[1])
+    rkc, rkc_scaled = finals[-1.0, "rkc"], finals[-a * a, "rkc"]
+    assert rkc[0] == rkc_scaled[0]
+    assert float(np.max(np.abs(rkc[1] - rkc_scaled[1]))) <= 1e-14
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (2, 2)])
+def test_rkc_takes_fewer_evaluations_than_heun_on_a_large_sphere(n, m):
+    # About r0 = 3 the accuracy step is about 1.2-2.5, far past Heun's
+    # stable_dt, so rkc spends its stages on long steps.
+    params = FlowParams(n=n, m=m, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
+    initial = perturbed_sphere_state(make_grid("axisymmetric", n, 64), 3.0, 2, 0.05)
+    evaluations = {}
+    for scheme in ("heun", "rkc"):
+        config = make_config(params, initial, t_end=50.0, control=StepControl(scheme=scheme))
+        evaluations[scheme] = run(config).summary["rhs_evaluations"]
+    assert evaluations["rkc"] < evaluations["heun"], evaluations
