@@ -81,19 +81,17 @@ def _main(argv) -> int:
         args.variant, args.n_theta, config.t_end, args.output,
     )
     result = run(config)
+    summary = result.summary
+    verdict = analyze_diagnostics(summary["params"], result.recorder.arrays())
 
-    p = result.params
-    meta = {"n": p.n, "m": p.m, "beta": float(p.beta), "kappa": float(p.ac.kappa)}
-    verdict = analyze_diagnostics(meta, result.arrays())
-
-    print(f"status            {result.status} after {result.n_steps} steps")
+    print(f"status            {summary['status']} after {summary['n_steps']} steps")
     print(f"volume drift      {verdict['volume_drift']:.3e}")
     print(f"Qtilde monotone   {verdict['monotone_Qtilde']}")
     print(f"decay rate        {verdict['decay_rate']:.4f} (r^2 {verdict['r_squared']:.6f})")
     print(f"bounds respected  {verdict['bounds_respected']}")
-    print(f"outputs           {result.diagnostics_path}")
+    print(f"outputs           {args.output}")
     ok = (
-        result.converged
+        summary["converged"]
         and verdict["monotone_Qtilde"]
         and verdict["bounds_respected"]
         and verdict["volume_drift"] < 1e-4

@@ -42,7 +42,7 @@ def stability_margin(config: RunConfig, step: float = STEP) -> dict:
         columns.append(((up - down) / (2.0 * step)).ravel())
     eigenvalues = np.linalg.eigvals(np.stack(columns, axis=1))
     rho = float(np.abs(eigenvalues).max())
-    dt = stable_dt(geometry_from_graph(state, params), params, config.control)
+    dt = stable_dt(geometry_from_graph(state, params), params)
     return {
         "rho": rho,
         "stable_dt": dt,

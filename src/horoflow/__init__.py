@@ -33,7 +33,6 @@ from .errors import (
 from .flow import (
     FlowResult,
     RunConfig,
-    StepControl,
     flow_rhs,
     run,
     stable_dt,
@@ -108,7 +107,6 @@ __all__ = [
     "RootFindingError",
     "RunConfig",
     "SphereTrajectory",
-    "StepControl",
     "StiffnessError",
     "analyze_diagnostics",
     "ball_volume",

@@ -43,7 +43,7 @@ from .errors import (
     RootFindingError,
     StiffnessError,
 )
-from .flow import RunConfig, StepControl
+from .flow import RunConfig
 from .graphgeom import make_grid
 from .hypergeom import AmbientCurvature
 
@@ -135,8 +135,6 @@ _KNOWN_KEYS = {
     "initial.amplitude",
     "initial.mode_phi",
     "initial.snapshot",
-    "control.safety",
-    "control.dt_min",
     "flow.t_end",
     "flow.f_tol",
     "flow.record_interval",
@@ -198,10 +196,8 @@ def config_from_values(values: dict) -> RunConfig:
         mode_phi = number("initial.mode_phi", 0, integer=True) or 0
     if shape == "custom":
         snapshot = _read_snapshot(take("initial.snapshot"), problems)
-
-    # An absent control.safety stays None: the grid mode's default.
-    safety = number("control.safety") if "control.safety" in values else None
-    dt_min = number("control.dt_min", StepControl.dt_min)
+    if shape in INITIAL_SHAPES:
+        problems += _unread_keys(values, shape, mode)
 
     t_end = number("flow.t_end", 10.0)
     f_tol = number("flow.f_tol", RunConfig.f_tol)
@@ -223,7 +219,6 @@ def config_from_values(values: dict) -> RunConfig:
     problems += graphgeom.grid_problems(mode, n, n_theta, n_phi)
     if shape in ("sphere", "perturbed_sphere"):
         problems += graphgeom.initial_problems(mode, n_theta, r0, mode_l, amplitude, mode_phi)
-    problems += StepControl.problems(safety, dt_min)
     if snapshot is not None:
         r_max = float(snapshot.r.max())
     elif r0 is not None:  # r0 + |amplitude| bounds the perturbed profile
@@ -250,14 +245,9 @@ def config_from_values(values: dict) -> RunConfig:
                 )
         except DomainError as exc:  # the profile overflows a float
             raise ConfigurationError([f"initial.shape = {shape} is not representable: {exc}"])
-    control = StepControl(
-        safety=None if safety is None else float(safety),
-        dt_min=float(dt_min),
-    )
     return RunConfig(
         params=params,
         initial=initial,
-        control=control,
         t_end=float(t_end),
         record_interval=float(record_interval),
         snapshot_interval=float(snapshot_interval) if snapshot_interval else None,
@@ -266,6 +256,27 @@ def config_from_values(values: dict) -> RunConfig:
         constants_samples=constants_samples,
         constants_seed=constants_seed,
     )
+
+
+def _unread_keys(values: dict, shape: str, mode) -> list[str]:
+    """A problem for each key set that a run of this shape and grid mode never reads."""
+    why = {}
+    if shape != "perturbed_sphere":
+        why.update(dict.fromkeys(
+            ("initial.mode_l", "initial.amplitude", "initial.mode_phi"),
+            f"only initial.shape = perturbed_sphere reads it, not {shape}",
+        ))
+    if shape == "custom":
+        why["initial.r0"] = "initial.shape = custom takes its radii from the snapshot"
+        why.update(dict.fromkeys(
+            (key for key in _KNOWN_KEYS if key.startswith("grid.")),
+            "initial.shape = custom takes its grid from the snapshot",
+        ))
+    else:
+        why["initial.snapshot"] = f"only initial.shape = custom reads it, not {shape}"
+        if mode != "full2d":
+            why["grid.n_phi"] = f"only grid.mode = full2d reads it, not {mode}"
+    return [f"{key} is never read: {why[key]}" for key in sorted(values.keys() & why.keys())]
 
 
 def _read_snapshot(path, problems: list[str]):

@@ -96,48 +96,15 @@ R_OSCILLATION_RTOL = 1.0e-8
 
 DEFAULT_MAX_STEPS = 2_000_000
 
-# Default step fraction (the safety in stable_dt) per grid mode.  On the
+# Step fraction (the safety in stable_dt) per grid mode.  On the
 # finite-difference Jacobians of flow_rhs measured (see the README) the
 # spectrum is real, or nearly so, and rho * dt_1, rho times stable_dt at
 # safety 1, peaks at 3.49 axisymmetric and 5.57 on full2d, so these run
 # Heun at rho * dt <= 1.40 and 1.11, where 2 is stable.
-DEFAULT_SAFETY = {"axisymmetric": 0.4, "full2d": 0.2}
+SAFETY = {"axisymmetric": 0.4, "full2d": 0.2}
 
-
-@dataclass(frozen=True)
-class StepControl:
-    """Explicit time-stepper knobs: the scheme, the step fraction and the dt floor.
-
-    safety multiplies the trace bound min_spacing^2 / max trace(dF) of
-    stable_dt; None takes the grid mode's DEFAULT_SAFETY.  Heun steps at
-    stable_dt; rkc steps at RKC_ACCURACY / mu_2, or less where t_end asks for
-    it, with the stages that stable_dt asks for.  scheme is no config key:
-    heun is the reference that tests compare rkc against.
-    """
-
-    scheme: str = "rkc"
-    safety: float | None = None
-    dt_min: float = 1.0e-10
-
-    def __post_init__(self):
-        problems = self.problems(self.safety, self.dt_min)
-        if self.scheme not in SCHEMES:
-            problems.append(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
-        ConfigurationError.raise_if(problems)
-
-    @staticmethod
-    def problems(safety, dt_min) -> list[str]:
-        """The rules on the control.* keys."""
-        problems = []
-        if safety is not None and not 0.0 < safety <= 1.0:
-            problems.append(f"control.safety must be in (0, 1], got {safety}")
-        if dt_min is not None and not dt_min > 0.0:
-            problems.append(f"control.dt_min must be positive, got {dt_min}")
-        return problems
-
-    def safety_for(self, mode: str) -> float:
-        """The step fraction a run on a grid of this mode uses."""
-        return DEFAULT_SAFETY[mode] if self.safety is None else self.safety
+# Floor of stable_dt; STIFFNESS_PATIENCE steps pinned at it abort the run.
+DT_MIN = 1.0e-10
 
 
 @dataclass(frozen=True)
@@ -148,12 +115,15 @@ class RunConfig:
     every record_interval of flow time; snapshots (every snapshot_interval)
     and the output files are written only when output_dir is set.  The
     pinching constants are solved at constants_samples cone samples.
+    scheme is no config key: Heun steps at stable_dt and is the reference
+    that tests compare rkc against; rkc steps at RKC_ACCURACY / mu_2, or less
+    where t_end asks for it, with the stages that stable_dt asks for.
     """
 
     params: FlowParams
     initial: GraphState
     t_end: float
-    control: StepControl = StepControl()
+    scheme: str = "rkc"
     record_interval: float = 0.002
     snapshot_interval: float | None = None
     f_tol: float = 1e-8
@@ -162,13 +132,14 @@ class RunConfig:
     constants_seed: int = 0
 
     def __post_init__(self):
-        ConfigurationError.raise_if(
-            self.problems(
-                self.params.n, self.initial.grid.n, self.t_end, self.record_interval,
-                self.snapshot_interval, self.f_tol, self.constants_samples, self.constants_seed,
-                self.params.ac.kappa, float(self.initial.r.max()),
-            )
+        problems = self.problems(
+            self.params.n, self.initial.grid.n, self.t_end, self.record_interval,
+            self.snapshot_interval, self.f_tol, self.constants_samples, self.constants_seed,
+            self.params.ac.kappa, float(self.initial.r.max()),
         )
+        if self.scheme not in SCHEMES:
+            problems.append(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
+        ConfigurationError.raise_if(problems)
 
     @staticmethod
     def problems(
@@ -243,7 +214,7 @@ def flow_rhs(state: GraphState, params: FlowParams) -> np.ndarray:
     return _stage_rate(state.grid, geometry_from_graph(state, params))
 
 
-def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) -> float:
+def stable_dt(fields: GeometryFields, params: FlowParams) -> float:
     """Parabolic stability step from the linearized diffusion scale.
 
     The linearization of the speed in the radial Hessian has directional
@@ -251,14 +222,14 @@ def stable_dt(fields: GeometryFields, params: FlowParams, control: StepControl) 
     over the induced metric factors; their sum (the gradient trace) bounds
     the largest eigenvalue including the pole-regularized azimuthal cells,
     so dt = safety * (min induced spacing)^2 / max_nodes trace(dF), with the
-    trace in closed form on the fields' pair spectrum and safety resolved for
-    the fields' grid mode, floored at control.dt_min.
+    trace in closed form on the fields' pair spectrum and safety the fields'
+    grid mode's SAFETY, floored at DT_MIN.
     """
     scale = float(speed_gradient(fields.spectrum, params, trace=True).max())
     if not math.isfinite(scale) or scale <= 0.0:
         raise DomainError("diffusion scale must be positive and finite")
-    dt = control.safety_for(fields.mode) * fields.min_spacing**2 / scale
-    return float(max(dt, control.dt_min))
+    dt = SAFETY[fields.mode] * fields.min_spacing**2 / scale
+    return float(max(dt, DT_MIN))
 
 
 def _advance(state: GraphState, r_new: np.ndarray, dt: float) -> GraphState:
@@ -273,7 +244,6 @@ def _advance(state: GraphState, r_new: np.ndarray, dt: float) -> GraphState:
 def step(
     state: GraphState,
     params: FlowParams,
-    control: StepControl,
     fields: GeometryFields | None = None,
     dt: float | None = None,
 ) -> GraphState:
@@ -284,7 +254,7 @@ def step(
     if fields is None:
         fields = geometry_from_graph(state, params)
     if dt is None:
-        dt = stable_dt(fields, params, control)
+        dt = stable_dt(fields, params)
     k1 = _stage_rate(state.grid, fields)
     trial = _advance(state, state.r + dt * k1, dt)
     k2 = _stage_rate(state.grid, geometry_from_graph(trial, params))
@@ -414,29 +384,16 @@ def pinching_constants_cached(params: FlowParams, n_samples: int, seed: int) -> 
 
 @dataclass
 class FlowResult:
-    """What a finished run produced.
+    """What a finished run produced: its last state, its diagnostics rows, and its account.
 
-    status is "converged", "t_end" or "max_steps"; v0 is the initial enclosed
-    volume; summary is the run's account (see run), and diagnostics_path the
-    CSV written to output_dir (None without one).  An aborted run returns no
-    FlowResult: its error carries the summary instead.
+    summary is the run's one account (see run): its status, step count and
+    initial volume among the rest.  An aborted run returns no FlowResult:
+    its error carries the summary instead.
     """
 
-    params: FlowParams
     final_state: GraphState
     recorder: DiagnosticsRecorder
-    status: str
-    n_steps: int
-    v0: float
     summary: dict
-    diagnostics_path: str | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
-    def arrays(self):
-        return self.recorder.arrays()
 
 
 def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
@@ -453,7 +410,6 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     state at the exit taken; README's summary.json entry lists its keys.
     """
     params = config.params
-    control = config.control
     state = config.initial
     # A full2d state holds only the wavenumbers the polar filter keeps:
     # content above K_j would never decay, since every rate is filtered.
@@ -496,8 +452,8 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
                 "min": float(steps.min()),
                 "median": float(np.median(steps)),
                 "max": float(steps.max()),
-                "safety": control.safety_for(state.grid.mode),
-                "scheme": control.scheme,
+                "safety": SAFETY[state.grid.mode],
+                "scheme": config.scheme,
                 "stages": {
                     "min": int(counts.min()),
                     "median": float(np.median(counts)),
@@ -583,19 +539,19 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
                 status = "max_steps"
                 break
 
-            dt_stable = stable_dt(fields, params, control)
-            if dt_stable <= control.dt_min * (1.0 + 1e-12):
+            dt_stable = stable_dt(fields, params)
+            if dt_stable <= DT_MIN * (1.0 + 1e-12):
                 stiff_streak += 1
                 if stiff_streak >= STIFFNESS_PATIENCE:
                     raise StiffnessError(
-                        f"dt pinned at dt_min = {control.dt_min:g} for "
+                        f"dt pinned at dt_min = {DT_MIN:g} for "
                         f"{stiff_streak} consecutive steps at t = {state.t:.6g}"
                     )
             else:
                 stiff_streak = 0
-            if control.scheme == "heun":
+            if config.scheme == "heun":
                 dt = min(dt_stable, config.t_end - state.t)
-                state = step(state, params, control, fields=fields, dt=dt)
+                state = step(state, params, fields=fields, dt=dt)
                 stages = 2
             else:
                 dt = min(dt_accurate, config.t_end - state.t)
@@ -641,19 +597,9 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
     if recorder.records[-1].t != state.t:
         observe(state, fields, last_dt)
 
-    result = FlowResult(
-        params=params,
-        final_state=state,
-        recorder=recorder,
-        status=status,
-        n_steps=n_steps,
-        v0=v0,
-        summary=summary(status, stop=stop),
-    )
+    result = FlowResult(final_state=state, recorder=recorder, summary=summary(status, stop=stop))
     if out_dir:
-        csv_path = os.path.join(out_dir, "diagnostics.csv")
-        recorder.write_csv(csv_path)
-        result.diagnostics_path = csv_path
+        recorder.write_csv(os.path.join(out_dir, "diagnostics.csv"))
         save_snapshot(state, os.path.join(out_dir, "final_state.csv"))
         _write_summary(out_dir, result.summary)
     return result

@@ -32,6 +32,7 @@ of the coordinate metric live entirely in the quadrature weights.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -392,29 +393,21 @@ class GeometryFields:
     axisymmetric (lam_theta, lam_azim) or the full2d eigenvalue pair
     (lo, hi).  lam is the (N, n) principal-curvature spectrum, ascending in
     each row, built from it on first read, and settable.  mode is the grid's
-    mode, which sets the default step fraction of flow.stable_dt.
+    mode, which sets the step fraction of flow.stable_dt.
     """
 
     s: np.ndarray
     xi_norm: np.ndarray
-    H: np.ndarray
     F: np.ndarray
     Phi: np.ndarray
     area_weight: np.ndarray
     min_spacing: float
     spectrum: PairSpectrum
     mode: str
-    _lam: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @functools.cached_property
     def lam(self) -> np.ndarray:
-        if self._lam is None:
-            self._lam = self.spectrum.sorted()
-        return self._lam
-
-    @lam.setter
-    def lam(self, value: np.ndarray) -> None:
-        self._lam = value
+        return self.spectrum.sorted()
 
 
 def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields:
@@ -435,9 +428,7 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
         lam_theta, lam_azim, xi, s, _c = axisym_pointwise_curvatures(r, rp, rpp, azim, params.ac)
         spectrum = PairSpectrum(lam_theta, lam_azim, n)
         min_spacing = grid.spacing_theta * float(xi.min())
-        return _scalar_fields(
-            state, params, speed(spectrum, params), spectrum.esym(1), xi, s, min_spacing, spectrum
-        )
+        return _scalar_fields(state, params, speed(spectrum, params), xi, s, min_spacing, spectrum)
 
     # full2d, entry by entry: g = Dr Dr^T + s^2 I, g^-1 = P / s^2 with
     # P = I - Dr Dr^T / |xi|^2, h = -(s D2r - s^2 c I - 2 c Dr Dr^T) / |xi|
@@ -472,7 +463,7 @@ def geometry_from_graph(state: GraphState, params: FlowParams) -> GeometryFields
     spectrum = PairSpectrum((tr - disc) / 2.0, (tr + disc) / 2.0, n)
     theta_spacing, phi_spacing = _full2d_spacings(grid, aa, bb, ss)
     min_spacing = float(min(theta_spacing.min(), phi_spacing.min()))
-    return _scalar_fields(state, params, speed(spectrum, params), tr, xi, s, min_spacing, spectrum)
+    return _scalar_fields(state, params, speed(spectrum, params), xi, s, min_spacing, spectrum)
 
 
 def _full2d_spacings(grid: GridSpec, aa, bb, ss):
@@ -505,11 +496,10 @@ def dt_limit(state: GraphState, fields: GeometryFields) -> dict:
     return {"node": node, "direction": direction, "spacing": float(spacings[direction][node])}
 
 
-def _scalar_fields(state, params, F, H, xi, s, min_spacing, spectrum) -> GeometryFields:
+def _scalar_fields(state, params, F, xi, s, min_spacing, spectrum) -> GeometryFields:
     return GeometryFields(
         s=s,
         xi_norm=xi,
-        H=H,
         F=F,
         Phi=s * s / xi,
         area_weight=s ** (params.n - 1) * xi * state.grid.weights,

@@ -21,7 +21,6 @@ from horoflow import (
     FlowParams,
     GraphState,
     RunConfig,
-    StepControl,
     analyze_diagnostics,
     ball_volume,
     contraction_residual,
@@ -62,69 +61,68 @@ def make_params(n, m, beta, kappa=-1.0):
 
 # The criteria's scenario runs step with Heun, the reference; the rkc runs
 # below are held to the same verdicts and to Heun's decay rates.
-HEUN = StepControl(scheme="heun")
-RKC = StepControl(scheme="rkc")
-
-
-def scenario_config(params, n_theta, t_end, control, output_dir=None, snapshot_interval=None):
+def scenario_config(params, n_theta, t_end, scheme, output_dir=None, snapshot_interval=None):
     grid = make_grid("axisymmetric", params.n, n_theta)
     return RunConfig(
         params=params,
         initial=perturbed_sphere_state(grid, 1.0, 2, 0.05),
         t_end=t_end,
-        control=control,
+        scheme=scheme,
         snapshot_interval=snapshot_interval,
         output_dir=output_dir,
         constants_samples=CONSTANTS_SAMPLES,
     )
 
 
-def full2d_config(control):
+def full2d_config(scheme):
     """n2m2 on a 16 x 32 full2d grid, perturbed by the l = 2, mode_phi = 2 harmonic."""
     grid = make_grid("full2d", 2, 16, 32)
     return RunConfig(
         params=make_params(2, 2, 1.0),
         initial=perturbed_sphere_state(grid, 1.0, 2, 0.05, mode_phi=2),
         t_end=10.0,
-        control=control,
+        scheme=scheme,
         constants_samples=CONSTANTS_SAMPLES,
     )
 
 
 def verdict_for(result):
-    p = result.params
-    meta = {"n": p.n, "m": p.m, "beta": float(p.beta), "kappa": float(p.ac.kappa)}
-    return analyze_diagnostics(meta, result.arrays())
+    return analyze_diagnostics(result.summary["params"], result.recorder.arrays())
 
 
 @pytest.fixture(scope="module")
-def standard_run(tmp_path_factory):
+def standard_out(tmp_path_factory):
+    """The standard scenario's output directory."""
+    return str(tmp_path_factory.mktemp("standard"))
+
+
+@pytest.fixture(scope="module")
+def standard_run(standard_out):
     """Standard scenario: n=2, m=1, beta=1, kappa=-1, N=256, snapshots hourly."""
-    out = str(tmp_path_factory.mktemp("standard"))
-    result = run(scenario_config(make_params(2, 1, 1.0), 256, 16.0, HEUN,
-                                 output_dir=out, snapshot_interval=1.0))
-    assert result.status == "converged", result.status
+    result = run(scenario_config(make_params(2, 1, 1.0), 256, 16.0, "heun",
+                                 output_dir=standard_out, snapshot_interval=1.0))
+    assert result.summary["status"] == "converged", result.summary["status"]
     return result
 
 
 @pytest.fixture(scope="module")
 def standard_run_n128():
-    result = run(scenario_config(make_params(2, 1, 1.0), 128, 16.0, HEUN))
-    assert result.status == "converged", result.status
+    result = run(scenario_config(make_params(2, 1, 1.0), 128, 16.0, "heun"))
+    assert result.summary["status"] == "converged", result.summary["status"]
     return result
 
 
 @pytest.fixture(scope="module")
 def variant_n3m2():
-    result = run(scenario_config(make_params(3, 2, 1.0), 256, 6.0, HEUN))
-    assert result.status == "converged", result.status
+    result = run(scenario_config(make_params(3, 2, 1.0), 256, 6.0, "heun"))
+    assert result.summary["status"] == "converged", result.summary["status"]
     return result
 
 
 @pytest.fixture(scope="module")
 def variant_n2m2():
-    result = run(scenario_config(make_params(2, 2, 1.0), 256, 5.0, HEUN))
-    assert result.status == "converged", result.status
+    result = run(scenario_config(make_params(2, 2, 1.0), 256, 5.0, "heun"))
+    assert result.summary["status"] == "converged", result.summary["status"]
     return result
 
 
@@ -251,7 +249,7 @@ def test_criterion_02_geometry():
         state = perturbed_sphere_state(make_grid("axisymmetric", n, 256), 1.0, 2, 0.05)
         fields = geometry_from_graph(state, params)
         direct = mean_curvature_direct(state, params)
-        dual_err = max(dual_err, float(np.max(np.abs(direct - fields.H))))
+        dual_err = max(dual_err, float(np.max(np.abs(direct - fields.spectrum.esym(1)))))
 
     params = make_params(2, 1, 1.0)
     errors = [lam_error_vs_analytic(k, params) for k in (128, 256, 512)]
@@ -273,9 +271,8 @@ def test_criterion_02_geometry():
 def test_criterion_03_equilibrium():
     params = make_params(2, 1, 1.0)
     state = sphere_state(make_grid("axisymmetric", 2, 256), 1.0)
-    control = StepControl()
     for _ in range(10_000):
-        state = step(state, params, control)
+        state = step(state, params)
     drift = float(np.max(np.abs(state.r - 1.0)))
     ok = drift < 1e-10
     assert record_acceptance(3, ok, f"sup-norm drift {drift:.2e} after 1e4 steps")
@@ -288,7 +285,7 @@ def test_criterion_03_equilibrium():
 
 def test_criterion_04_volume(standard_run, standard_run_n128):
     def drift_of(result):
-        v = result.arrays()["V"]
+        v = result.recorder.arrays()["V"]
         return float(np.max(np.abs(v - v[0])) / abs(v[0]))
 
     drift_256 = drift_of(standard_run)
@@ -296,7 +293,7 @@ def test_criterion_04_volume(standard_run, standard_run_n128):
     # At N >= 128 the drift sits within a decade of the rounding floor
     # (~2e-13 relative), so the refinement ratio is measured on the 64 -> 128
     # doubling, the finest pair where truncation still dominates.
-    drift_64 = drift_of(run(scenario_config(make_params(2, 1, 1.0), 64, 16.0, HEUN)))
+    drift_64 = drift_of(run(scenario_config(make_params(2, 1, 1.0), 64, 16.0, "heun")))
     ratio = drift_64 / drift_128
     ok = drift_256 <= 1e-4 and drift_128 <= 1e-4 and ratio >= 3.0
     detail = (
@@ -343,9 +340,10 @@ def test_criterion_07_bounds(standard_run, variant_n3m2, variant_n2m2):
     results = {"n2m1": standard_run, "n3m2": variant_n3m2, "n2m2": variant_n2m2}
     checks = {}
     for name, result in results.items():
-        cols = result.arrays()
-        mbeta = result.params.mbeta
-        floor = result.params.a**mbeta - 1e-8
+        cols = result.recorder.arrays()
+        p = result.summary["params"]
+        params = make_params(p["n"], p["m"], p["beta"], p["kappa"])
+        floor = params.a**params.mbeta - 1e-8
         checks[name] = bool(
             np.all(cols["Fmin"] >= floor)
             and np.all(cols["Htilde_min"] > 0.0)
@@ -362,7 +360,7 @@ def test_criterion_07_bounds(standard_run, variant_n3m2, variant_n2m2):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_08_oracles(standard_run):
+def test_criterion_08_oracles(standard_run, standard_out):
     residual = 0.0
     for n, m, beta in TRIPLES:
         params = make_params(n, m, beta)
@@ -383,11 +381,10 @@ def test_criterion_08_oracles(standard_run):
 
     grid = standard_run.final_state.grid
     cell = grid.spacing_theta * math.cosh(float(np.max(standard_run.final_state.r)))
-    v0 = standard_run.v0
+    v0 = standard_run.summary["volume_initial"]
     lower = xi_comparison(psi_inverse(v0, params), params) - 2.0 * cell
     upper = psi_inverse(v0, params) + 2.0 * cell
-    snapshots = sorted(glob(os.path.join(os.path.dirname(standard_run.diagnostics_path),
-                                         "snapshot_*.csv")))
+    snapshots = sorted(glob(os.path.join(standard_out, "snapshot_*.csv")))
     rho_ok = True
     rho_range = [math.inf, -math.inf]
     for path in snapshots:
@@ -464,7 +461,7 @@ def test_criterion_10_reproducibility(tmp_path):
     payloads = []
     for leg in ("a", "b"):
         out = str(tmp_path / leg)
-        run(scenario_config(params, 128, 1.0, HEUN, output_dir=out))
+        run(scenario_config(params, 128, 1.0, "heun", output_dir=out))
         with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
             payloads.append(fh.read())
     ok = payloads[0] == payloads[1] and len(payloads[0]) > 10_000
@@ -481,20 +478,20 @@ def test_criterion_10_reproducibility(tmp_path):
 def rkc_runs():
     """The three criterion scenarios and the 16 x 32 full2d case under rkc, to convergence."""
     runs = {
-        "n2m1": run(scenario_config(make_params(2, 1, 1.0), 256, 16.0, RKC)),
-        "n3m2": run(scenario_config(make_params(3, 2, 1.0), 256, 6.0, RKC)),
-        "n2m2": run(scenario_config(make_params(2, 2, 1.0), 256, 5.0, RKC)),
-        "full2d": run(full2d_config(RKC)),
+        "n2m1": run(scenario_config(make_params(2, 1, 1.0), 256, 16.0, "rkc")),
+        "n3m2": run(scenario_config(make_params(3, 2, 1.0), 256, 6.0, "rkc")),
+        "n2m2": run(scenario_config(make_params(2, 2, 1.0), 256, 5.0, "rkc")),
+        "full2d": run(full2d_config("rkc")),
     }
     for name, result in runs.items():
-        assert result.status == "converged", (name, result.status)
+        assert result.summary["status"] == "converged", (name, result.summary["status"])
     return runs
 
 
 @pytest.fixture(scope="module")
 def heun_full2d():
-    result = run(full2d_config(HEUN))
-    assert result.status == "converged", result.status
+    result = run(full2d_config("heun"))
+    assert result.summary["status"] == "converged", result.summary["status"]
     return result
 
 
@@ -520,7 +517,7 @@ def test_rkc_runs_are_reproducible(tmp_path):
     payloads = []
     for leg in ("a", "b"):
         out = str(tmp_path / leg)
-        run(scenario_config(params, 128, 2.0, RKC, output_dir=out))
+        run(scenario_config(params, 128, 2.0, "rkc", output_dir=out))
         with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
             payloads.append(fh.read())
     assert payloads[0] == payloads[1] and len(payloads[0]) > 10_000

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -31,7 +32,8 @@ from horoflow.cli import (
     read_config_text,
 )
 from horoflow.curvalg import DEFAULT_SAMPLES
-from horoflow.flow import RunConfig, run, scaled_radius_limit
+from horoflow import flow
+from horoflow.flow import FlowResult, RunConfig, run, scaled_radius_limit
 
 MINIMAL = {
     "params.n": 2,
@@ -40,6 +42,13 @@ MINIMAL = {
     "params.kappa": -1.0,
     "initial.shape": "sphere",
     "initial.r0": 1.0,
+}
+
+
+# A custom shape takes its radii and grid from initial.snapshot.
+CUSTOM = {
+    **{key: value for key, value in MINIMAL.items() if key != "initial.r0"},
+    "initial.shape": "custom",
 }
 
 
@@ -113,14 +122,11 @@ def test_minimal_config_defaults():
     assert config.params.n == 2
     assert config.initial.grid.mode == "axisymmetric"
     assert config.initial.grid.n_theta == 256
-    assert config.control.safety is None
-    assert config.control.safety_for(config.initial.grid.mode) == 0.4
-    assert config.control.dt_min == 1e-10
     assert config.t_end == 10.0
     assert config.f_tol == 1e-8
     assert config.record_interval == 0.002
     assert config.snapshot_interval is None
-    assert config.control.scheme == "rkc"
+    assert config.scheme == "rkc"
     assert config.output_dir is None
     assert config.constants_samples == DEFAULT_SAMPLES
     assert config.constants_seed == 0
@@ -158,6 +164,10 @@ def test_config_collects_all_problems_at_once():
         ("flow.renormalize_volume", True),
         # rkc's step comes from the limit sphere's slowest mode, not from a cap.
         ("control.dt_max", 1e-2),
+        # The step fraction is flow.SAFETY, a per-grid-mode constant, and the
+        # dt floor is flow.DT_MIN.
+        ("control.safety", 0.4),
+        ("control.dt_min", 1e-10),
     ],
 )
 def test_config_rejects_deleted_keys(key, value):
@@ -208,6 +218,38 @@ def test_config_azimuthal_order_above_mode_l():
     assert err.value.problems == ["initial.mode_phi must be <= initial.mode_l in magnitude, got 3, 2"]
 
 
+@pytest.mark.parametrize(
+    "shape, key, reason",
+    [
+        ("sphere", "initial.mode_l", "only initial.shape = perturbed_sphere reads it, not sphere"),
+        ("sphere", "initial.amplitude", "only initial.shape = perturbed_sphere reads it"),
+        ("sphere", "initial.mode_phi", "only initial.shape = perturbed_sphere reads it"),
+        ("custom", "initial.mode_l", "only initial.shape = perturbed_sphere reads it, not custom"),
+        ("custom", "initial.r0", "takes its radii from the snapshot"),
+        ("custom", "grid.mode", "takes its grid from the snapshot"),
+        ("custom", "grid.n_theta", "takes its grid from the snapshot"),
+        ("custom", "grid.n_phi", "takes its grid from the snapshot"),
+        ("sphere", "initial.snapshot", "only initial.shape = custom reads it, not sphere"),
+        ("perturbed_sphere", "initial.snapshot", "only initial.shape = custom reads it"),
+        ("sphere", "grid.n_phi", "only grid.mode = full2d reads it, not axisymmetric"),
+        ("perturbed_sphere", "grid.n_phi", "only grid.mode = full2d reads it"),
+    ],
+)
+def test_config_rejects_keys_the_run_never_reads(tmp_path, shape, key, reason):
+    # Each value is junk: the key is rejected before its value would be read.
+    values = {"sphere": MINIMAL, "perturbed_sphere": _PERTURBED, "custom": CUSTOM}[shape]
+    if shape == "custom":
+        snap = str(tmp_path / "start.csv")
+        save_snapshot(perturbed_sphere_state(make_grid("axisymmetric", 2, 16), 1.0, 2, 0.05), snap)
+        values = {**values, "initial.snapshot": snap}
+    raw = "axisymmetric" if key == "grid.mode" else 16 if key == "grid.n_theta" else "junk"
+    with pytest.raises(ConfigurationError) as err:
+        config_from_values({**values, key: raw})
+    assert len(err.value.problems) == 1, err.value.problems
+    (problem,) = err.value.problems
+    assert problem.startswith(f"{key} is never read: ") and reason in problem, problem
+
+
 def test_config_snapshot_interval_zero_disables():
     config = config_from_values({**MINIMAL, "flow.snapshot_interval": 0})
     assert config.snapshot_interval is None
@@ -221,7 +263,6 @@ def test_config_snapshot_interval_zero_disables():
         ("flow.t_end", "inf"),
         ("flow.t_end", "nan"),
         ("flow.record_interval", "nan"),
-        ("control.dt_min", "inf"),
         ("flow.f_tol", "inf"),
         ("flow.snapshot_interval", "nan"),
         ("flow.snapshot_interval", "inf"),
@@ -256,8 +297,8 @@ def test_config_bounds_the_radius_below_double_overflow(kappa):
     result = run(under, max_steps=5)
     # mu_2 is below 1e-140 about so large a sphere, so rkc's step, 0.05 / mu_2,
     # is cut to t_end: one step covers the run.
-    assert result.status == "t_end" and result.n_steps == 1
-    cols = result.arrays()
+    assert result.summary["status"] == "t_end" and result.summary["n_steps"] == 1
+    cols = result.recorder.arrays()
     for name in set(cols) - {"Qtilde_min", "f_max"}:  # undefined where lam - a rounds to 0
         assert np.all(np.isfinite(cols[name])), name
     with pytest.raises(ConfigurationError) as err:
@@ -270,28 +311,10 @@ def test_config_custom_snapshot(tmp_path):
     state = perturbed_sphere_state(make_grid("axisymmetric", 2, 48), 1.0, 2, 0.05)
     snap = str(tmp_path / "start.csv")
     save_snapshot(state, snap)
-    config = config_from_values(
-        {
-            "params.n": 2,
-            "params.m": 1,
-            "params.beta": 1.0,
-            "params.kappa": -1.0,
-            "initial.shape": "custom",
-            "initial.snapshot": snap,
-        }
-    )
+    config = config_from_values({**CUSTOM, "initial.snapshot": snap})
     assert np.array_equal(config.initial.r, state.r)
     with pytest.raises(ConfigurationError) as err:
-        config_from_values(
-            {
-                "params.n": 3,
-                "params.m": 1,
-                "params.beta": 1.0,
-                "params.kappa": -1.0,
-                "initial.shape": "custom",
-                "initial.snapshot": snap,
-            }
-        )
+        config_from_values({**CUSTOM, "params.n": 3, "initial.snapshot": snap})
     assert any("does not match params.n" in p for p in err.value.problems)
     junk = tmp_path / "junk.csv"
     junk.write_text("not a snapshot\n1,2\n")
@@ -300,7 +323,7 @@ def test_config_custom_snapshot(tmp_path):
     one_column.write_text("# horoflow-grid v1, mode=axisym, n=2, t=0.0\n" + thetas)
     for path in (str(tmp_path), str(junk), str(one_column), str(tmp_path / "absent.csv")):
         with pytest.raises(ConfigurationError) as err:
-            config_from_values({**MINIMAL, "initial.shape": "custom", "initial.snapshot": path})
+            config_from_values({**CUSTOM, "initial.snapshot": path})
         assert [p.split()[0] for p in err.value.problems] == ["initial.snapshot"]
 
 
@@ -455,7 +478,8 @@ def test_run_max_steps_flag(tmp_path, capsys):
     assert summary["n_steps"] == 3
 
 
-def test_run_stiff_config_exits_numerical(tmp_path, capsys):
+def test_run_stiff_config_exits_numerical(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(flow, "DT_MIN", 1e-3)
     path = write_config(
         tmp_path,
         **{
@@ -463,7 +487,6 @@ def test_run_stiff_config_exits_numerical(tmp_path, capsys):
             "initial.shape": "perturbed_sphere",
             "initial.mode_l": 2,
             "initial.amplitude": 0.01,
-            "control.dt_min": 1e-3,
             "flow.t_end": 10.0,
             "constants.n_samples": 2000,
         },
@@ -629,6 +652,15 @@ def test_readme_lists_every_summary_key(finished_run):
         keys.append(match.group(1))
     _out_dir, summary = finished_run
     assert sorted(keys) == sorted(summary)
+
+
+def test_readme_names_every_flow_result_field():
+    # The README's FlowResult sentence names each field, in backquotes, and nothing else.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    sentence = text[text.index("`run` returns a `FlowResult`"):].split(". ", 1)[0]
+    named = re.findall(r"`(\w+)`", sentence)[2:]
+    assert sorted(named) == sorted(field.name for field in dataclasses.fields(FlowResult))
 
 
 def test_analyze_headerless_needs_flags(tmp_path, capsys):

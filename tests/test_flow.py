@@ -20,7 +20,6 @@ from horoflow import (
     NumericalBlowupError,
     ParabolicityLostError,
     RunConfig,
-    StepControl,
     StiffnessError,
     flow,
     flow_rhs,
@@ -83,15 +82,9 @@ def diagnostics_dts(path):
 # ---------------------------------------------------------------------------
 
 
-def test_step_control_validation():
-    with pytest.raises(DomainError):
-        StepControl(safety=0.0)
-    with pytest.raises(DomainError):
-        StepControl(safety=1.5)
-    with pytest.raises(DomainError, match="control.dt_min must be positive"):
-        StepControl(dt_min=0.0)
+def test_step_control_validation(params_n2m1):
     with pytest.raises(DomainError, match="scheme must be one of rkc, heun, got 'rk4'"):
-        StepControl(scheme="rk4")
+        perturbed_config(params_n2m1, scheme="rk4")
 
 
 @pytest.mark.parametrize(
@@ -135,8 +128,8 @@ def test_run_config_bounds_the_radius_below_double_overflow(n, m):
     # is cut to t_end: one step covers the run.
     config = RunConfig(params=params, initial=under, t_end=1.0, constants_samples=200)
     result = run(config, max_steps=5)
-    assert result.status == "t_end" and result.n_steps == 1
-    cols = result.arrays()
+    assert result.summary["status"] == "t_end" and result.summary["n_steps"] == 1
+    cols = result.recorder.arrays()
     # At this radius the shifted spectrum lam - a rounds to 0, where the
     # pinching ratio is undefined by design.
     for name in set(cols) - {"Qtilde_min", "f_max"}:
@@ -163,7 +156,7 @@ def test_rhs_vanishes_on_spheres():
     params = FlowParams(n=2, m=1, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
     state = sphere_state(make_grid("axisymmetric", 2, 128), 1.0)
     for _ in range(200):
-        state = step(state, params, StepControl())
+        state = step(state, params)
     assert float(np.max(np.abs(state.r - 1.0))) < 1e-12
 
 
@@ -174,7 +167,7 @@ def test_heun_step_is_the_documented_two_stage_average(params_n2m1):
     trial = GraphState(t=state.t + dt, grid=state.grid, r=state.r + dt * k1)
     k2 = flow_rhs(trial, params_n2m1)
     expected = state.r + (0.5 * dt) * (k1 + k2)
-    result = step(state, params_n2m1, StepControl(), dt=dt)
+    result = step(state, params_n2m1, dt=dt)
     assert np.array_equal(result.r, expected)
     assert result.t == state.t + dt
 
@@ -182,7 +175,7 @@ def test_heun_step_is_the_documented_two_stage_average(params_n2m1):
 def test_stage_that_leaves_the_graph_domain_raises_blowup(params_n2m1):
     state = perturbed_sphere_state(make_grid("axisymmetric", 2, 64), 1.0, 2, 0.05)
     with pytest.raises(NumericalBlowupError, match="left the graph domain"):
-        step(state, params_n2m1, StepControl(), dt=100.0)
+        step(state, params_n2m1, dt=100.0)
     # RKC's first stage moves by mu~_1 dt F_0: Heun's trial step at dt = 100.
     dt = 100.0 / rkc_coefficients(4)[3][0]
     with pytest.raises(NumericalBlowupError, match="left the graph domain"):
@@ -264,9 +257,8 @@ def test_rhs_matches_50_digit_recomputation():
 
 
 def integrate_fixed(state, params, dt, n_steps):
-    control = StepControl()
     for _ in range(n_steps):
-        state = step(state, params, control, dt=dt)
+        state = step(state, params, dt=dt)
     return state.r
 
 
@@ -301,7 +293,7 @@ def test_rkc_keeps_a_sphere_fixed_with_its_volume_closure(params_n3m2):
     v0 = float(np.sum(grid.weights * enclosed_volume_integrand(state.r_flat, params_n3m2)))
     fields = geometry_from_graph(state, params_n3m2)
     dt_accurate = RKC_ACCURACY / linearized_rate(params_n3m2, 1.0, 2)
-    stages, dt = rkc_plan(dt_accurate, stable_dt(fields, params_n3m2, StepControl()))
+    stages, dt = rkc_plan(dt_accurate, stable_dt(fields, params_n3m2))
     assert stages > 2
     for _ in range(1000):
         state = volume_renormalize(rkc_step(state, params_n3m2, dt, stages), params_n3m2, v0)
@@ -317,10 +309,10 @@ def test_rkc_keeps_heuns_decay_rate_on_a_small_sphere(params_n2m2):
     for scheme in ("heun", "rkc"):
         config = perturbed_config(
             params_n2m2, n_theta=64, radius=0.3, amplitude=0.015, t_end=1.0,
-            control=StepControl(scheme=scheme),
+            scheme=scheme,
         )
         results[scheme] = run(config)
-        assert results[scheme].status == "converged", scheme
+        assert results[scheme].summary["status"] == "converged", scheme
     heun, rkc = (results[name].summary for name in ("heun", "rkc"))
     assert rkc["decay_fit"]["r_squared"] >= 0.99
     assert abs(rkc["decay_fit"]["rate"] / heun["decay_fit"]["rate"] - 1.0) <= 1e-3
@@ -355,22 +347,19 @@ def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1):
 # ---------------------------------------------------------------------------
 
 
-def test_stable_dt_scaling_and_clamps(params_n2m1):
-    # stable_dt has one clamp, the dt_min floor that the stiffness abort reads.
+def test_stable_dt_scaling_and_clamps(params_n2m1, monkeypatch):
+    # stable_dt has one clamp, the DT_MIN floor that the stiffness abort reads.
     state = sphere_state(make_grid("axisymmetric", 2, 96), 1.0)
     fields = geometry_from_graph(state, params_n2m1)
-    # n = 2, m = 1: the speed gradient is (1/2, 1/2), so the trace is 1
-    expected = 0.2 * fields.min_spacing**2
-    assert stable_dt(fields, params_n2m1, StepControl(safety=0.2)) == pytest.approx(
-        expected, rel=1e-12
-    )
-    assert stable_dt(fields, params_n2m1, StepControl(dt_min=0.5)) == 0.5
-    # Without an explicit safety each grid mode takes its own step fraction.
+    # n = 2, m = 1: the speed gradient is (1/2, 1/2), so the trace is 1, and
+    # each grid mode takes its own step fraction.
     default = 0.4 * fields.min_spacing**2
-    assert stable_dt(fields, params_n2m1, StepControl()) == pytest.approx(default, rel=1e-12)
+    assert stable_dt(fields, params_n2m1) == pytest.approx(default, rel=1e-12)
     full2d = geometry_from_graph(sphere_state(make_grid("full2d", 2, 16, 32), 1.0), params_n2m1)
     default = 0.2 * full2d.min_spacing**2
-    assert stable_dt(full2d, params_n2m1, StepControl()) == pytest.approx(default, rel=1e-12)
+    assert stable_dt(full2d, params_n2m1) == pytest.approx(default, rel=1e-12)
+    monkeypatch.setattr(flow, "DT_MIN", 1e-3)
+    assert stable_dt(fields, params_n2m1) == 1e-3
 
 
 @pytest.mark.parametrize("mode", ["axisymmetric", "full2d"])
@@ -388,7 +377,7 @@ def test_a_heun_step_reaches_the_traced_speed_names(mode, params_n2m2, monkeypat
         monkeypatch.setattr(owner, name, counted)
     grid = make_grid(mode, 2, 32, 64 if mode == "full2d" else None)
     state = perturbed_sphere_state(grid, 1.0, 3, 0.04, mode_phi=2 if mode == "full2d" else 0)
-    step(state, params_n2m2, StepControl())
+    step(state, params_n2m2)
     assert sorted(calls) == ["speed", "speed", "speed_gradient"]
 
 
@@ -401,10 +390,8 @@ def test_stable_dt_on_spheres_follows_the_analytic_trace(n, m, beta):
     mbeta = m * beta
     trace = mbeta * COTH1 ** (mbeta - 1.0)
     assert fields.min_spacing == pytest.approx(math.pi / 95 * math.sinh(1.0), rel=1e-14)
-    expected = 0.2 * fields.min_spacing**2 / trace
-    assert stable_dt(fields, params, StepControl(safety=0.2)) == pytest.approx(expected, rel=1e-12)
     default = 0.4 * fields.min_spacing**2 / trace
-    assert stable_dt(fields, params, StepControl()) == pytest.approx(default, rel=1e-12)
+    assert stable_dt(fields, params) == pytest.approx(default, rel=1e-12)
     # The same trace, as the speed gradient sums it, sets mode l's linearized
     # rate (trace / n) (l(l + n - 1) - n) / sinh(1)^2; mode 1 does not decay.
     summed = float(flow.speed_gradient(fields.spectrum, params, trace=True).max())
@@ -455,9 +442,9 @@ def test_sphere_converges_immediately(params_n2m1):
     grid = make_grid("axisymmetric", 2, 96)
     config = make_config(params_n2m1, sphere_state(grid, 1.0))
     result = run(config)
-    assert result.status == "converged"
-    assert result.converged is True
-    assert result.n_steps == 0
+    assert result.summary["status"] == "converged"
+    assert result.summary["converged"] is True
+    assert result.summary["n_steps"] == 0
     assert np.array_equal(result.final_state.r, config.initial.r)
     assert result.summary["decay_fit"] is None
     assert result.summary["volume_drift"] == 0.0
@@ -470,7 +457,7 @@ def test_converged_summary_reports_the_stopping_tests(params_n2m1):
     grid = make_grid("axisymmetric", 2, 16)
     initial = perturbed_sphere_state(grid, 1.0, 2, 0.02)
     result = run(make_config(params_n2m1, initial, t_end=50.0))
-    assert result.status == "converged" and result.n_steps > 100
+    assert result.summary["status"] == "converged" and result.summary["n_steps"] > 100
     r = result.final_state.r
     stop = result.summary["stop"]
     assert stop["r_oscillation"] == float((r.max() - r.min()) / (r.sum() / r.size))
@@ -478,15 +465,15 @@ def test_converged_summary_reports_the_stopping_tests(params_n2m1):
     assert stop["roundness_deficit"] == 1.0 / 4.0 - result.recorder.records[-1].Qtilde_min
     assert stop["roundness_deficit"] < 1e-8
     unfinished = run(make_config(params_n2m1, initial, t_end=0.05))
-    assert unfinished.status == "t_end" and unfinished.summary["stop"] is None
+    assert unfinished.summary["status"] == "t_end" and unfinished.summary["stop"] is None
 
 
 def test_short_run_decays_and_conserves_volume(params_n2m1):
-    config = perturbed_config(params_n2m1, t_end=0.6, control=StepControl(scheme="heun"))
+    config = perturbed_config(params_n2m1, t_end=0.6, scheme="heun")
     result = run(config)
-    assert result.status == "t_end"
-    assert result.n_steps > 100
-    cols = result.arrays()
+    assert result.summary["status"] == "t_end"
+    assert result.summary["n_steps"] > 100
+    cols = result.recorder.arrays()
     assert cols["t"][0] == 0.0
     assert cols["t"][-1] == result.final_state.t
     assert np.all(np.diff(cols["t"]) > 0.0)
@@ -502,25 +489,24 @@ def test_full2d_run_matches_the_tensor_assembly(tmp_path, params_n2m2, monkeypat
     initial = perturbed_sphere_state(grid, 1.0, 2, 0.05, mode_phi=2)
     texts = []
     # The polar filter's dt takes about 430 Heun steps per unit time on 16 x 32.
-    heun = StepControl(scheme="heun")
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        result = run(make_config(params_n2m2, initial, t_end=0.3, output_dir=out, control=heun))
+        result = run(make_config(params_n2m2, initial, t_end=0.3, output_dir=out, scheme="heun"))
         for file_name in ("diagnostics.csv", "summary.json"):
             with open(os.path.join(out, file_name)) as fh:
                 texts.append(fh.read())
     assert texts[:2] == texts[2:]
-    assert result.status == "t_end" and result.n_steps > 100
-    cols = result.arrays()
+    assert result.summary["status"] == "t_end" and result.summary["n_steps"] > 100
+    cols = result.recorder.arrays()
     v = cols["V"]
     assert np.max(np.abs(v - v[0])) / v[0] <= 1e-6
     assert np.all(np.diff(cols["Qtilde_min"]) >= 0.0)
 
     monkeypatch.setattr(flow, "geometry_from_graph", reference_full2d_geometry)
     monkeypatch.setattr(flow, "stable_dt", reference_stable_dt)
-    reference = run(make_config(params_n2m2, initial, t_end=0.3, control=heun))
-    assert reference.n_steps == result.n_steps
-    want = reference.arrays()
+    reference = run(make_config(params_n2m2, initial, t_end=0.3, scheme="heun"))
+    assert reference.summary["n_steps"] == result.summary["n_steps"]
+    want = reference.recorder.arrays()
     for name, got in cols.items():
         np.testing.assert_allclose(got, want[name], rtol=1e-12, atol=0.0, err_msg=name)
 
@@ -534,8 +520,8 @@ def test_full2d_sphere_is_an_equilibrium_at_the_filtered_dt(params_n2m2):
     arc = grid.spacing_phi * math.sin(grid.theta[0]) * 8.0 * math.sinh(1.0)
     assert fields.min_spacing == pytest.approx(arc, rel=1e-14)
     for _ in range(20):
-        result = step(state, params_n2m2, StepControl())
-        assert result.t == state.t + stable_dt(fields, params_n2m2, StepControl())
+        result = step(state, params_n2m2)
+        assert result.t == state.t + stable_dt(fields, params_n2m2)
         state = result
         assert np.array_equal(state.r, np.full(grid.shape, 1.0))
 
@@ -552,7 +538,6 @@ def _unfiltered(grid):
 def test_polar_filter_error_falls_under_refinement(params_n2m2):
     # The filter's error against the unfiltered discretisation (each at its
     # own, pole-limited Heun dt) falls as the grid is refined.
-    heun = StepControl(scheme="heun")
     errors = []
     for n_theta, n_phi in ((16, 32), (32, 64)):
         grid = make_grid("full2d", 2, n_theta, n_phi)
@@ -560,9 +545,9 @@ def test_polar_filter_error_falls_under_refinement(params_n2m2):
         for g in (grid, _unfiltered(grid)):
             initial = perturbed_sphere_state(g, 1.0, 2, 0.05, mode_phi=2)
             result = run(
-                make_config(params_n2m2, initial, t_end=0.01, record_interval=0.01, control=heun)
+                make_config(params_n2m2, initial, t_end=0.01, record_interval=0.01, scheme="heun")
             )
-            assert result.status == "t_end"
+            assert result.summary["status"] == "t_end"
             finals.append(result.final_state.r)
         errors.append(float(np.max(np.abs(finals[0] - finals[1]))))
     assert errors[1] * 4.0 <= errors[0], errors
@@ -574,14 +559,14 @@ def test_full2d_run_filters_its_initial_state(params_n2m2):
     grid = make_grid("full2d", 2, 16, 32)
     initial = perturbed_sphere_state(grid, 1.0, 3, 0.02, mode_phi=3)
     result = run(make_config(params_n2m2, initial, t_end=3.0))
-    cols = result.arrays()
+    cols = result.recorder.arrays()
     assert cols["f_max"][-1] <= 1e-12
     v = cols["V"]
     assert np.max(np.abs(v - v[0])) / v[0] <= 1e-8
     # V0 and dt_limit come from the filtered initial state.
     filtered = GraphState(t=0.0, grid=grid, r=polar_filter(grid, initial.r))
     radial = enclosed_volume_integrand(filtered.r_flat, params_n2m2)
-    assert result.v0 == float(np.sum(grid.weights * radial))
+    assert result.summary["volume_initial"] == float(np.sum(grid.weights * radial))
     limit = dt_limit(filtered, geometry_from_graph(filtered, params_n2m2))
     assert result.summary["dt_limit"] == limit and limit["direction"] == "phi"
 
@@ -589,14 +574,14 @@ def test_full2d_run_filters_its_initial_state(params_n2m2):
 def test_run_respects_max_steps(params_n2m1):
     config = perturbed_config(params_n2m1, t_end=100.0)
     result = run(config, max_steps=5)
-    assert result.status == "max_steps"
-    assert result.n_steps == 5
+    assert result.summary["status"] == "max_steps"
+    assert result.summary["n_steps"] == 5
 
 
 def test_record_cadence(params_n2m1):
     config = perturbed_config(params_n2m1, t_end=0.2, record_interval=0.05)
     result = run(config)
-    t = result.arrays()["t"]
+    t = result.recorder.arrays()["t"]
     assert t[0] == 0.0
     assert t[-1] == pytest.approx(0.2, abs=1e-12)
     for k in (1, 2, 3):
@@ -612,7 +597,7 @@ def test_run_warns_once_when_h_convexity_is_lost(caplog, params_n2m1):
     config = make_config(params_n2m1, initial, t_end=0.2)
     with caplog.at_level("WARNING", logger="horoflow.flow"):
         result = run(config)
-    assert np.all(result.arrays()["lambda_tilde_min"] < 0.0)
+    assert np.all(result.recorder.arrays()["lambda_tilde_min"] < 0.0)
     lost = [r for r in caplog.records if "h-convexity lost" in r.getMessage()]
     assert len(lost) == 1
     assert lost[0].levelname == "WARNING"
@@ -621,29 +606,30 @@ def test_run_warns_once_when_h_convexity_is_lost(caplog, params_n2m1):
 def test_h_convex_run_logs_no_convexity_warning(caplog, params_n2m1):
     with caplog.at_level("WARNING", logger="horoflow.flow"):
         result = run(perturbed_config(params_n2m1, t_end=0.1))
-    assert np.all(result.arrays()["lambda_tilde_min"] > 0.0)
+    assert np.all(result.recorder.arrays()["lambda_tilde_min"] > 0.0)
     assert not any("h-convexity lost" in r.getMessage() for r in caplog.records)
 
 
-def test_stiff_floor_aborts(params_n2m1):
+def test_stiff_floor_aborts(params_n2m1, monkeypatch):
+    monkeypatch.setattr(flow, "DT_MIN", 1e-3)
     config = perturbed_config(
         params_n2m1,
         n_theta=96,
         amplitude=0.01,
-        control=StepControl(scheme="heun", dt_min=1e-3),
+        scheme="heun",
         t_end=10.0,
     )
     with pytest.raises(StiffnessError):
         run(config)
 
 
-def test_abort_flushes_diagnostics(tmp_path, params_n2m1):
+def test_abort_flushes_diagnostics(tmp_path, params_n2m1, monkeypatch):
+    monkeypatch.setattr(flow, "DT_MIN", 1e-3)
     out = str(tmp_path / "aborted")
     config = perturbed_config(
         params_n2m1,
         n_theta=96,
         amplitude=0.01,
-        control=StepControl(dt_min=1e-3),
         t_end=10.0,
         output_dir=out,
     )
@@ -697,7 +683,7 @@ def test_renormalized_run_keeps_volume_exact(params_n2m1):
     # rkc, the default scheme, closes every step on the initial volume.
     config = perturbed_config(params_n2m1, t_end=0.3)
     result = run(config)
-    v = result.arrays()["V"]
+    v = result.recorder.arrays()["V"]
     assert np.max(np.abs(v - v[0])) / v[0] < 2e-12
 
 
@@ -711,7 +697,7 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
         for name in ("a", "b"):
             out = str(tmp_path / scheme / name)
             config = make_config(
-                params_n2m1, initial, t_end=t_end, output_dir=out, control=StepControl(scheme=scheme)
+                params_n2m1, initial, t_end=t_end, output_dir=out, scheme=scheme
             )
             result = run(config)
             with open(os.path.join(out, "summary.json")) as fh:
@@ -721,15 +707,15 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
             stages = summary["dt"]["stages"]
             if scheme == "heun":
                 assert stages == {"min": 2, "median": 2.0, "max": 2}
-                assert summary["rhs_evaluations"] == 2 * result.n_steps
+                assert summary["rhs_evaluations"] == 2 * summary["n_steps"]
             else:
                 # The accuracy step is past Heun's step at N = 48.
-                assert result.n_steps == 2 and stages["min"] == stages["max"] > 2
-                assert summary["rhs_evaluations"] == stages["min"] * result.n_steps
+                assert summary["n_steps"] == 2 and stages["min"] == stages["max"] > 2
+                assert summary["rhs_evaluations"] == stages["min"] * summary["n_steps"]
             # Every step passes a record point (record_interval 0.002), so
             # the rows after the initial one carry each step's dt.
-            dts = diagnostics_dts(result.diagnostics_path)
-            assert dts.size == result.n_steps
+            dts = diagnostics_dts(os.path.join(out, "diagnostics.csv"))
+            assert dts.size == summary["n_steps"]
             assert math.fsum(dts) == pytest.approx(result.final_state.t, rel=1e-12)
             assert summary["dt"] == {
                 "min": float(dts.min()),
@@ -744,23 +730,19 @@ def test_summary_reports_rhs_evaluations_and_dt_and_is_deterministic(tmp_path, p
         assert payloads[0] == payloads[1]
 
 
-@pytest.mark.parametrize(
-    "mode, safety, reported",
-    [("axisymmetric", None, 0.4), ("full2d", None, 0.2), ("axisymmetric", 0.3, 0.3)],
-)
-def test_summary_reports_the_step_fraction_the_run_used(mode, safety, reported, params_n2m2):
+@pytest.mark.parametrize("mode, reported", [("axisymmetric", 0.4), ("full2d", 0.2)])
+def test_summary_reports_the_step_fraction_the_run_used(mode, reported, params_n2m2):
     grid = make_grid(mode, 2, 16, 32 if mode == "full2d" else None)
     initial = perturbed_sphere_state(grid, 1.0, 2, 0.05)
-    control = StepControl(scheme="heun", safety=safety)
-    result = run(make_config(params_n2m2, initial, t_end=0.01, control=control))
+    result = run(make_config(params_n2m2, initial, t_end=0.01, scheme="heun"))
     assert result.summary["dt"]["safety"] == reported
     # The first step was taken at that fraction, from the (filtered) initial
     # state; it passes the first record point, so the second row carries it.
     start = GraphState(t=0.0, grid=grid, r=polar_filter(grid, initial.r))
     fields = geometry_from_graph(start, params_n2m2)
-    cols = result.arrays()
+    cols = result.recorder.arrays()
     assert cols["t"][1] == cols["dt"][1]
-    assert cols["dt"][1] == stable_dt(fields, params_n2m2, StepControl(safety=reported))
+    assert cols["dt"][1] == stable_dt(fields, params_n2m2)
 
 
 def test_run_writes_output_files(tmp_path, params_n2m1):
@@ -772,7 +754,6 @@ def test_run_writes_output_files(tmp_path, params_n2m1):
         params_n2m1, initial, t_end=2.0 * interval, snapshot_interval=interval, output_dir=out
     )
     result = run(config)
-    assert result.diagnostics_path == os.path.join(out, "diagnostics.csv")
     names = sorted(os.listdir(out))
     assert "diagnostics.csv" in names
     assert "final_state.csv" in names
@@ -852,10 +833,10 @@ def test_runs_are_scale_covariant(n, m):
             result = run(
                 make_config(
                     params, initial, t_end=1.0 / scale ** (params.mbeta + 1.0),
-                    control=StepControl(scheme=scheme),
+                    scheme=scheme,
                 )
             )
-            finals[kappa, scheme] = (result.n_steps, scale * result.final_state.r)
+            finals[kappa, scheme] = (result.summary["n_steps"], scale * result.final_state.r)
     heun, heun_scaled = finals[-1.0, "heun"], finals[-a * a, "heun"]
     assert heun[0] == heun_scaled[0]
     assert np.array_equal(heun[1], heun_scaled[1])
@@ -872,6 +853,6 @@ def test_rkc_takes_fewer_evaluations_than_heun_on_a_large_sphere(n, m):
     initial = perturbed_sphere_state(make_grid("axisymmetric", n, 64), 3.0, 2, 0.05)
     evaluations = {}
     for scheme in ("heun", "rkc"):
-        config = make_config(params, initial, t_end=50.0, control=StepControl(scheme=scheme))
+        config = make_config(params, initial, t_end=50.0, scheme=scheme)
         evaluations[scheme] = run(config).summary["rhs_evaluations"]
     assert evaluations["rkc"] < evaluations["heun"], evaluations

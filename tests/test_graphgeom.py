@@ -17,7 +17,6 @@ from horoflow import (
     GraphState,
     HoroflowError,
     ParabolicityLostError,
-    StepControl,
     curvalg,
     geometry_from_graph,
     kappa_trig,
@@ -30,6 +29,7 @@ from horoflow import (
     stable_dt,
 )
 from horoflow.curvalg import speed, speed_gradient
+from horoflow.flow import DT_MIN, SAFETY
 from horoflow.graphgeom import (
     GeometryFields,
     _axisym_scalar_derivatives,
@@ -222,11 +222,12 @@ def test_sphere_curvatures_exact():
         state = sphere_state(make_grid("axisymmetric", n, 128), r0)
         fields = geometry_from_graph(state, params)
         s, c, _ta, co = kappa_trig(r0, params.ac)
+        H = fields.spectrum.esym(1)
         assert np.max(np.abs(fields.lam - co)) < 1e-12
-        assert np.max(np.abs(fields.H - n * co)) < 1e-12
+        assert np.max(np.abs(H - n * co)) < 1e-12
         assert np.max(np.abs(fields.F - co)) < 1e-12
         assert np.max(np.abs(fields.Phi - s)) < 1e-12
-        assert np.max(np.abs(mean_curvature_direct(state, params) - fields.H)) < 1e-12
+        assert np.max(np.abs(mean_curvature_direct(state, params) - H)) < 1e-12
 
 
 def test_sphere_full2d_curvatures_exact(params_n2m1):
@@ -292,7 +293,7 @@ def test_mean_curvature_dual_route_on_perturbed_spheres():
         state = perturbed_sphere_state(make_grid("axisymmetric", n, 256), 1.0, 2, 0.05)
         fields = geometry_from_graph(state, params)
         direct = mean_curvature_direct(state, params)
-        assert np.max(np.abs(direct - fields.H)) < 1e-9
+        assert np.max(np.abs(direct - fields.spectrum.esym(1))) < 1e-9
 
 
 def test_full2d_dual_route_and_finiteness(params_n2m1):
@@ -302,7 +303,7 @@ def test_full2d_dual_route_and_finiteness(params_n2m1):
     assert np.all(np.isfinite(fields.lam))
     assert fields.min_spacing > 0.0
     direct = mean_curvature_direct(state, params_n2m1)
-    assert np.max(np.abs(direct - fields.H)) < 1e-9
+    assert np.max(np.abs(direct - fields.spectrum.esym(1))) < 1e-9
 
 
 def test_full2d_axisymmetric_profile_matches_analytic(params_n2m1):
@@ -445,39 +446,38 @@ def reference_full2d_geometry(state, params):
     # Coordinate phi spacing carries the sin(theta) factor of the chart.
     phi_spacing = grid.spacing_phi * grid.phi_arc_nodes * np.sqrt(g[:, 1, 1])
     min_spacing = float(min(np.min(theta_spacing), np.min(phi_spacing)))
-    return GeometryFields(
+    fields = GeometryFields(
         s=s,
         xi_norm=xi,
-        H=tr,
         F=speed(lam, params),
         Phi=s * s / xi,
         area_weight=s ** (params.n - 1) * xi * state.grid.weights,
         min_spacing=min_spacing,
         spectrum=None,
         mode=grid.mode,
-        _lam=lam,
     )
+    fields.lam = lam
+    return fields
 
 
-def reference_stable_dt(fields, params, control):
+def reference_stable_dt(fields, params):
     """stable_dt with the gradient trace summed from the generic speed gradient."""
     trace = speed_gradient(fields.lam, params, trace=True)
     scale = float(trace.max())
-    dt = control.safety_for(fields.mode) * fields.min_spacing**2 / scale
-    return float(max(dt, control.dt_min))
+    dt = SAFETY[fields.mode] * fields.min_spacing**2 / scale
+    return float(max(dt, DT_MIN))
 
 
 FULL2D_SPEEDS = [(1, 1.0), (2, 1.0), (1, 2.0), (2, 0.5), (2, 1.5)]
 FULL2D_GRIDS = [(16, 32), (24, 48), (32, 64)]
 FULL2D_PROFILES = [(2, 0), (3, 1), (4, 2), (2, 2), (5, 3)]
-FULL2D_FIELDS = ("F", "H", "lam", "xi_norm", "s", "Phi", "area_weight")
+FULL2D_FIELDS = ("F", "lam", "xi_norm", "s", "Phi", "area_weight")
 
 
 @pytest.mark.parametrize("kappa", [-1.0, -0.5, -2.0])
 @pytest.mark.parametrize("m, beta", FULL2D_SPEEDS)
 def test_full2d_kernel_matches_the_tensor_assembly_bitwise(m, beta, kappa, rng):
     params = FlowParams(n=2, m=m, beta=beta, ac=AmbientCurvature(kappa=kappa))
-    control = StepControl()
     for n_theta, n_phi in FULL2D_GRIDS:
         grid = make_grid("full2d", 2, n_theta, n_phi)
         for ell, mode_phi in FULL2D_PROFILES:
@@ -489,8 +489,8 @@ def test_full2d_kernel_matches_the_tensor_assembly_bitwise(m, beta, kappa, rng):
             for name in FULL2D_FIELDS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.min_spacing == want.min_spacing
-            dt_want = reference_stable_dt(want, params, control)
-            assert abs(stable_dt(got, params, control) - dt_want) <= 4e-16 * dt_want
+            dt_want = reference_stable_dt(want, params)
+            assert abs(stable_dt(got, params) - dt_want) <= 4e-16 * dt_want
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -521,7 +521,7 @@ def test_stable_dt_takes_the_trace_from_the_pair_spectrum(mode, params_n2m2, mon
 
     monkeypatch.setattr(curvalg, "_speed_derivatives", generic_recurrence)
     monkeypatch.setattr(curvalg, "_esym_table", generic_recurrence)
-    assert stable_dt(fields, params_n2m2, StepControl()) > 0.0
+    assert stable_dt(fields, params_n2m2) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -609,4 +609,4 @@ def test_random_profiles_keep_routes_consistent(amp2, amp3, r0):
     assert np.all(np.isfinite(fields.lam))
     assert np.all(np.diff(fields.lam, axis=1) >= 0.0)
     assert np.all(fields.xi_norm >= fields.s)
-    assert np.max(np.abs(direct - fields.H)) < 1e-9
+    assert np.max(np.abs(direct - fields.spectrum.esym(1))) < 1e-9
