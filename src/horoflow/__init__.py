@@ -64,10 +64,8 @@ from .monitors import (
     DiagnosticsRecord,
     DiagnosticsRecorder,
     ExponentialFit,
-    MonotoneReport,
     analyze_diagnostics,
     check_monotone,
-    fit_exponential,
     load_diagnostics,
     record,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "GraphState",
     "GridSpec",
     "HoroflowError",
-    "MonotoneReport",
     "NumericalBlowupError",
     "ParabolicityLostError",
     "PinchingConstants",
@@ -113,7 +110,6 @@ __all__ = [
     "check_monotone",
     "contraction_residual",
     "elementary_symmetric",
-    "fit_exponential",
     "flow_rhs",
     "gap_bound",
     "generalized_cosine",

@@ -51,10 +51,14 @@ USAGE = """\
 usage: horoflow <subcommand> [options]
 
 subcommands:
-  run <config>                 integrate a configured flow, print summary JSON
-  oracle sphere <r0> <t_end>   emit the contracting-sphere trajectory CSV
-  constants                    solve pinching constants, dump tables
-  analyze <csv>                verdict JSON for a diagnostics CSV
+  horoflow run <config>
+      integrate a configured flow, print summary JSON
+  horoflow oracle sphere <r0> <t_end> [--samples --n --m --beta --kappa]
+      print the contracting-sphere trajectory CSV
+  horoflow constants [--n --m --beta --kappa --samples --seed --csv]
+      solve pinching constants, print them as JSON (--csv also writes the tables)
+  horoflow analyze <diagnostics.csv>
+      verdict JSON for a diagnostics CSV written by a run
 
 exit codes: 0 success, 1 invariant/config failure, 2 numerical abort, 64 usage
 """
@@ -309,11 +313,10 @@ def parse_config(path: str) -> RunConfig:
 def _cmd_run(args: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="horoflow run", add_help=True)
     parser.add_argument("config")
-    parser.add_argument("--max-steps", type=int, default=flow.DEFAULT_MAX_STEPS)
     ns = parser.parse_args(args)
     config = parse_config(ns.config)
     try:
-        summary = flow.run(config, max_steps=ns.max_steps).summary
+        summary = flow.run(config).summary
     except HoroflowError as exc:
         # An aborted run still prints its account; main() maps the exit code.
         if exc.summary is not None:
@@ -341,10 +344,13 @@ def _cmd_oracle(args: list[str]) -> int:
     parser.add_argument("--m", type=int, default=1)
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--kappa", type=float, default=-1.0)
-    parser.add_argument("--out", default=None)
     ns = parser.parse_args(args[1:])
     params = _oracle_params(ns)
-    t_grid = np.linspace(0.0, ns.t_end, ns.samples)
+    if ns.samples < 2:
+        raise DomainError(f"--samples must be >= 2, got {ns.samples}")
+    # A non-finite t_end gives a NaN grid, which sphere_contraction rejects.
+    with np.errstate(invalid="ignore"):
+        t_grid = np.linspace(0.0, ns.t_end, ns.samples)
     traj = oracle.sphere_contraction(ns.r0, params, t_grid)
     residual = oracle.contraction_residual(traj)
     lines = ["t,r,residual"]
@@ -352,12 +358,7 @@ def _cmd_oracle(args: list[str]) -> int:
         if not np.isfinite(r):
             break
         lines.append(f"{float(t)!r},{float(r)!r},{float(res)!r}")
-    text = "\n".join(lines) + "\n"
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -370,7 +371,6 @@ def _cmd_constants(args: list[str]) -> int:
     parser.add_argument("--samples", type=int, default=curvalg.DEFAULT_SAMPLES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", default=None, help="write the epsilon tables as CSV")
-    parser.add_argument("--json", dest="json_path", default=None)
     ns = parser.parse_args(args)
     params = _oracle_params(ns)
     constants = curvalg.solve_pinching_constants(params, n_samples=ns.samples, seed=ns.seed)
@@ -387,7 +387,6 @@ def _cmd_constants(args: list[str]) -> int:
             "hessian_ceiling": [float(v) for v in constants.hess_ceiling_table],
         },
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if ns.csv:
         rows = ["eps,gap_bound,gradient_floor,hessian_ceiling"]
         for e, g, w1, w2 in zip(
@@ -399,38 +398,16 @@ def _cmd_constants(args: list[str]) -> int:
             rows.append(f"{float(e)!r},{float(g)!r},{float(w1)!r},{float(w2)!r}")
         with open(ns.csv, "w") as fh:
             fh.write("\n".join(rows) + "\n")
-    if ns.json_path:
-        with open(ns.json_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_analyze(args: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="horoflow analyze")
     parser.add_argument("csv")
-    parser.add_argument("--json", dest="json_path", default=None)
-    parser.add_argument("--n", type=int, default=None, help="override n from the CSV metadata")
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--kappa", type=float, default=None)
     ns = parser.parse_args(args)
-    meta, cols = monitors.load_diagnostics(ns.csv)
-    for key in ("n", "m", "beta", "kappa"):
-        if getattr(ns, key) is not None:
-            meta[key] = getattr(ns, key)
-    missing = [key for key in ("n", "m", "beta", "kappa") if key not in meta]
-    if missing:
-        raise ConfigurationError(
-            [f"{key} absent from CSV metadata; pass --{key}" for key in missing]
-        )
-    verdict = monitors.analyze_diagnostics(meta, cols)
-    text = json.dumps(verdict, indent=2, sort_keys=True)
-    if ns.json_path:
-        with open(ns.json_path, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    verdict = monitors.analyze_diagnostics(*monitors.load_diagnostics(ns.csv))
+    print(json.dumps(verdict, indent=2, sort_keys=True))
     ok = verdict["monotone_Qtilde"] and verdict["bounds_respected"]
     return EXIT_OK if ok else EXIT_INVARIANT
 

@@ -94,6 +94,7 @@ STIFFNESS_PATIENCE = 10
 # counts as a geodesic sphere for the convergence test.
 R_OSCILLATION_RTOL = 1.0e-8
 
+# Accepted steps after which a run stops with status max_steps.
 DEFAULT_MAX_STEPS = 2_000_000
 
 # Step fraction (the safety in stable_dt) per grid mode.  On the
@@ -396,8 +397,8 @@ class FlowResult:
     summary: dict
 
 
-def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
-    """Integrate a configured run to convergence, t_end, or the step cap.
+def run(config: RunConfig) -> FlowResult:
+    """Integrate a configured run to convergence, t_end, or DEFAULT_MAX_STEPS steps.
 
     Diagnostics rows are appended at the record cadence plus the initial
     and final states; snapshots and the summary JSON are written only when
@@ -535,7 +536,7 @@ def run(config: RunConfig, max_steps: int = DEFAULT_MAX_STEPS) -> FlowResult:
             if state.t >= config.t_end - 1e-15:
                 status = "t_end"
                 break
-            if n_steps >= max_steps:
+            if n_steps >= DEFAULT_MAX_STEPS:
                 status = "max_steps"
                 break
 

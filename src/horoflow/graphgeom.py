@@ -233,10 +233,10 @@ def initial_problems(grid_mode, n_theta, r0, mode_l=None, amplitude=None, mode_p
     return problems
 
 
-def sphere_state(grid: GridSpec, r0: float, t: float = 0.0) -> GraphState:
-    """Return the geodesic sphere of radius r0 as a state."""
+def sphere_state(grid: GridSpec, r0: float) -> GraphState:
+    """Return the geodesic sphere of radius r0 as a state at t = 0."""
     ConfigurationError.raise_if(initial_problems(grid.mode, grid.n_theta, r0))
-    return GraphState(t=t, grid=grid, r=np.full(grid.shape, float(r0)))
+    return GraphState(t=0.0, grid=grid, r=np.full(grid.shape, float(r0)))
 
 
 def perturbed_sphere_state(
@@ -245,10 +245,9 @@ def perturbed_sphere_state(
     mode_l: int,
     amplitude: float,
     mode_phi: int = 0,
-    t: float = 0.0,
 ) -> GraphState:
-    """Return r = r0 + amplitude * (smooth degree-l profile), optionally with
-    azimuthal dependence (full2d only, via an associated Legendre factor)."""
+    """Return r = r0 + amplitude * (smooth degree-l profile) at t = 0, optionally
+    with azimuthal dependence (full2d only, via an associated Legendre factor)."""
     ConfigurationError.raise_if(
         initial_problems(grid.mode, grid.n_theta, r0, mode_l, amplitude, mode_phi)
     )
@@ -262,7 +261,7 @@ def perturbed_sphere_state(
         leg = lpmv(mode_phi, mode_l, np.cos(grid.theta))
         leg = leg / np.max(np.abs(leg))
         profile = leg[:, None] * np.cos(mode_phi * grid.phi)[None, :]
-    return GraphState(t=t, grid=grid, r=r0 + amplitude * profile)
+    return GraphState(t=0.0, grid=grid, r=r0 + amplitude * profile)
 
 
 # ---------------------------------------------------------------------------
@@ -329,36 +328,6 @@ def _full2d_frame_derivatives(grid: GridSpec, r: np.ndarray):
         ((r_tp - cot_t * r_p) / sin_t).ravel(),
         (r_pp / sin_t**2 + cot_t * r_t).ravel(),
     )
-
-
-def spherical_derivatives(state: GraphState):
-    """Return frame components (Dr, D2r) of the covariant gradient and Hessian.
-
-    Shapes (N, n) and (N, n, n) over flattened nodes.  In the axisymmetric
-    mode only the first slot of Dr and the diagonal of D2r are nonzero.
-    """
-    grid = state.grid
-    n = grid.n
-    if grid.mode == "axisymmetric":
-        r = state.r
-        rp, rpp, azim = _axisym_scalar_derivatives(grid, r)
-        N = r.size
-        Dr = np.zeros((N, n))
-        Dr[:, 0] = rp
-        D2r = np.zeros((N, n, n))
-        D2r[:, 0, 0] = rpp
-        for k in range(1, n):
-            D2r[:, k, k] = azim
-        return Dr, D2r
-
-    a, b, d00, d01, d11 = _full2d_frame_derivatives(grid, state.r)
-    Dr = np.stack([a, b], axis=1)
-    D2r = np.empty((a.size, 2, 2))
-    D2r[:, 0, 0] = d00
-    D2r[:, 0, 1] = d01
-    D2r[:, 1, 0] = d01
-    D2r[:, 1, 1] = d11
-    return Dr, D2r
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +482,25 @@ def mean_curvature_direct(state: GraphState, params: FlowParams) -> np.ndarray:
     """Mean curvature from the scalar graph formula, independent of the Weingarten route.
 
     H = -(Delta r - Hess r(Dr, Dr)/|xi|^2)/(|xi| s) + (c/|xi|)(n + |Dr|^2/|xi|^2),
-    with all sphere derivatives covariant.  Shares only Dr/D2r with the
-    tensor assembly, so agreement validates the index gymnastics.
+    with all sphere derivatives covariant, from the frame columns of Dr and
+    D2r: (r', 0, ...) and diag(r'', azim, ..., azim) on axisymmetric grids,
+    (a, b) and [[d00, d01], [d01, d11]] on full2d.  Shares only those columns
+    with geometry_from_graph, so agreement validates its curvature algebra.
     """
-    Dr, D2r = spherical_derivatives(state)
-    r = state.r_flat
-    s, c = generalized_sine_cosine(r, params.ac)
-    dr_sq = np.einsum("ni,ni->n", Dr, Dr)
+    grid = state.grid
+    if grid.mode == "axisymmetric":
+        rp, rpp, azim = _axisym_scalar_derivatives(grid, state.r)
+        dr_sq = rp * rp
+        lap = rpp + (grid.n - 1) * azim
+        hess_rad = rpp * dr_sq
+    else:
+        a, b, d00, d01, d11 = _full2d_frame_derivatives(grid, state.r)
+        dr_sq = a * a + b * b
+        lap = d00 + d11
+        hess_rad = d00 * a * a + 2.0 * d01 * a * b + d11 * b * b
+    s, c = generalized_sine_cosine(state.r_flat, params.ac)
     xi_sq = s * s + dr_sq
     xi = np.sqrt(xi_sq)
-    lap = np.trace(D2r, axis1=1, axis2=2)
-    hess_rad = np.einsum("nij,ni,nj->n", D2r, Dr, Dr)
     return -(lap - hess_rad / xi_sq) / (xi * s) + (c / xi) * (params.n + dr_sq / xi_sq)
 
 

@@ -83,21 +83,13 @@ def generalized_cotangent(x, ac: AmbientCurvature):
     return a / np.tanh(a * x)
 
 
-def kappa_trig(x, ac: AmbientCurvature, with_co: bool = True):
+def kappa_trig(x, ac: AmbientCurvature):
     """Return the tuple (s, c, ta, co) of generalized trig values at x.
 
-    x must be nonnegative; co has a pole at x = 0, so it is only computed
-    when with_co is true (the fourth slot is None otherwise).
+    x must be positive and finite, a geodesic radius: co has a pole at x = 0.
     """
     x = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(x)):
         raise DomainError("kappa_trig requires finite x")
-    if np.any(x < 0.0):
-        raise DomainError("kappa_trig requires x >= 0 (geodesic distance)")
     s, c = generalized_sine_cosine(x, ac)
-    ta = generalized_tangent(x, ac)
-    if with_co:
-        co = generalized_cotangent(x, ac)
-    else:
-        co = None
-    return s, c, ta, co
+    return s, c, generalized_tangent(x, ac), generalized_cotangent(x, ac)

@@ -7,15 +7,14 @@ and the speed-bound test ratio.  The shifted invariants of lam - a (the
 h-convexity margin, the trace Htilde, the pinching ratio Qtilde and the
 pinching test against C*) have their one home in shifted_minima, which the
 run loop's initial pinching test and convergence test also read.
-Post-processing covers monotonicity checks, log-linear exponential fits, and
-the verdict of the analyze subcommand; volume_drift and decay_fit are the one
-home of the drift and the decay fit that both that verdict and a run's
-summary.json report.
+Post-processing covers the monotonicity check and the verdict of the
+analyze subcommand; volume_drift and decay_fit (log-linear, above a noise
+floor) are the one home of the drift and the decay fit that both that
+verdict and a run's summary.json report.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -24,11 +23,9 @@ from io import StringIO
 import numpy as np
 
 from .curvalg import FlowParams
-from .errors import DomainError, HoroflowError
+from .errors import ConfigurationError, DomainError, HoroflowError
 from .graphgeom import GeometryFields, GraphState, enclosed_volume_integrand
 from .hypergeom import AmbientCurvature
-
-logger = logging.getLogger(__name__)
 
 DIAGNOSTICS_MAGIC = "# horoflow-diagnostics v1"
 CSV_COLUMNS = (
@@ -53,6 +50,9 @@ MONOTONE_TOL_PER_STEP = 1.0e-6
 # Roundness-deficit samples below this are floating-point residue of a
 # converged state and are excluded from decay-rate fits.
 FIT_NOISE_FLOOR = 1.0e-13
+
+# Leading share of the fitted samples skipped as the initial transient.
+FIT_SKIP_FRACTION = 0.1
 
 # Tolerance on the speed lower bound F >= a^{m beta}.
 SPEED_FLOOR_SLACK = 1.0e-8
@@ -195,31 +195,35 @@ class DiagnosticsRecorder:
 
 
 def load_diagnostics(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a diagnostics CSV back into (metadata, column arrays).
+    """Read a diagnostics CSV written by DiagnosticsRecorder.write_csv into (metadata, columns).
 
-    The leading metadata comment is optional: a plain CSV starting with the
-    column header parses with empty metadata (callers supply the flow
-    parameters some other way, e.g. CLI flags).
+    The metadata line carries n, m, beta and kappa; out-of-domain values fail
+    as a ConfigurationError under the params.* rules of a config file.
     """
     with open(path) as fh:
-        first = fh.readline().strip()
         match = re.match(
-            r"# horoflow-diagnostics v1, n=(\d+), m=(\d+), beta=([^,]+), kappa=(.+)$", first
+            r"# horoflow-diagnostics v1, n=(\d+), m=(\d+), beta=([^,]+), kappa=(.+)$",
+            fh.readline().strip(),
         )
-        if match:
-            meta = {
-                "n": int(match.group(1)),
-                "m": int(match.group(2)),
-                "beta": float(match.group(3)),
-                "kappa": float(match.group(4)),
-            }
-            header = fh.readline().strip()
-        else:
-            meta = {}
-            header = first
+        if not match:
+            raise HoroflowError(
+                f"{path} is not a horoflow diagnostics CSV: its first line must be "
+                f"'{DIAGNOSTICS_MAGIC}, n=..., m=..., beta=..., kappa=...'"
+            )
+        meta = {
+            "n": int(match.group(1)),
+            "m": int(match.group(2)),
+            "beta": float(match.group(3)),
+            "kappa": float(match.group(4)),
+        }
+        header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
             raise HoroflowError(f"unexpected diagnostics column header: {header!r}")
         body = fh.read()
+    ConfigurationError.raise_if(
+        FlowParams.problems(meta["n"], meta["m"], meta["beta"])
+        + AmbientCurvature.problems(meta["kappa"])
+    )
     data = np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
     if data.size == 0:
         return meta, {name: np.empty(0) for name in CSV_COLUMNS}
@@ -228,84 +232,21 @@ def load_diagnostics(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, {name: data[:, k] for k, name in enumerate(CSV_COLUMNS)}
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Outcome of a monotonicity check: worst violation and where it happened."""
-
-    ok: bool
-    worst_violation: float
-    index: int | None
-
-
-def check_monotone(series, direction: str = "nondecreasing", tol: float = 0.0) -> MonotoneReport:
-    """Check that consecutive differences respect the direction within tol."""
+def check_monotone(series, tol: float = 0.0) -> bool:
+    """Whether no sample of the series falls below its predecessor by more than tol."""
     y = np.asarray(series, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise DomainError("monotonicity check needs a 1-d series with >= 2 samples")
-    if direction == "nondecreasing":
-        violations = -np.diff(y)
-    elif direction == "nonincreasing":
-        violations = np.diff(y)
-    else:
-        raise DomainError(f"unknown direction {direction!r}")
-    worst = float(np.max(violations))
-    if worst <= tol:
-        return MonotoneReport(ok=True, worst_violation=max(worst, 0.0), index=None)
-    return MonotoneReport(ok=False, worst_violation=worst, index=int(np.argmax(violations)) + 1)
+    return float(np.max(-np.diff(y))) <= tol
 
 
 @dataclass(frozen=True)
 class ExponentialFit:
-    """Least-squares fit of y ~ amplitude * exp(-rate * t) on log(y)."""
+    """A least-squares line through (t, log y) of slope -rate, its r^2 and its sample count."""
 
     rate: float
-    amplitude: float
     r_squared: float
     n_used: int
-    clipped: bool
-
-
-def fit_exponential(t, y, skip_fraction: float = 0.1, floor: float | None = None) -> ExponentialFit:
-    """Fit an exponential decay rate by least squares on (t, log y).
-
-    The first skip_fraction of the samples is excluded as transient.
-    Nonpositive y values are clipped to a machine-epsilon floor and flagged;
-    passing `floor` instead drops samples below it entirely (used to cut the
-    floating-point residue of converged runs out of the window).
-    """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise DomainError("fit needs matching 1-d time and value arrays")
-    if not 0.0 <= skip_fraction < 1.0:
-        raise DomainError("skip_fraction must be in [0, 1)")
-    keep = np.isfinite(t) & np.isfinite(y)
-    if floor is not None:
-        keep &= y > floor
-    t, y = t[keep], y[keep]
-    start = int(skip_fraction * t.size)
-    t, y = t[start:], y[start:]
-    if t.size < 10:
-        raise DomainError(f"fit needs >= 10 usable samples, got {t.size}")
-
-    clipped = bool(np.any(y <= 0.0))
-    if clipped:
-        logger.warning("fit_exponential: clipping %d nonpositive samples", int(np.sum(y <= 0.0)))
-        y = np.maximum(y, np.finfo(float).eps)
-
-    log_y = np.log(y)
-    slope, intercept = np.polyfit(t, log_y, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((log_y - pred) ** 2))
-    ss_tot = float(np.sum((log_y - np.mean(log_y)) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return ExponentialFit(
-        rate=float(-slope),
-        amplitude=float(np.exp(intercept)),
-        r_squared=r_squared,
-        n_used=int(t.size),
-        clipped=clipped,
-    )
 
 
 def volume_drift(v: np.ndarray) -> float:
@@ -314,14 +255,27 @@ def volume_drift(v: np.ndarray) -> float:
 
 
 def decay_fit(cols: dict[str, np.ndarray]) -> ExponentialFit | None:
-    """Exponential fit of the recorded roundness deficit f_max above FIT_NOISE_FLOOR.
+    """Exponential fit of the recorded roundness deficit f_max, by least squares on (t, log f_max).
 
-    None when fewer than 10 samples survive the floor and the transient skip.
+    Samples at or below FIT_NOISE_FLOOR (the floating-point residue of a
+    converged run) or non-finite are dropped, then the first
+    FIT_SKIP_FRACTION of the rest as transient.  None when fewer than 10
+    samples are left.
     """
-    try:
-        return fit_exponential(cols["t"], cols["f_max"], floor=FIT_NOISE_FLOOR)
-    except DomainError:
+    t, y = cols["t"], cols["f_max"]
+    keep = np.isfinite(t) & np.isfinite(y) & (y > FIT_NOISE_FLOOR)
+    t, y = t[keep], y[keep]
+    start = int(FIT_SKIP_FRACTION * t.size)
+    t, y = t[start:], y[start:]
+    if t.size < 10:
         return None
+    log_y = np.log(y)
+    slope, intercept = np.polyfit(t, log_y, 1)
+    pred = slope * t + intercept
+    ss_res = float(np.sum((log_y - pred) ** 2))
+    ss_tot = float(np.sum((log_y - np.mean(log_y)) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    return ExponentialFit(rate=float(-slope), r_squared=r_squared, n_used=int(t.size))
 
 
 def analyze_diagnostics(meta: dict, cols: dict[str, np.ndarray]) -> dict:
@@ -340,8 +294,7 @@ def analyze_diagnostics(meta: dict, cols: dict[str, np.ndarray]) -> dict:
     qtilde = cols["Qtilde_min"]
     finite_q = np.isfinite(qtilde)
     if np.sum(finite_q) >= 2:
-        monotone = check_monotone(qtilde[finite_q], "nondecreasing", MONOTONE_TOL_PER_STEP)
-        monotone_ok = monotone.ok
+        monotone_ok = check_monotone(qtilde[finite_q], MONOTONE_TOL_PER_STEP)
     else:
         monotone_ok = False
 

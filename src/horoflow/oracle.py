@@ -19,6 +19,7 @@ and contraction_residual), so importing horoflow never loads it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,11 @@ def sphere_contraction(r0: float, params: FlowParams, t_grid) -> SphereTrajector
     """Integrate dr/dt = -co(r)^{m beta} from r0 over the given times."""
     from scipy.integrate import quad, solve_ivp
 
-    if r0 <= 0.0:
-        raise DomainError("initial sphere radius must be positive")
+    if not (math.isfinite(r0) and r0 > 0.0):
+        raise DomainError(f"initial sphere radius r0 must be positive and finite, got {r0}")
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise DomainError("t_grid must be finite")
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0.0):
         raise DomainError("t_grid must be strictly increasing with >= 2 samples")
     if t_grid[0] != 0.0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -25,6 +26,7 @@ from horoflow.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    USAGE,
     _parse_scalar,
     config_from_values,
     main,
@@ -101,6 +103,22 @@ def test_read_config_text_collects_all_problems():
     assert "line 1" in problems[0]
     assert "dotted" in problems[1]
     assert "duplicate" in problems[2]
+
+
+def test_readme_cli_block_names_every_flag(capsys):
+    # Each subcommand's line in README "Command line" names exactly the flags its
+    # parser accepts, and cli.USAGE lists the same lines.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(), flags=re.M | re.S)
+    (block,) = [b for b in blocks if b.startswith("horoflow run ")]
+    commands = [line for line in block.splitlines() if line.startswith("horoflow ")]
+    assert [line.split()[1] for line in commands] == ["run", "oracle", "constants", "analyze"]
+    for line in commands:
+        argv = list(itertools.takewhile(str.isalpha, line.split()[1:]))
+        assert main([*argv, "--help"]) == EXIT_OK
+        accepted = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z-]+", line)) == accepted, line
+    assert "  " + "\n  ".join(block.splitlines()) in USAGE
 
 
 def test_readme_config_block_lists_every_known_key():
@@ -279,7 +297,8 @@ def test_config_rejects_non_finite_values(key, raw):
 
 
 @pytest.mark.parametrize("kappa", [-1.0, -0.25])
-def test_config_bounds_the_radius_below_double_overflow(kappa):
+def test_config_bounds_the_radius_below_double_overflow(kappa, monkeypatch):
+    monkeypatch.setattr(flow, "DEFAULT_MAX_STEPS", 5)
     a = math.sqrt(-kappa)
     limit = scaled_radius_limit(3, a) / a
     values = {
@@ -294,7 +313,7 @@ def test_config_bounds_the_radius_below_double_overflow(kappa):
         "constants.n_samples": 200,
     }
     under = config_from_values({**values, "initial.r0": limit * (1.0 - 1e-4) - 0.01})
-    result = run(under, max_steps=5)
+    result = run(under)
     # mu_2 is below 1e-140 about so large a sphere, so rkc's step, 0.05 / mu_2,
     # is cut to t_end: one step covers the run.
     assert result.summary["status"] == "t_end" and result.summary["n_steps"] == 1
@@ -460,7 +479,8 @@ def test_run_sphere_converges(tmp_path, capsys):
     assert summary["params"] == {"n": 2, "m": 1, "beta": 1.0, "kappa": -1.0}
 
 
-def test_run_max_steps_flag(tmp_path, capsys):
+def test_run_stops_at_the_step_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(flow, "DEFAULT_MAX_STEPS", 3)
     path = write_config(
         tmp_path,
         **{
@@ -472,7 +492,7 @@ def test_run_max_steps_flag(tmp_path, capsys):
             "constants.n_samples": 2000,
         },
     )
-    assert main(["run", path, "--max-steps", "3"]) == EXIT_OK
+    assert main(["run", path]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
     assert summary["status"] == "max_steps"
     assert summary["n_steps"] == 3
@@ -527,11 +547,10 @@ def test_run_abort_prints_the_aborted_summary(tmp_path, capsys, with_output_dir)
         assert not out.exists()
 
 
-def test_oracle_writes_trajectory(tmp_path, capsys):
-    out = str(tmp_path / "traj.csv")
-    code = main(["oracle", "sphere", "1.0", "0.3", "--samples", "31", "--out", out])
+def test_oracle_writes_trajectory(capsys):
+    code = main(["oracle", "sphere", "1.0", "0.3", "--samples", "31"])
     assert code == EXIT_OK
-    lines = open(out).read().strip().splitlines()
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "t,r,residual"
     assert len(lines) == 32
     last = lines[-1].split(",")
@@ -539,23 +558,29 @@ def test_oracle_writes_trajectory(tmp_path, capsys):
     assert t == 0.3
     assert r == pytest.approx(math.acosh(math.cosh(1.0) * math.exp(-0.3)), abs=1e-8)
     assert abs(res) < 1e-8
-    # stdout mode
-    assert main(["oracle", "sphere", "1.0", "0.1", "--samples", "11"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("t,r,residual")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["nan", "1"], "r0 must be positive and finite"),
+        (["inf", "1"], "r0 must be positive and finite"),
+        (["1", "inf"], "t_grid must be finite"),
+        (["1", "nan"], "t_grid must be finite"),
+        (["1", "0.3", "--samples", "-1"], "--samples must be >= 2"),
+    ],
+)
+def test_oracle_rejects_out_of_domain_input(capsys, argv, named):
+    assert main(["oracle", "sphere", *argv]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
 
 
 def test_constants_outputs(tmp_path, capsys):
-    json_path = str(tmp_path / "constants.json")
     csv_path = str(tmp_path / "constants.csv")
-    code = main(
-        [
-            "constants",
-            "--n", "2", "--m", "1", "--samples", "500",
-            "--json", json_path, "--csv", csv_path,
-        ]
-    )
+    code = main(["constants", "--n", "2", "--m", "1", "--samples", "500", "--csv", csv_path])
     assert code == EXIT_OK
-    payload = json.loads(open(json_path).read())
+    payload = json.loads(capsys.readouterr().out)
     assert payload["degenerate"] is True  # linear speed: flat hessian ceiling
     assert payload["balance_evaluations"] == 0
     assert payload["epsilon0"] == pytest.approx(0.01)
@@ -566,17 +591,14 @@ def test_constants_outputs(tmp_path, capsys):
     rows = open(csv_path).read().strip().splitlines()
     assert rows[0] == "eps,gap_bound,gradient_floor,hessian_ceiling"
     assert len(rows) == len(table["eps"]) + 1
-    capsys.readouterr()
 
 
-def test_constants_json_reports_the_balance_evaluations(tmp_path, capsys):
-    json_path = str(tmp_path / "constants.json")
-    code = main(["constants", "--n", "2", "--m", "2", "--samples", "500", "--json", json_path])
+def test_constants_json_reports_the_balance_evaluations(capsys):
+    code = main(["constants", "--n", "2", "--m", "2", "--samples", "500"])
     assert code == EXIT_OK
-    payload = json.loads(open(json_path).read())
+    payload = json.loads(capsys.readouterr().out)
     assert payload["degenerate"] is False
     assert 1 <= payload["balance_evaluations"] <= 8
-    capsys.readouterr()
 
 
 def test_constants_rejects_a_negative_seed(capsys):
@@ -663,19 +685,40 @@ def test_readme_names_every_flow_result_field():
     assert sorted(named) == sorted(field.name for field in dataclasses.fields(FlowResult))
 
 
-def test_analyze_headerless_needs_flags(tmp_path, capsys):
+def _diagnostics_rows():
     from horoflow import CSV_COLUMNS
 
+    rows = [
+        [0.0, 5.0, 1.3, 1.2, 1.4, 0.2, 0.05, 0.6, 0.3, 1.1, 1.2, 1e-3],
+        [0.1, 5.0, 1.3, 1.2, 1.4, 0.21, 0.04, 0.6, 0.3, 1.1, 1.2, 1e-3],
+    ]
+    return "\n".join([",".join(CSV_COLUMNS)] + [",".join(repr(v) for v in row) for row in rows])
+
+
+def test_analyze_rejects_a_headerless_csv(tmp_path, capsys):
     path = tmp_path / "plain.csv"
-    header = ",".join(CSV_COLUMNS)
-    row_a = ",".join(repr(float(v)) for v in [0.0, 5.0, 1.3, 1.2, 1.4, 0.2, 0.05, 0.6, 0.3, 1.1, 1.2, 1e-3])
-    row_b = ",".join(repr(float(v)) for v in [0.1, 5.0, 1.3, 1.2, 1.4, 0.21, 0.04, 0.6, 0.3, 1.1, 1.2, 1e-3])
-    path.write_text(header + "\n" + row_a + "\n" + row_b + "\n")
+    path.write_text(_diagnostics_rows() + "\n")
     assert main(["analyze", str(path)]) == EXIT_INVARIANT
-    err = capsys.readouterr().err
-    for key in ("--n", "--m", "--beta", "--kappa"):
-        assert key in err
-    code = main(["analyze", str(path), "--n", "2", "--m", "1", "--beta", "1.0", "--kappa", "-1.0"])
-    assert code == EXIT_OK
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith(f"error: {path} is not a horoflow diagnostics CSV")
     assert main(["analyze", str(tmp_path / "missing.csv")]) == EXIT_INVARIANT
+
+
+@pytest.mark.parametrize(
+    "meta, named",
+    [
+        ("n=2, m=1, beta=1.0, kappa=-1.0", None),
+        ("n=2, m=7, beta=1.0, kappa=-1.0", "params.m"),
+        ("n=2, m=1, beta=nan, kappa=-1.0", "params.beta"),
+        ("n=2, m=1, beta=1.0, kappa=inf", "params.kappa"),
+    ],
+)
+def test_analyze_checks_the_flow_parameters_of_the_metadata(tmp_path, capsys, meta, named):
+    path = tmp_path / "diagnostics.csv"
+    path.write_text(f"# horoflow-diagnostics v1, {meta}\n" + _diagnostics_rows() + "\n")
+    code = main(["analyze", str(path)])
+    err = capsys.readouterr().err
+    if named is None:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_INVARIANT
+        assert err.startswith(f"configuration error:\n  {named}"), err

@@ -117,7 +117,8 @@ def test_run_config_reports_every_problem_and_the_grid_dimension(params_n3m2):
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (4, 2)])
-def test_run_config_bounds_the_radius_below_double_overflow(n, m):
+def test_run_config_bounds_the_radius_below_double_overflow(n, m, monkeypatch):
+    monkeypatch.setattr(flow, "DEFAULT_MAX_STEPS", 5)
     params = FlowParams(n=n, m=m, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
     grid = make_grid("axisymmetric", n, 16)
     limit = scaled_radius_limit(n, params.a)
@@ -127,7 +128,7 @@ def test_run_config_bounds_the_radius_below_double_overflow(n, m):
     # mu_2 is below 1e-140 about so large a sphere, so rkc's step, 0.05 / mu_2,
     # is cut to t_end: one step covers the run.
     config = RunConfig(params=params, initial=under, t_end=1.0, constants_samples=200)
-    result = run(config, max_steps=5)
+    result = run(config)
     assert result.summary["status"] == "t_end" and result.summary["n_steps"] == 1
     cols = result.recorder.arrays()
     # At this radius the shifted spectrum lam - a rounds to 0, where the
@@ -321,7 +322,7 @@ def test_rkc_keeps_heuns_decay_rate_on_a_small_sphere(params_n2m2):
     assert rkc["rhs_evaluations"] < heun["rhs_evaluations"]
 
 
-def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1):
+def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1, monkeypatch):
     dt_stable = 1e-4
     for dt in (5e-5, 1e-4, 1e-3, 1e-2):
         stages, taken = rkc_plan(dt, dt_stable)
@@ -335,7 +336,8 @@ def test_rkc_stage_count_covers_the_heun_interval_up_to_the_cap(params_n2m1):
     # A run takes that step: at N = 512 the accuracy step (about 0.035)
     # would need about 75 stages.
     config = perturbed_config(params_n2m1, n_theta=512, t_end=10.0)
-    result = run(config, max_steps=3)
+    monkeypatch.setattr(flow, "DEFAULT_MAX_STEPS", 3)
+    result = run(config)
     cap = {"min": RKC_MAX_STAGES, "median": float(RKC_MAX_STAGES), "max": RKC_MAX_STAGES}
     assert result.summary["dt"]["stages"] == cap
     assert result.summary["rhs_evaluations"] == 3 * RKC_MAX_STAGES
@@ -571,9 +573,10 @@ def test_full2d_run_filters_its_initial_state(params_n2m2):
     assert result.summary["dt_limit"] == limit and limit["direction"] == "phi"
 
 
-def test_run_respects_max_steps(params_n2m1):
+def test_run_respects_max_steps(params_n2m1, monkeypatch):
+    monkeypatch.setattr(flow, "DEFAULT_MAX_STEPS", 5)
     config = perturbed_config(params_n2m1, t_end=100.0)
-    result = run(config, max_steps=5)
+    result = run(config)
     assert result.summary["status"] == "max_steps"
     assert result.summary["n_steps"] == 5
 

@@ -530,7 +530,7 @@ def test_stable_dt_takes_the_trace_from_the_pair_spectrum(mode, params_n2m2, mon
 
 
 def test_snapshot_round_trip_axisym(tmp_path, params_n2m1):
-    state = perturbed_sphere_state(make_grid("axisymmetric", 2, 64), 1.0, 2, 0.05, t=0.0)
+    state = perturbed_sphere_state(make_grid("axisymmetric", 2, 64), 1.0, 2, 0.05)
     state = GraphState(t=0.375, grid=state.grid, r=state.r * 1.000001)
     path = str(tmp_path / "snap.csv")
     save_snapshot(state, path)

@@ -77,14 +77,6 @@ def test_near_flat_limit_recovers_euclidean_values():
     assert np.allclose(generalized_cotangent(x, amb), 1.0 / x, rtol=1e-9)
 
 
-def test_zero_is_fine_without_cotangent(ac):
-    s, c, ta, co = kappa_trig(0.0, ac, with_co=False)
-    assert float(s) == 0.0
-    assert float(c) == 1.0
-    assert float(ta) == 0.0
-    assert co is None
-
-
 def test_cotangent_rejects_nonpositive_radius(ac):
     with pytest.raises(DomainError, match="x > 0"):
         generalized_cotangent(0.0, ac)
@@ -96,11 +88,11 @@ def test_negative_radius_rejected(ac):
     # only the geodesic-distance bundle polices signs; the bare evaluators
     # are analytic functions and accept any real argument
     with pytest.raises(DomainError):
-        kappa_trig(-0.5, ac, with_co=False)
+        kappa_trig(-0.5, ac)
     with pytest.raises(DomainError):
-        kappa_trig(np.array([0.3, -0.1]), ac, with_co=False)
+        kappa_trig(np.array([0.3, -0.1]), ac)
     with pytest.raises(DomainError):
-        kappa_trig(float("inf"), ac, with_co=False)
+        kappa_trig(float("inf"), ac)
     assert generalized_sine(-0.1, ac) == -generalized_sine(0.1, ac)
 
 

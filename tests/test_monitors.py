@@ -17,14 +17,13 @@ from horoflow import (
     analyze_diagnostics,
     ball_volume,
     check_monotone,
-    fit_exponential,
     geometry_from_graph,
     load_diagnostics,
     make_grid,
     record,
     sphere_state,
 )
-from horoflow.monitors import shifted_minima
+from horoflow.monitors import decay_fit, shifted_minima
 
 COTH1 = math.cosh(1.0) / math.sinh(1.0)
 
@@ -200,24 +199,24 @@ def test_recorder_round_trip_is_bitwise(tmp_path, params_n2m1):
         assert np.array_equal(cols[name], arrays[name], equal_nan=True), name
 
 
-def test_headerless_csv_loads_with_empty_meta(tmp_path):
+def test_headerless_csv_is_rejected(tmp_path):
+    # Every CSV a run writes starts with the metadata line; a bare header is no diagnostics file.
     path = tmp_path / "plain.csv"
     header = ",".join(CSV_COLUMNS)
     row = ",".join(repr(float(k)) for k in range(len(CSV_COLUMNS)))
     path.write_text(header + "\n" + row + "\n")
-    meta, cols = load_diagnostics(str(path))
-    assert meta == {}
-    assert cols["t"][0] == 0.0
-    assert cols["dt"][0] == float(len(CSV_COLUMNS) - 1)
+    with pytest.raises(HoroflowError, match="is not a horoflow diagnostics CSV"):
+        load_diagnostics(str(path))
 
 
 def test_load_rejects_malformed_files(tmp_path):
+    meta = "# horoflow-diagnostics v1, n=2, m=1, beta=1.0, kappa=-1.0\n"
     bad_header = tmp_path / "bad.csv"
-    bad_header.write_text("time,volume\n0.0,1.0\n")
+    bad_header.write_text(meta + "time,volume\n0.0,1.0\n")
     with pytest.raises(HoroflowError):
         load_diagnostics(str(bad_header))
     short_rows = tmp_path / "short.csv"
-    short_rows.write_text(",".join(CSV_COLUMNS) + "\n1.0,2.0\n")
+    short_rows.write_text(meta + ",".join(CSV_COLUMNS) + "\n1.0,2.0\n")
     with pytest.raises((HoroflowError, ValueError)):
         load_diagnostics(str(short_rows))
 
@@ -234,23 +233,17 @@ def test_empty_recorder_arrays(params_n2m1):
 
 
 def test_check_monotone_accepts_and_rejects():
-    ok = check_monotone([0.0, 0.1, 0.1, 0.2], "nondecreasing")
-    assert ok.ok and ok.index is None and ok.worst_violation == 0.0
-    bad = check_monotone([0.0, 0.2, 0.1, 0.3], "nondecreasing")
-    assert not bad.ok
-    assert bad.index == 2
-    assert bad.worst_violation == pytest.approx(0.1)
-    tol = check_monotone([0.0, 0.2, 0.199, 0.3], "nondecreasing", tol=0.01)
-    assert tol.ok
-    dec = check_monotone([3.0, 2.0, 2.5], "nonincreasing")
-    assert not dec.ok and dec.index == 2
+    assert check_monotone([0.0, 0.1, 0.1, 0.2]) is True
+    assert check_monotone([0.0, 0.2, 0.1, 0.3]) is False
+    assert check_monotone([0.0, 0.2, 0.199, 0.3], tol=0.01) is True
+    assert check_monotone([0.0, 0.2, 0.18, 0.3], tol=0.01) is False
 
 
 def test_check_monotone_validation():
     with pytest.raises(DomainError):
         check_monotone([1.0])
     with pytest.raises(DomainError):
-        check_monotone([1.0, 2.0], "sideways")
+        check_monotone([[1.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -260,40 +253,32 @@ def test_check_monotone_validation():
 
 def test_fit_recovers_exact_exponential():
     t = np.linspace(0.0, 3.0, 100)
-    fit = fit_exponential(t, 3.0 * np.exp(-2.0 * t))
+    fit = decay_fit({"t": t, "f_max": 3.0 * np.exp(-2.0 * t)})
     assert fit.rate == pytest.approx(2.0, abs=1e-10)
-    assert fit.amplitude == pytest.approx(3.0, rel=1e-8)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.n_used == 90
-    assert fit.clipped is False
-
-
-def test_fit_clips_nonpositive_samples():
-    t = np.linspace(0.0, 1.0, 50)
-    y = np.exp(-t)
-    y[30] = 0.0
-    fit = fit_exponential(t, y)
-    assert fit.clipped is True
+    assert fit.n_used == 90  # the first 10% skipped as transient
 
 
 def test_fit_floor_drops_converged_tail():
     t = np.linspace(0.0, 10.0, 200)
     y = np.exp(-3.0 * t)
     y[y < 1e-12] = 1e-16  # rounding residue after convergence
-    fit = fit_exponential(t, y, floor=1e-13)
+    y[-1] = 0.0
+    y[-2] = -1e-16
+    y[-3] = math.nan
+    fit = decay_fit({"t": t, "f_max": y})
     assert fit.rate == pytest.approx(3.0, abs=1e-6)
-    assert fit.clipped is False
+    kept = int(np.sum(y > 1e-13))
+    assert fit.n_used == kept - int(0.1 * kept)
 
 
 def test_fit_validation():
-    t = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(DomainError):
-        fit_exponential(t, np.exp(-t))
+    # Fewer than 10 samples left after the floor and the transient skip: no fit.
+    t = np.linspace(0.0, 1.0, 10)
+    assert decay_fit({"t": t, "f_max": np.exp(-t)}) is None
     t = np.linspace(0.0, 1.0, 50)
-    with pytest.raises(DomainError):
-        fit_exponential(t, np.exp(-t), skip_fraction=1.0)
-    with pytest.raises(DomainError):
-        fit_exponential(t, np.exp(-t)[:-1])
+    assert decay_fit({"t": t, "f_max": np.full(50, 1e-14)}) is None
+    assert decay_fit({"t": t[:12], "f_max": np.exp(-t[:12])}).n_used == 11
 
 
 # ---------------------------------------------------------------------------

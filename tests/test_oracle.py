@@ -98,6 +98,11 @@ def test_contraction_input_validation(params_n2m1):
         sphere_contraction(1.0, params_n2m1, np.array([0.0, 0.2, 0.1]))
     with pytest.raises(DomainError):
         sphere_contraction(1.0, params_n2m1, np.array([0.1, 0.2]))
+    for r0 in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="r0 must be positive and finite"):
+            sphere_contraction(r0, params_n2m1, np.linspace(0.0, 1.0, 11))
+    with pytest.raises(DomainError, match="t_grid must be finite"):
+        sphere_contraction(1.0, params_n2m1, np.array([0.0, 0.5, math.inf]))
     with pytest.raises(DomainError):
         unit_closed_form_radius(1.0, 10.0, params_n2m1)
     with pytest.raises(DomainError):
