@@ -55,7 +55,7 @@ subcommands:
       integrate a configured flow, print summary JSON
   horoflow oracle sphere <r0> <t_end> [--samples --n --m --beta --kappa]
       print the contracting-sphere trajectory CSV
-  horoflow constants [--n --m --beta --kappa --samples --seed --csv]
+  horoflow constants [--n --m --beta --samples --seed --csv]
       solve pinching constants, print them as JSON (--csv also writes the tables)
   horoflow analyze <diagnostics.csv>
       verdict JSON for a diagnostics CSV written by a run
@@ -326,12 +326,6 @@ def _cmd_run(args: list[str]) -> int:
     return EXIT_OK
 
 
-def _oracle_params(ns) -> FlowParams:
-    return FlowParams(
-        n=ns.n, m=ns.m, beta=ns.beta, ac=AmbientCurvature(kappa=ns.kappa)
-    )
-
-
 def _cmd_oracle(args: list[str]) -> int:
     if not args or args[0] != "sphere":
         sys.stderr.write("usage: horoflow oracle sphere <r0> <t_end> [options]\n")
@@ -345,7 +339,7 @@ def _cmd_oracle(args: list[str]) -> int:
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--kappa", type=float, default=-1.0)
     ns = parser.parse_args(args[1:])
-    params = _oracle_params(ns)
+    params = FlowParams(n=ns.n, m=ns.m, beta=ns.beta, ac=AmbientCurvature(kappa=ns.kappa))
     if ns.samples < 2:
         raise DomainError(f"--samples must be >= 2, got {ns.samples}")
     # A non-finite t_end gives a NaN grid, which sphere_contraction rejects.
@@ -367,18 +361,17 @@ def _cmd_constants(args: list[str]) -> int:
     parser.add_argument("--n", type=int, default=2)
     parser.add_argument("--m", type=int, default=1)
     parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--kappa", type=float, default=-1.0)
     parser.add_argument("--samples", type=int, default=curvalg.DEFAULT_SAMPLES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", default=None, help="write the epsilon tables as CSV")
     ns = parser.parse_args(args)
-    params = _oracle_params(ns)
+    # The solve never reads kappa: its cone lives on the shifted spectrum lambda - a.
+    params = FlowParams(n=ns.n, m=ns.m, beta=ns.beta, ac=AmbientCurvature(kappa=-1.0))
     constants = curvalg.solve_pinching_constants(params, n_samples=ns.samples, seed=ns.seed)
     payload = {
         "n": ns.n,
         "m": ns.m,
         "beta": ns.beta,
-        "kappa": ns.kappa,
         **constants.account(),
         "table": {
             "eps": [float(v) for v in constants.eps_grid],

@@ -374,8 +374,11 @@ _CONSTANTS_CACHE: dict[tuple, PinchingConstants] = {}
 
 
 def pinching_constants_cached(params: FlowParams, n_samples: int, seed: int) -> PinchingConstants:
-    """Memoized pinching constants; repeated runs share one construction."""
-    key = (params.n, params.m, float(params.beta), float(params.ac.kappa), int(n_samples), int(seed))
+    """Memoized pinching constants; repeated runs share one construction.
+
+    kappa is not part of the key: the solve reads only n, m and beta.
+    """
+    key = (params.n, params.m, float(params.beta), int(n_samples), int(seed))
     if key not in _CONSTANTS_CACHE:
         _CONSTANTS_CACHE[key] = solve_pinching_constants(
             params, n_samples=n_samples, seed=seed

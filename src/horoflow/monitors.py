@@ -210,21 +210,24 @@ def load_diagnostics(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 f"{path} is not a horoflow diagnostics CSV: its first line must be "
                 f"'{DIAGNOSTICS_MAGIC}, n=..., m=..., beta=..., kappa=...'"
             )
+        header = fh.readline().strip()
+        if header != ",".join(CSV_COLUMNS):
+            raise HoroflowError(f"{path} has an unexpected column header: {header!r}")
+        body = fh.read()
+    try:
         meta = {
             "n": int(match.group(1)),
             "m": int(match.group(2)),
             "beta": float(match.group(3)),
             "kappa": float(match.group(4)),
         }
-        header = fh.readline().strip()
-        if header != ",".join(CSV_COLUMNS):
-            raise HoroflowError(f"unexpected diagnostics column header: {header!r}")
-        body = fh.read()
+        data = np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
+    except ValueError as exc:  # a non-numeric value or a ragged row
+        raise HoroflowError(f"{path} is not a readable diagnostics CSV: {exc}") from exc
     ConfigurationError.raise_if(
         FlowParams.problems(meta["n"], meta["m"], meta["beta"])
         + AmbientCurvature.problems(meta["kappa"])
     )
-    data = np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
     if data.size == 0:
         return meta, {name: np.empty(0) for name in CSV_COLUMNS}
     if data.shape[1] != len(CSV_COLUMNS):

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horoflow import (
+    AmbientCurvature,
     ConfigurationError,
+    FlowParams,
     make_grid,
     perturbed_sphere_state,
     save_snapshot,
@@ -436,6 +438,46 @@ def test_parse_config_and_run_log_the_pinching_verdict_once(tmp_path, caplog):
 
 
 # ---------------------------------------------------------------------------
+# The example configs
+# ---------------------------------------------------------------------------
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples"
+
+
+@pytest.mark.parametrize(
+    "variant, n, m, t_end", [("n2m1", 2, 1, 16.0), ("n3m2", 3, 2, 6.0), ("n2m2", 2, 2, 5.0)]
+)
+def test_examples_build_the_standard_scenarios(variant, n, m, t_end):
+    # A unit sphere with an l = 2 bump of 0.05 on 256 axisymmetric rows.
+    config = parse_config(str(EXAMPLES / f"{variant}.conf"))
+    assert config.params == FlowParams(n=n, m=m, beta=1.0, ac=AmbientCurvature(kappa=-1.0))
+    assert config.initial.grid.mode == "axisymmetric"
+    assert config.initial.grid.n_theta == 256
+    expected = perturbed_sphere_state(make_grid("axisymmetric", n, 256), 1.0, 2, 0.05)
+    assert config.initial.r.tobytes() == expected.r.tobytes()
+    assert (config.t_end, config.snapshot_interval) == (t_end, 1.0)
+    assert (config.constants_samples, config.constants_seed) == (20_000, 0)
+    assert (config.record_interval, config.f_tol) == (RunConfig.record_interval, RunConfig.f_tol)
+    assert config.output_dir == f"out/{variant}"
+
+
+def test_example_config_runs_and_analyze_reads_its_diagnostics(tmp_path, capsys):
+    # The n2m1 example on a coarse grid and a short horizon.
+    values = read_config_text((EXAMPLES / "n2m1.conf").read_text())
+    out_dir = tmp_path / "n2m1"
+    values.update({
+        "grid.n_theta": 16, "flow.t_end": 0.02, "constants.n_samples": 200,
+        "output.dir": str(out_dir),
+    })
+    path = tmp_path / "n2m1.conf"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    assert main(["run", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["dt"]["scheme"] == "rkc"
+    assert main(["analyze", str(out_dir / "diagnostics.csv")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["monotone_Qtilde"] is True
+
+
+# ---------------------------------------------------------------------------
 # Dispatch and exit codes
 # ---------------------------------------------------------------------------
 
@@ -454,6 +496,7 @@ def test_malformed_flags_exit_usage(capsys):
     assert main(["oracle", "banana"]) == EXIT_USAGE
     assert main(["oracle", "sphere", "abc", "1.0"]) == EXIT_USAGE
     assert main(["constants", "--samples", "many"]) == EXIT_USAGE
+    assert main(["constants", "--kappa", "-4"]) == EXIT_USAGE  # the solve never reads kappa
     capsys.readouterr()
 
 
@@ -581,6 +624,7 @@ def test_constants_outputs(tmp_path, capsys):
     code = main(["constants", "--n", "2", "--m", "1", "--samples", "500", "--csv", csv_path])
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
+    assert "kappa" not in payload
     assert payload["degenerate"] is True  # linear speed: flat hessian ceiling
     assert payload["balance_evaluations"] == 0
     assert payload["epsilon0"] == pytest.approx(0.01)
@@ -604,6 +648,11 @@ def test_constants_json_reports_the_balance_evaluations(capsys):
 def test_constants_rejects_a_negative_seed(capsys):
     assert main(["constants", "--seed", "-1", "--samples", "100"]) == EXIT_INVARIANT
     assert capsys.readouterr().err.startswith("error: sampler needs a seed >= 0")
+
+
+def test_constants_rejects_an_out_of_range_speed(capsys):
+    assert main(["constants", "--n", "2", "--m", "3", "--samples", "100"]) == EXIT_INVARIANT
+    assert capsys.readouterr().err.startswith("configuration error:\n  params.m must be")
 
 
 def test_analyze_verdict_flow(tmp_path, capsys):
@@ -722,3 +771,20 @@ def test_analyze_checks_the_flow_parameters_of_the_metadata(tmp_path, capsys, me
     else:
         assert code == EXIT_INVARIANT
         assert err.startswith(f"configuration error:\n  {named}"), err
+
+
+@pytest.mark.parametrize(
+    "meta, body",
+    [
+        ("n=2, m=1, beta=1.0, kappa=-1.0", _diagnostics_rows() + "\n0.2,5.0\n"),
+        ("n=2, m=1, beta=abc, kappa=-1.0", _diagnostics_rows() + "\n"),
+        ("n=2, m=1, beta=1.0, kappa=-1.0", _diagnostics_rows().replace("0.04", "x") + "\n"),
+    ],
+    ids=["ragged-row", "non-numeric-metadata", "non-numeric-cell"],
+)
+def test_analyze_names_a_malformed_file(tmp_path, capsys, meta, body):
+    path = tmp_path / "diagnostics.csv"
+    path.write_text(f"# horoflow-diagnostics v1, {meta}\n" + body)
+    assert main(["analyze", str(path)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not a readable diagnostics CSV"), err

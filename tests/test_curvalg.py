@@ -886,6 +886,24 @@ def test_constants_are_seed_deterministic(params_n3m2):
     assert np.array_equal(a.grad_floor_table, b.grad_floor_table)
 
 
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
+def test_constants_do_not_depend_on_kappa(n, m):
+    # The cone lives on the shifted spectrum lambda - a, so kappa only moves a.
+    a = solve_pinching_constants(make_params(n, m, 1.0, kappa=-1.0), n_samples=500, seed=0)
+    b = solve_pinching_constants(make_params(n, m, 1.0, kappa=-4.0), n_samples=500, seed=0)
+    assert (a.epsilon0, a.c_star) == (b.epsilon0, b.c_star)
+    for field in ("eps_grid", "gap_table", "grad_floor_table", "hess_ceiling_table"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+def test_constants_solve_for_n_6():
+    # A Monte-Carlo slice maximum falls short of the closed form by more than
+    # 1e-3 from n = 6 up, so C* is the closed form alone.
+    constants = solve_pinching_constants(make_params(6, 1, 1.0), n_samples=200, seed=0)
+    assert constants.degenerate
+    assert constants.c_star == slice_constant(0.01, 6)
+
+
 # ---------------------------------------------------------------------------
 # Structural properties of the normalized speed (hypothesis)
 # ---------------------------------------------------------------------------

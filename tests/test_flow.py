@@ -455,6 +455,17 @@ def test_sphere_converges_immediately(params_n2m1):
     assert result.summary["abort"] is None
 
 
+def test_runs_at_two_curvatures_share_one_constants_solve(monkeypatch):
+    monkeypatch.setattr(flow, "_CONSTANTS_CACHE", {})
+    summaries = []
+    for kappa in (-1.0, -4.0):
+        params = FlowParams(n=2, m=2, beta=1.0, ac=AmbientCurvature(kappa=kappa))
+        config = make_config(params, sphere_state(make_grid("axisymmetric", 2, 32), 0.5))
+        summaries.append(run(config).summary)
+        assert len(flow._CONSTANTS_CACHE) == 1
+    assert summaries[0]["constants"] == summaries[1]["constants"]
+
+
 def test_converged_summary_reports_the_stopping_tests(params_n2m1):
     grid = make_grid("axisymmetric", 2, 16)
     initial = perturbed_sphere_state(grid, 1.0, 2, 0.02)

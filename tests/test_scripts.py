@@ -1,9 +1,8 @@
-"""The scripts under scripts/ and the benchmark's tracer, loaded by path."""
+"""scripts/stability_margin.py and the benchmark's tracer, loaded by path."""
 
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -15,58 +14,6 @@ def load_script(name, directory=SCRIPTS):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_standard_scenario_writes_diagnostics(tmp_path):
-    out = str(tmp_path / "standard")
-    load_script("run_standard_scenario").main(
-        ["--n-theta", "16", "--t-end", "0.02", "--samples", "200", "--output", out]
-    )
-    assert os.path.exists(os.path.join(out, "diagnostics.csv"))
-    with open(os.path.join(out, "summary.json")) as fh:
-        assert json.load(fh)["dt"]["scheme"] == "rkc"
-
-
-def test_constants_tables_runs_one_speed(tmp_path, capsys):
-    constants_tables = load_script("constants_tables")
-    path = tmp_path / "rows.json"
-    argv = ["--triple", "2,1,1.0", "--samples", "500", "--json", str(path)]
-    assert constants_tables.main(argv) == 0
-    out = capsys.readouterr().out
-    assert "epsilon0" in out and "evals" in out
-    (row,) = json.loads(path.read_text())
-    assert row["degenerate"] is True and row["balance_evaluations"] == 0
-
-
-def test_constants_tables_default_samples_is_the_solver_default(monkeypatch):
-    from horoflow import curvalg
-
-    constants_tables = load_script("constants_tables")
-    seen = []
-
-    def solve(params, n_samples, seed):
-        seen.append(n_samples)
-        return curvalg.solve_pinching_constants(params, n_samples=500, seed=seed)
-
-    monkeypatch.setattr(constants_tables, "solve_pinching_constants", solve)
-    assert constants_tables.main(["--triple", "2,1,1.0"]) == 0
-    assert seen == [curvalg.DEFAULT_SAMPLES]
-
-
-def test_constants_tables_reports_errors_like_the_cli(capsys):
-    constants_tables = load_script("constants_tables")
-    assert constants_tables.main(["--triple", "2,1,1.0", "--samples", "100", "--seed", "-1"]) == 1
-    assert "error: sampler needs a seed >= 0" in capsys.readouterr().err
-    assert constants_tables.main(["--triple", "2,3,1.0", "--samples", "100"]) == 1
-    assert "configuration error:\n  params.m must be" in capsys.readouterr().err
-
-
-def test_standard_scenario_reports_errors_like_the_cli(tmp_path, capsys):
-    out = str(tmp_path / "standard")
-    argv = ["--n-theta", "16", "--amplitude", "5", "--samples", "200", "--output", out]
-    assert load_script("run_standard_scenario").main(argv) == 1
-    assert "configuration error:\n  initial.amplitude" in capsys.readouterr().err
-    assert not os.path.exists(out)
 
 
 def test_stability_margin_reports_errors_like_the_cli(tmp_path, capsys):
