@@ -8,8 +8,11 @@ gradient floor against a Hessian ceiling over the pinching cone.  The
 shifted invariants of a recorded spectrum, and its pinching test against
 C*, live in monitors.shifted_minima.
 
-Every evaluator broadcasts over a leading batch axis, so the same code
-serves single spectra, whole grids, and the 1e5-point sampling oracles.
+The kernels work on spectra held as n columns, an (n, ...) array whose
+entry i is lambda_i of every spectrum; the public evaluators take (..., n)
+arrays and hand the kernels the column views lam[..., i].  So the same code
+serves single spectra, whole grids, and the 1e5-point sample cloud, which
+is stored column-major and scored one contiguous block at a time.
 
 Conventions.  Spectra are length-n vectors in the positive cone; shifted
 quantities subtract the ambient constant a = sqrt(-kappa) componentwise.
@@ -56,8 +59,10 @@ MIN_SAMPLES = 100
 # eps points of the tables, and the bracket width epsilon0 is the midpoint of.
 TABLE_POINTS = 17
 ROOT_TOL = 1.0e-8
-# Rows per block of the sample cloud in map_rows: bounds the (CHUNK_ROWS, n, n)
-# Hessian temporaries of _bound_values for speeds that are not quadratic.
+# Points per column block of the sample cloud (ConeSampler.blocks): each
+# (CHUNK_ROWS,) column temporary is 64 KB, so a block is projected, masked
+# and scored while it is in cache, and the (n, n, CHUNK_ROWS) Hessians of a
+# speed that is not quadratic stay bounded.
 CHUNK_ROWS = 8192
 
 
@@ -111,28 +116,32 @@ def _as_batch(lam) -> np.ndarray:
     return lam
 
 
-def _esym_table(lam: np.ndarray) -> np.ndarray:
-    """Return all elementary symmetric values E_0..E_n along the last axis.
+def _columns(lam: np.ndarray) -> np.ndarray:
+    """The columns lam[..., i] of an (..., n) spectrum array, as an (n, ...) view."""
+    return np.moveaxis(lam, -1, 0)
+
+
+def _esym_table(cols) -> np.ndarray:
+    """Return the elementary symmetric values E_0..E_n of n columns, shape (n + 1, ...).
 
     One-root-at-a-time recurrence: exact in exact arithmetic, stable in
     floating point for the small n used here.
     """
-    n = lam.shape[-1]
-    e = np.zeros(lam.shape[:-1] + (n + 1,), dtype=float)
-    e[..., 0] = 1.0
+    n = len(cols)
+    e = np.zeros((n + 1,) + np.shape(cols[0]), dtype=float)
+    e[0] = 1.0
     for i in range(n):
-        li = lam[..., i]
-        for k in range(min(i + 1, n), 0, -1):
-            e[..., k] += li * e[..., k - 1]
+        li = cols[i]
+        for k in range(i + 1, 0, -1):
+            e[k] += li * e[k - 1]
     return e
 
 
-def _esym_drop(e: np.ndarray, li: np.ndarray, upto: int) -> np.ndarray:
-    """Synthetic division: elementary symmetric values of the set without one root."""
-    out = np.zeros(li.shape + (upto + 1,), dtype=float)
-    out[..., 0] = 1.0
+def _esym_drop(e, li, upto: int) -> list:
+    """Synthetic division: E_0..E_upto of the set without the root li."""
+    out = [e[0]]
     for k in range(1, upto + 1):
-        out[..., k] = e[..., k] - li * out[..., k - 1]
+        out.append(e[k] - li * out[k - 1])
     return out
 
 
@@ -142,7 +151,7 @@ def elementary_symmetric(lam, k: int):
     n = lam.shape[-1]
     if not 0 <= k <= n:
         raise DomainError(f"elementary symmetric order k={k} outside [0, {n}]")
-    return _esym_table(lam)[..., k]
+    return _esym_table(_columns(lam))[k, ...]
 
 
 def mean_curvature_m(lam, params: FlowParams):
@@ -211,51 +220,50 @@ class PairSpectrum:
         return lam
 
 
-def _speed_derivatives(lam: np.ndarray, params: FlowParams, hessian: bool):
-    """Return dF/dlambda and, if hessian, d^2F/dlambda^2 from one set of tables.
+def _speed_derivatives(cols, params: FlowParams, hessian: bool):
+    """Return dF/dlambda and, if hessian, d^2F/dlambda^2 of n columns from one set of tables.
 
-    The gradient has lam's shape (..., n).  The Hessian is (..., n, n), one
-    matrix per spectrum, except for a quadratic speed (beta = 1, m <= 2):
-    its Hessian is the constant (J - I)/C(n, 2), or zero for m = 1, and comes
-    back as one block of shape (1,) * (lam.ndim - 1) + (n, n) that
-    broadcasts against the rows.
+    The gradient is (n, ...): row i is dF/dlambda_i.  The Hessian is
+    (n, n, ...), one matrix per spectrum, except for a quadratic speed
+    (beta = 1, m <= 2): its Hessian is the constant (J - I)/C(n, 2), or zero
+    for m = 1, and comes back as one (n, n) block whose entries broadcast
+    against the columns.
     """
     n, m, beta = params.n, params.m, params.beta
-    e = _esym_table(lam)
-    hm = e[..., m] / params.binom
+    e = _esym_table(cols)
+    hm = e[m] / params.binom
     if np.any(~(hm > 0.0)):
         what = "Hessian" if hessian else "gradient"
         raise ParabolicityLostError(f"H_m <= 0 (min {np.min(hm):.6g}); {what} undefined")
-    reduced = [_esym_drop(e, lam[..., i], m - 1) for i in range(n)]
-    prefactor = beta * hm ** (beta - 1.0) / params.binom
-    grad = np.empty_like(lam)
+    reduced = [_esym_drop(e, cols[i], m - 1) for i in range(n)]
+    # beta * hm ** 0.0 == 1.0 for every spectrum, so beta = 1 skips the power.
+    prefactor = (beta if beta == 1.0 else beta * hm ** (beta - 1.0)) / params.binom
+    grad = np.empty((n,) + np.shape(hm))
     for i in range(n):
-        grad[..., i] = prefactor * reduced[i][..., m - 1]
+        grad[i] = prefactor * reduced[i][m - 1]
     if not hessian:
         return grad, None
 
     if beta == 1.0 and m <= 2:
-        # hm ** 0.0 == 1.0 makes every row's prefactor 1.0 / C(n, m), and the
-        # twice-reduced E_0 is 1.0: the per-row matrices are all this block.
+        # The prefactor is 1.0 / C(n, m) and the twice-reduced E_0 is 1.0:
+        # the per-spectrum matrices are all this block.
         block = np.full((n, n), 1.0 / params.binom if m == 2 else 0.0)
         np.fill_diagonal(block, 0.0)
-        return grad, block.reshape((1,) * (lam.ndim - 1) + (n, n))
-    out = np.zeros(lam.shape + (n,), dtype=float)
+        return grad, block
+    out = np.zeros((n, n) + np.shape(hm), dtype=float)
     # Rank-one part from the outer power; vanishes identically when beta = 1.
     if beta != 1.0:
-        dhm = np.empty_like(lam)
-        for i in range(n):
-            dhm[..., i] = reduced[i][..., m - 1] / params.binom
+        dhm = np.array([r[m - 1] for r in reduced]) / params.binom
         coef = beta * (beta - 1.0) * hm ** (beta - 2.0)
-        out += coef[..., None, None] * dhm[..., :, None] * dhm[..., None, :]
+        out += (coef * dhm)[:, None] * dhm[None, :]
     # Mixed second derivatives of H_m itself: remove two distinct roots.
     if m >= 2:
         for i in range(n):
             for j in range(i + 1, n):
-                twice_reduced = _esym_drop(reduced[i], lam[..., j], m - 2)
-                val = prefactor * twice_reduced[..., m - 2]
-                out[..., i, j] += val
-                out[..., j, i] += val
+                twice_reduced = _esym_drop(reduced[i], cols[j], m - 2)
+                val = prefactor * twice_reduced[m - 2]
+                out[i, j] += val
+                out[j, i] += val
     return grad, out
 
 
@@ -274,32 +282,36 @@ def speed_gradient(lam, params: FlowParams, trace: bool = False):
         if beta != 1.0:
             total = total * (beta * (lam.esym(m) / params.binom) ** (beta - 1.0))
         return total
-    grad = _speed_derivatives(_as_batch(lam), params, hessian=False)[0]
+    grad = _speed_derivatives(_columns(_as_batch(lam)), params, hessian=False)[0]
+    grad = np.ascontiguousarray(np.moveaxis(grad, 0, -1))
     return grad.sum(axis=-1) if trace else grad
 
 
-def _pair_quotients(lam, grad, second):
-    """Yield (i, j, Q_ij) for every ordered pair i != j.
+def _pair_quotients(cols, grad, second, pairs):
+    """Yield (i, j, Q_ij), a new array, for each pair (i, j) of distinct indices.
 
     Q_ij = (dF_i - dF_j)/(lambda_i - lambda_j), or its coalescence limit
     0.5 (s_ii + s_jj) - s_ij below a relative gap of EIGEN_COALESCE_RTOL.
-    |Q_ij| and |Q_ji| can differ: the limits do when the rank-one part of
-    the Hessian s rounds differently in s_ij and s_ji.  s may be the one
-    block of a quadratic speed; its limit then broadcasts inside np.where.
+    Q_ij and Q_ji can differ: a zero quotient keeps the sign of its own gap,
+    and for beta != 1 the limits differ when the rank-one part of the
+    Hessian s rounds differently in s_ij and s_ji.  s may be the one block
+    of a quadratic speed; its limit then broadcasts.
     """
-    threshold = EIGEN_COALESCE_RTOL * np.maximum(_row_norm(lam), 1e-300)
-    for i, j in itertools.permutations(range(lam.shape[-1]), 2):
-        gap = lam[..., i] - lam[..., j]
+    threshold = EIGEN_COALESCE_RTOL * np.maximum(_row_norm(cols), 1e-300)
+    for i, j in pairs:
+        gap = cols[i] - cols[j]
         with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = (grad[..., i] - grad[..., j]) / gap
-        limit = 0.5 * (second[..., i, i] + second[..., j, j]) - second[..., i, j]
-        yield i, j, np.where(np.abs(gap) < threshold, limit, quotient)
+            quotient = np.asarray((grad[i] - grad[j]) / gap)
+        limit = 0.5 * (second[i, i] + second[j, j]) - second[i, j]
+        np.copyto(quotient, limit, where=np.abs(gap) < threshold)
+        yield i, j, quotient
 
 
-def _difference_quotients(lam, grad, second):
-    """Return the matrix Q_ij of _pair_quotients, with a zero diagonal."""
-    q = np.zeros(lam.shape + (lam.shape[-1],))
-    for i, j, q_ij in _pair_quotients(lam, grad, second):
+def _difference_quotients(cols, grad, second):
+    """Return the (..., n, n) matrix Q_ij of _pair_quotients, with a zero diagonal."""
+    n = len(cols)
+    q = np.zeros(np.shape(cols[0]) + (n, n))
+    for i, j, q_ij in _pair_quotients(cols, grad, second, itertools.permutations(range(n), 2)):
         q[..., i, j] = q_ij
     return q
 
@@ -311,12 +323,13 @@ def speed_hessian_quadform(lam, params: FlowParams, B):
     eigenvalues on the diagonal of B with difference quotients of the
     gradient against the off-diagonal entries.
     """
-    lam = _as_batch(lam)
+    cols = _columns(_as_batch(lam))
     B = np.asarray(B, dtype=float)
-    grad, second = _speed_derivatives(lam, params, hessian=True)
+    grad, second = _speed_derivatives(cols, params, hessian=True)
+    q = _difference_quotients(cols, grad, second)
+    second = np.ascontiguousarray(np.moveaxis(second, (0, 1), (-2, -1)))
     d = np.diagonal(B, axis1=-2, axis2=-1)
     term_diag = np.einsum("...ij,...i,...j->...", second, d, d)
-    q = _difference_quotients(lam, grad, second)
     term_off = np.einsum("...ij,...ij->...", q, B * B)
     return term_diag + term_off
 
@@ -352,7 +365,8 @@ class ConeSampler:
     so sampled bounds vary smoothly in eps and a bracketed root of their
     balance is well posed.  Projection shifts a point along the umbilic
     direction just enough to satisfy the constraint, which also densifies
-    the cone boundary where the extrema live.
+    the cone boundary where the extrema live.  The draw is stored once,
+    column-major as an (n, n_samples) array.
     """
 
     def __init__(self, n: int, n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
@@ -366,7 +380,7 @@ class ConeSampler:
         self.n_samples = int(n_samples)
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
-        self._base = np.abs(rng.standard_normal((self.n_samples, n)))
+        self._base = np.abs(rng.standard_normal((self.n_samples, n))).T.copy()
 
     def _deterministic_extras(self, eps: float) -> np.ndarray:
         """Boundary vertices where one or all-but-one coordinates sit on the constraint."""
@@ -386,71 +400,80 @@ class ConeSampler:
                     rows.append(v / np.linalg.norm(v))
         return np.array(rows)
 
-    def points(self, eps: float) -> np.ndarray:
-        """Return unit-norm feasible points for the given eps."""
+    def blocks(self, eps: float):
+        """Yield the feasible points for eps as (n, k) column blocks, in index order.
+
+        Each block of CHUNK_ROWS cloud points is projected into one buffer
+        and masked there; the deterministic extras ride in the last block.
+        A block is overwritten by the next one.
+        """
         n = self.n
         if not 0.0 < eps <= 1.0 / n + 1e-15:
             raise DomainError(f"eps = {eps} outside (0, 1/{n}]")
         if 1.0 - n * eps < 1e-12:
             # The cross-section degenerates to the umbilic point.
-            return np.full((1, n), 1.0 / math.sqrt(n))
-        # The cloud is projected straight into the head of the result and the
-        # extras written to its tail; the gather runs only if a row fails.
-        extras = self._deterministic_extras(eps)
-        pts = np.empty((self.n_samples + extras.shape[0], n))
-        project_to_cone(self._base, eps, out=pts[: self.n_samples])
-        pts[self.n_samples :] = extras
-        keep = _on_cone(pts, eps)
-        return pts if keep.all() else pts[keep]
+            yield np.full((n, 1), 1.0 / math.sqrt(n))
+            return
+        extras = self._deterministic_extras(eps).T
+        size = self.n_samples
+        buffer = np.empty((n, min(size, CHUNK_ROWS) + extras.shape[1]))
+        for start in range(0, size, CHUNK_ROWS):
+            width = min(CHUNK_ROWS, size - start)
+            last = start + width == size
+            block = buffer[:, : width + (extras.shape[1] if last else 0)]
+            project_to_cone(self._base[:, start : start + width], eps, out=block[:, :width])
+            if last:
+                block[:, width:] = extras
+            keep = _on_cone(block, eps)
+            yield block if keep.all() else block[:, keep]
+
+    def points(self, eps: float) -> np.ndarray:
+        """Return unit-norm feasible points for the given eps, one per row."""
+        return np.concatenate([block.copy() for block in self.blocks(eps)], axis=1).T
 
 
-def _on_cone(pts: np.ndarray, eps: float) -> np.ndarray:
-    """Mask of rows with min >= eps * sum, up to a 1e-12 slack, and a positive sum."""
-    total = _row_sum(pts)
-    return (_row_min(pts) >= eps * total - 1e-12) & (total > 0.0)
+def _on_cone(cols, eps: float) -> np.ndarray:
+    """Mask of points with min >= eps * sum, up to a 1e-12 slack, and a positive sum."""
+    total = _row_sum(cols)
+    return (_row_min(cols) >= eps * total - 1e-12) & (total > 0.0)
 
 
-def project_to_cone(x: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Shift rows along the umbilic direction onto the cone, then normalize.
+def project_to_cone(cols, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Shift points along the umbilic direction onto the cone, then normalize.
 
-    out, if given, is a float array of x's (2d) shape that receives the result.
+    cols holds the points as n columns, an (n, ...) array; out, if given, is
+    a float array of that shape that receives the result.
     """
-    y = np.maximum(np.atleast_2d(np.asarray(x, dtype=float)), 0.0, out=out)
-    n = y.shape[-1]
+    y = np.maximum(cols, 0.0, out=out)
+    n = len(y)
     shift = np.maximum(0.0, (eps * _row_sum(y) - _row_min(y)) / (1.0 - n * eps))
-    # In place: for the sample cloud these are the largest arrays of the solve.
-    y += shift[..., None]
+    y += shift
     norm = _row_norm(y)
-    # A zero row can only come from an all-zero input; replace by umbilic.
+    # A zero point can only come from an all-zero input; replace by umbilic.
     bad = norm <= 0.0
     if np.any(bad):
-        y[bad] = 1.0
+        np.copyto(y, 1.0, where=bad)
         norm = _row_norm(y)
-    y /= norm[..., None]
+    y /= norm
     return y
 
 
-# Row reductions of (..., n) arrays, one column at a time in index order.
-# numpy reduces a last axis shorter than 8 in the same order, so for n <= 7
-# these are bit for bit .sum(-1), .min(-1) and linalg.norm(axis=-1), at a
-# fraction of the cost of a reduction over a short axis on the 1e5-point
-# cloud.
+# Reductions over the n columns of a spectrum array, one column at a time in
+# index order.  numpy reduces a last axis shorter than 8 in the same order,
+# so for n <= 7 these are bit for bit .sum(-1), .min(-1) and
+# linalg.norm(axis=-1) of the (..., n) rows.
 
 
-def _columns(y: np.ndarray):
-    return (y[..., j] for j in range(y.shape[-1]))
+def _row_sum(cols) -> np.ndarray:
+    return functools.reduce(np.add, cols)
 
 
-def _row_sum(y: np.ndarray) -> np.ndarray:
-    return functools.reduce(np.add, _columns(y))
+def _row_min(cols) -> np.ndarray:
+    return functools.reduce(np.minimum, cols)
 
 
-def _row_min(y: np.ndarray) -> np.ndarray:
-    return functools.reduce(np.minimum, _columns(y))
-
-
-def _row_norm(y: np.ndarray) -> np.ndarray:
-    return np.sqrt(functools.reduce(np.add, (c * c for c in _columns(y))))
+def _row_norm(cols) -> np.ndarray:
+    return np.sqrt(functools.reduce(np.add, (c * c for c in cols)))
 
 
 def _coordinate_descent(
@@ -466,12 +489,13 @@ def _coordinate_descent(
 
     The trials are scored speculatively: every trial the sweeps would make
     from the current point if none improved is projected with one
-    project_to_cone call and scored with one objective call.  The first
-    improving trial in sweep order is exactly the move the one-at-a-time
-    loop accepts, since the trials before it are the same points scored
-    against the same best value.  The later trials are dropped and rebuilt
-    from the new point.  The projection and the objectives act row by row,
-    so the result is bitwise that of the one-at-a-time loop.
+    project_to_cone call and scored with one objective call on their
+    columns.  The first improving trial in sweep order is exactly the move
+    the one-at-a-time loop accepts, since the trials before it are the same
+    points scored against the same best value.  The later trials are
+    dropped and rebuilt from the new point.  The projection and the
+    objectives act point by point, so the result is bitwise that of the
+    one-at-a-time loop.
     """
     y = np.array(y0, dtype=float)
     sign = 1.0 if minimize else -1.0
@@ -492,84 +516,94 @@ def _coordinate_descent(
         tail = np.arange((level if repeat else level + 1) * width, steps.size * width)
         trial_level, move = np.divmod(np.concatenate([head, tail]), width)
         delta = np.where(move % 2 == 0, 1.0, -1.0) * steps[trial_level]
-        trials = np.repeat(y[None, :], move.size, axis=0)
-        trials[np.arange(move.size), move // 2] += delta
-        trials = project_to_cone(trials, eps)
+        trials = np.repeat(y[:, None], move.size, axis=1)
+        trials[move // 2, np.arange(move.size)] += delta
+        project_to_cone(trials, eps, out=trials)
         vals = objective(trials)
         hits = np.flatnonzero(sign * vals < sign * best - 1e-15)
         if hits.size == 0:
             return y, best
         k = hits[0]
-        y, best = trials[k], float(vals[k])
+        y, best = trials[:, k].copy(), float(vals[k])
         level, start, repeat = int(trial_level[k]), int(move[k]) + 1, True
 
 
 def _polish(objective, pts, vals, eps: float, minimize: bool) -> float:
-    """Refine the extremum of vals over pts by coordinate descent from it.
+    """Refine the extremum of vals over the rows of pts by coordinate descent from it.
 
-    vals must be objective's values at pts.  The objectives act row by row,
-    so the descent starts from vals[k] and scores no point twice.
+    vals must be objective's values at pts.  The objectives act point by
+    point, so the descent starts from vals[k] and scores no point twice.
     """
     k = int(np.argmin(vals)) if minimize else int(np.argmax(vals))
     if 1.0 - pts.shape[1] * eps < 1e-12:
-        # The cone is the umbilic ray alone (see ConeSampler.points): there is
+        # The cone is the umbilic ray alone (see ConeSampler.blocks): there is
         # nothing to descend on, and project_to_cone would divide by 1 - n eps = 0.
         return float(vals[k])
     return _coordinate_descent(objective, pts[k], float(vals[k]), eps, minimize)[1]
 
 
-def _gradient_floor_values(lam: np.ndarray, params: FlowParams) -> np.ndarray:
+def _gradient_floor_values(cols, params: FlowParams) -> np.ndarray:
     """Return the smallest component of the speed gradient per spectrum."""
-    return _row_min(speed_gradient(lam, params))
+    return _row_min(_speed_derivatives(cols, params, hessian=False)[0])
 
 
-def _bound_values(lam: np.ndarray, params: FlowParams) -> np.ndarray:
-    """Return the floor and ceiling objectives per spectrum, shape (..., 2).
+def _bound_values(cols, params: FlowParams) -> tuple[np.ndarray, np.ndarray]:
+    """Return the floor and ceiling objectives per spectrum of n columns.
 
-    Column 0 is the smallest gradient component.  Column 1 is the sup over
-    unit-Frobenius symmetric B of |quadform(B, B)|.  The quadratic form
+    The floor is the smallest gradient component.  The ceiling is the sup
+    over unit-Frobenius symmetric B of |quadform(B, B)|.  The quadratic form
     block-diagonalizes: an n x n block of second partials acting on
     diag(B), plus independent 1-D blocks with the difference quotients on
     each off-diagonal entry.  Its operator norm is therefore the max of the
     spectral radius of the small block and the largest absolute quotient;
-    no sampling over B is needed.
+    no sampling over B is needed.  For beta = 1 the Hessian is exactly
+    symmetric, so |Q_ij| and |Q_ji| are bitwise equal and one unordered
+    pair each is enough.
     """
-    grad, second = _speed_derivatives(_as_batch(lam), params, hessian=True)
+    grad, second = _speed_derivatives(cols, params, hessian=True)
+    n = params.n
+    if params.beta == 1.0:
+        pairs = itertools.combinations(range(n), 2)
+    else:
+        pairs = itertools.permutations(range(n), 2)
     # The zero diagonal of the quotient matrix cannot raise the max.
-    quotients = (q for _, _, q in _pair_quotients(lam, grad, second))
-    columns = itertools.chain(_symmetric_eigenvalues(second), quotients)
-    ceiling = functools.reduce(np.maximum, (np.abs(v) for v in columns))
-    return np.stack([_row_min(grad), ceiling], axis=-1)
+    ceiling = None
+    for _, _, q in _pair_quotients(cols, grad, second, pairs):
+        np.abs(q, out=q)
+        ceiling = q if ceiling is None else np.maximum(ceiling, q, out=ceiling)
+    for v in _symmetric_eigenvalues(second):
+        np.maximum(ceiling, np.abs(v), out=ceiling)
+    return _row_min(grad), ceiling
 
 
-def _quadform_operator_norm(lam: np.ndarray, params: FlowParams) -> np.ndarray:
+def _quadform_operator_norm(cols, params: FlowParams) -> np.ndarray:
     """Return the Hessian-ceiling objective per spectrum (see _bound_values)."""
-    return _bound_values(lam, params)[..., 1]
+    return _bound_values(cols, params)[1]
 
 
 def _symmetric_eigenvalues(mats: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Ascending eigenvalue columns of small symmetric matrices, closed form for n = 2, 3."""
-    n = mats.shape[-1]
+    """Ascending eigenvalue columns of (n, n, ...) symmetric matrices, closed form for n = 2, 3."""
+    n = len(mats)
     if n == 2:
-        a = mats[..., 0, 0]
-        d = mats[..., 1, 1]
-        b = mats[..., 0, 1]
+        a = mats[0, 0]
+        d = mats[1, 1]
+        b = mats[0, 1]
         half_tr = 0.5 * (a + d)
         disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
         return half_tr - disc, half_tr + disc
     if n == 3:
         return _sym_eig3(mats)
-    return tuple(_columns(np.linalg.eigvalsh(mats)))
+    return tuple(_columns(np.linalg.eigvalsh(np.moveaxis(mats, (0, 1), (-2, -1)))))
 
 
 def _sym_eig3(mats: np.ndarray) -> tuple[np.ndarray, ...]:
     """Trigonometric closed form for symmetric 3x3 eigenvalues, as three columns."""
-    a00 = mats[..., 0, 0]
-    a11 = mats[..., 1, 1]
-    a22 = mats[..., 2, 2]
-    a01 = mats[..., 0, 1]
-    a02 = mats[..., 0, 2]
-    a12 = mats[..., 1, 2]
+    a00 = mats[0, 0]
+    a11 = mats[1, 1]
+    a22 = mats[2, 2]
+    a01 = mats[0, 1]
+    a02 = mats[0, 2]
+    a12 = mats[1, 2]
     p1 = a01**2 + a02**2 + a12**2
     q = (a00 + a11 + a22) / 3.0
     p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
@@ -596,18 +630,6 @@ def _sym_eig3(mats: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.where(spread, e, q) for e in (e3, e2, e1))
 
 
-def map_rows(fn, array: np.ndarray, chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
-    """Apply fn to blocks of chunk_rows rows and concatenate the results in order.
-
-    fn must act row by row, so the result does not depend on chunk_rows.
-    """
-    n_rows = array.shape[0]
-    if n_rows == 0:
-        return fn(array)
-    parts = [fn(array[i : i + chunk_rows]) for i in range(0, n_rows, chunk_rows)]
-    return np.concatenate(parts, axis=0)
-
-
 def _sampled_bounds(
     eps: float, params: FlowParams, sampler: ConeSampler
 ) -> tuple[float, float]:
@@ -618,19 +640,25 @@ def _sampled_bounds(
     |lambda|^{m beta - 1} on pinched spectra, increasing in eps and exactly
     1/n for the linear speed (m = beta = 1).  The ceiling is the sampled
     supremum of the quadform operator norm: decreasing in eps, identically
-    zero for the linear speed.  Both come from one projection of the cloud
-    and one pass over it, which shares the speed derivatives between the two
-    objectives.
+    zero for the linear speed.  Both come from one pass over the cloud's
+    column blocks, each projected and scored while it is in cache, which
+    shares the speed derivatives between the two objectives.  A block keeps
+    only its first extremum of each objective, so the descents start from
+    the cloud's first extrema, as np.argmin/np.argmax over it would pick.
     """
     if sampler.n != params.n:
         raise DomainError("sampler dimension does not match params.n")
-    pts = sampler.points(eps)
-    vals = map_rows(functools.partial(_bound_values, params=params), pts)
+    candidates = []
+    for block in sampler.blocks(eps):
+        floor, ceiling = _bound_values(block, params)
+        lo, hi = int(np.argmin(floor)), int(np.argmax(ceiling))
+        candidates.append((block[:, lo].copy(), floor[lo], block[:, hi].copy(), ceiling[hi]))
+    floor_pts, floor_vals, ceiling_pts, ceiling_vals = map(np.array, zip(*candidates))
     floor = functools.partial(_gradient_floor_values, params=params)
     ceiling = functools.partial(_quadform_operator_norm, params=params)
     return (
-        _polish(floor, pts, vals[:, 0], eps, minimize=True),
-        _polish(ceiling, pts, vals[:, 1], eps, minimize=False),
+        _polish(floor, floor_pts, floor_vals, eps, minimize=True),
+        _polish(ceiling, ceiling_pts, ceiling_vals, eps, minimize=False),
     )
 
 
@@ -644,20 +672,6 @@ def slice_constant(eps: float, n: int) -> float:
     if not 0.0 < eps <= 1.0 / n:
         raise DomainError(f"slice constant defined for eps in (0, 1/{n}]")
     return float(eps * ((1.0 - eps) / (n - 1)) ** (n - 1))
-
-
-def slice_constant_bruteforce(eps: float, n: int, n_samples: int = 1_000_000, seed: int = 0) -> float:
-    """Brute-force the slice maximum by sampling the constrained simplex."""
-    if not 0.0 < eps <= 1.0 / n:
-        raise DomainError(f"slice constant defined for eps in (0, 1/{n}]")
-    rng = np.random.default_rng(seed)
-    rest = rng.dirichlet(np.ones(n - 1), size=n_samples)
-    # Column by column in index order after the fixed coordinate eps/(1-eps),
-    # as _row_sum does; a product over a short last axis runs in that order too.
-    first = np.full(n_samples, eps / (1.0 - eps))
-    htilde = functools.reduce(np.add, _columns(rest), first)
-    qtilde = functools.reduce(np.multiply, _columns(rest), first) / htilde**n
-    return float(np.max(qtilde))
 
 
 @dataclass(frozen=True)

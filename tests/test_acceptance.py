@@ -43,12 +43,12 @@ from horoflow import (
     unit_closed_form_radius,
     xi_comparison,
 )
-from horoflow.curvalg import slice_constant_bruteforce
 from horoflow.flow import pinching_constants_cached
 from horoflow.graphgeom import axisym_pointwise_curvatures
 from horoflow.oracle import _xi_forward, inner_radius_estimate
 
 from conftest import record_acceptance
+from test_curvalg import slice_constant_bruteforce
 
 TRIPLES = ((2, 1, 1.0), (2, 2, 1.0), (3, 2, 1.0), (3, 3, 1.0 / 3.0), (3, 1, 2.0))
 

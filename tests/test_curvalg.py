@@ -39,9 +39,7 @@ from horoflow.curvalg import (
     _sampled_bounds,
     _speed_derivatives,
     balance_function,
-    map_rows,
     project_to_cone,
-    slice_constant_bruteforce,
 )
 
 TRIPLES = [(2, 1, 1.0), (2, 2, 1.0), (3, 2, 1.0), (3, 3, 1.0 / 3.0), (3, 1, 2.0)]
@@ -147,11 +145,18 @@ def test_gradient_positive_on_the_cone(rng):
         assert np.min(speed_gradient(lam, params)) > 0.0
 
 
+def hessian_rows(lam, params):
+    """The column kernel's Hessian as one (n, n) matrix per row of the (N, n) lam."""
+    second = _speed_derivatives(lam.T, params, hessian=True)[1]
+    second = np.moveaxis(second, (0, 1), (-2, -1))
+    return np.broadcast_to(second, lam.shape + (lam.shape[-1],))
+
+
 def test_second_partials_symmetric_and_match_gradient_fd(rng):
     for n, m, beta in TRIPLES:
         params = make_params(n, m, beta)
         lam = cone_samples(rng, n, 100, scale_spread=1.0)
-        second = _speed_derivatives(lam, params, hessian=True)[1]
+        second = hessian_rows(lam, params)
         assert np.allclose(second, np.swapaxes(second, -1, -2), rtol=0, atol=1e-12)
         for j in range(n):
             h = 1e-6 * (1.0 + np.abs(lam[:, j]))
@@ -208,11 +213,11 @@ def test_shared_tables_match_separate_derivatives(rng):
     for n, m, beta in TRIPLES:
         params = make_params(n, m, beta)
         lam = cone_samples(rng, n, 300)
-        grad, second = _speed_derivatives(lam, params, hessian=True)
-        assert grad.tobytes() == speed_gradient(lam, params).tobytes()
-        # the one-pass floor column equals the objective its descent polishes
-        floor = _bound_values(lam, params)[:, 0]
-        assert floor.tobytes() == _gradient_floor_values(lam, params).tobytes()
+        grad, second = _speed_derivatives(lam.T, params, hessian=True)
+        assert grad.T.tobytes() == speed_gradient(lam, params).tobytes()
+        # the one-pass floor equals the objective its descent polishes
+        floor = _bound_values(lam.T, params)[0]
+        assert floor.tobytes() == _gradient_floor_values(lam.T, params).tobytes()
 
 
 def test_hessian_quadform_continuous_at_coalescence(rng):
@@ -264,7 +269,7 @@ def test_inverse_spectrum_gap_inequality(rng):
     # || 1/x_i - n/sum(x) ||_2 <= gap_bound(eps)/sum(x)
     for n, eps in ((2, 0.3), (3, 0.1), (3, 0.3), (4, 0.05)):
         bound = float(gap_bound(eps, n))
-        x = project_to_cone(np.abs(rng.standard_normal((4000, n))), eps)
+        x = project_to_cone(np.abs(rng.standard_normal((4000, n))).T, eps).T
         total = x.sum(axis=1)
         dev = np.linalg.norm(1.0 / x - n / total[:, None], axis=1)
         assert np.max(dev * total) <= bound * (1.0 + 1e-9)
@@ -317,7 +322,7 @@ def test_sampled_bounds_at_the_umbilic_cone(ac, n):
     # At eps = 1/n the cone is the umbilic ray; both bounds are its values there.
     params = FlowParams(n=n, m=2, beta=1.0, ac=ac)
     sampler = ConeSampler(n, n_samples=300, seed=1)
-    umbilic = np.full((1, n), 1.0 / math.sqrt(n))
+    umbilic = np.full((n, 1), 1.0 / math.sqrt(n))
     floor, ceiling = _sampled_bounds(1.0 / n, params, sampler)
     assert np.isfinite(floor) and np.isfinite(ceiling)
     assert floor == _gradient_floor_values(umbilic, params)[0]
@@ -327,7 +332,7 @@ def test_sampled_bounds_at_the_umbilic_cone(ac, n):
 def test_project_to_cone_feasibility(rng):
     x = rng.standard_normal((3000, 4))
     for eps in (0.01, 0.1, 0.2):
-        y = project_to_cone(x, eps)
+        y = project_to_cone(x.T, eps).T
         total = y.sum(axis=1)
         assert np.all(y.min(axis=1) >= eps * total - 1e-12)
         assert np.allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-12)
@@ -336,7 +341,7 @@ def test_project_to_cone_feasibility(rng):
 def sequential_descent(objective, y0, eps, minimize):
     """The one-trial-at-a-time loop that _coordinate_descent evaluates in batches."""
     y = np.array(y0, dtype=float)
-    best = float(objective(y[None, :])[0])
+    best = float(objective(y[:, None])[0])
     sign = 1.0 if minimize else -1.0
     step = 0.25
     while step > 1e-9:
@@ -345,8 +350,8 @@ def sequential_descent(objective, y0, eps, minimize):
             for direction in (1.0, -1.0):
                 trial = y.copy()
                 trial[j] += direction * step
-                trial = project_to_cone(trial, eps)[0]
-                val = float(objective(trial[None, :])[0])
+                trial = project_to_cone(trial, eps)
+                val = float(objective(trial[:, None])[0])
                 if sign * val < sign * best - 1e-15:
                     y, best, improved = trial, val, True
         if not improved:
@@ -365,13 +370,13 @@ def test_batched_descent_matches_sequential_loop(rng):
         for eps in (0.02, 0.4 / n, 0.9 / n):
             pts = sampler.points(eps)
             for objective, minimize in ((floor, True), (ceiling, False)):
-                vals = objective(pts)
+                vals = objective(pts.T)
                 extremum = pts[int(np.argmin(vals) if minimize else np.argmax(vals))]
                 interior = pts[int(rng.integers(pts.shape[0]))]
                 umbilic = np.full(n, 1.0 / math.sqrt(n))
                 for start in (extremum, interior, umbilic):
                     y_ref, best_ref = sequential_descent(objective, start, eps, minimize)
-                    start_value = float(objective(start[None, :])[0])
+                    start_value = float(objective(start[:, None])[0])
                     y, best = _coordinate_descent(objective, start, start_value, eps, minimize)
                     assert y.tobytes() == y_ref.tobytes()
                     assert best == best_ref
@@ -388,8 +393,8 @@ def test_linear_speed_has_exact_floor_and_zero_ceiling(params_n2m1):
 
 
 def use_small_chunks(monkeypatch):
-    """Split clouds into 1024-row chunks instead of the default 8192."""
-    monkeypatch.setattr(curvalg, "map_rows", functools.partial(map_rows, chunk_rows=1024))
+    """Split clouds into 1024-point blocks instead of the default 8192."""
+    monkeypatch.setattr(curvalg, "CHUNK_ROWS", 1024)
 
 
 def sampled_bounds(params):
@@ -417,18 +422,19 @@ def test_constants_solve_starts_no_thread(monkeypatch, params_n3m2):
         raise AssertionError(f"thread {thread.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    # 20000 samples are three 8192-row chunks.
+    # 20000 samples are three column blocks of at most 8192 points.
     constants = solve_pinching_constants(params_n3m2, n_samples=20000, seed=2)
     assert 0.0 < constants.c_star < 1.0 / 27.0
 
 
 # ---------------------------------------------------------------------------
-# Column kernels against the axis reductions they replace
+# Column kernels against the row-major kernels they replace
 # ---------------------------------------------------------------------------
 # The reference_* functions are the constants solve's kernels as they were
-# written with reductions over the short last axis, (..., n, n) quotient
-# blocks and stacked (..., n) eigenvalues.  The column kernels must give the
-# same bytes for n <= 7.
+# written on (..., n) rows: reductions over the short last axis, (..., n, n)
+# quotient blocks, stacked (..., n) eigenvalues, and a row-major cloud that
+# is projected whole and then scored in chunks.  The column kernels must give
+# the same bytes for n <= 7.
 
 KERNEL_SPEEDS = TRIPLES + [(2, 2, 1.5), (4, 2, 1.0), (4, 3, 0.5), (5, 2, 1.5), (5, 5, 0.25)]
 
@@ -515,15 +521,34 @@ def reference_sym_eig3(mats):
     return np.where(p[..., None] > 0.0, out, np.stack([q, q, q], axis=-1))
 
 
+def reference_esym_table(lam):
+    n = lam.shape[-1]
+    e = np.zeros(lam.shape[:-1] + (n + 1,), dtype=float)
+    e[..., 0] = 1.0
+    for i in range(n):
+        li = lam[..., i]
+        for k in range(min(i + 1, n), 0, -1):
+            e[..., k] += li * e[..., k - 1]
+    return e
+
+
+def reference_esym_drop(e, li, upto):
+    out = np.zeros(li.shape + (upto + 1,), dtype=float)
+    out[..., 0] = 1.0
+    for k in range(1, upto + 1):
+        out[..., k] = e[..., k] - li * out[..., k - 1]
+    return out
+
+
 def reference_speed_derivatives(lam, params, hessian):
     """The per-row form of _speed_derivatives: an (..., n, n) Hessian for every speed."""
     n, m, beta = params.n, params.m, params.beta
-    e = curvalg._esym_table(lam)
+    e = reference_esym_table(lam)
     hm = e[..., m] / params.binom
     if np.any(~(hm > 0.0)):
         what = "Hessian" if hessian else "gradient"
         raise ParabolicityLostError(f"H_m <= 0 (min {np.min(hm):.6g}); {what} undefined")
-    reduced = [curvalg._esym_drop(e, lam[..., i], m - 1) for i in range(n)]
+    reduced = [reference_esym_drop(e, lam[..., i], m - 1) for i in range(n)]
     prefactor = beta * hm ** (beta - 1.0) / params.binom
     grad = np.empty_like(lam)
     for i in range(n):
@@ -543,11 +568,19 @@ def reference_speed_derivatives(lam, params, hessian):
     if m >= 2:
         for i in range(n):
             for j in range(i + 1, n):
-                twice_reduced = curvalg._esym_drop(reduced[i], lam[..., j], m - 2)
+                twice_reduced = reference_esym_drop(reduced[i], lam[..., j], m - 2)
                 val = prefactor * twice_reduced[..., m - 2]
                 out[..., i, j] += val
                 out[..., j, i] += val
     return grad, out
+
+
+def column_reference_speed_derivatives(cols, params, hessian):
+    """reference_speed_derivatives behind the column kernel's (n, ...) interface."""
+    grad, second = reference_speed_derivatives(np.moveaxis(cols, 0, -1), params, hessian)
+    if second is not None:
+        second = np.moveaxis(second, (-2, -1), (0, 1))
+    return np.moveaxis(grad, -1, 0), second
 
 
 def reference_polish(objective, pts, vals, eps, minimize):
@@ -555,7 +588,7 @@ def reference_polish(objective, pts, vals, eps, minimize):
     k = int(np.argmin(vals)) if minimize else int(np.argmax(vals))
     if 1.0 - pts.shape[1] * eps < 1e-12:
         return float(vals[k])
-    start = float(objective(pts[k][None, :])[0])
+    start = float(objective(pts[k][:, None])[0])
     best = _coordinate_descent(objective, pts[k], start, eps, minimize)[1]
     if (best > vals[k]) if minimize else (best < vals[k]):
         best = float(vals[k])
@@ -570,9 +603,74 @@ def reference_bound_values(lam, params):
     return np.stack([np.min(grad, axis=-1), np.maximum(eig_max, q_max)], axis=-1)
 
 
+def reference_coordinate_descent(objective, y0, best, eps, minimize):
+    """_coordinate_descent with its trials as the rows of an (T, n) array."""
+    y = np.array(y0, dtype=float)
+    sign = 1.0 if minimize else -1.0
+    n = y.shape[0]
+    steps = []
+    step = 0.25
+    while step > 1e-9:
+        steps.append(step)
+        step *= 0.5
+    steps = np.array(steps)
+    width = 2 * n
+    level, start, repeat = 0, 0, False
+    while True:
+        head = np.arange(level * width + start, (level + 1) * width)
+        tail = np.arange((level if repeat else level + 1) * width, steps.size * width)
+        trial_level, move = np.divmod(np.concatenate([head, tail]), width)
+        delta = np.where(move % 2 == 0, 1.0, -1.0) * steps[trial_level]
+        trials = np.repeat(y[None, :], move.size, axis=0)
+        trials[np.arange(move.size), move // 2] += delta
+        trials = reference_project_to_cone(trials, eps)
+        vals = objective(trials)
+        hits = np.flatnonzero(sign * vals < sign * best - 1e-15)
+        if hits.size == 0:
+            return y, best
+        k = hits[0]
+        y, best = trials[k], float(vals[k])
+        level, start, repeat = int(trial_level[k]), int(move[k]) + 1, True
+
+
+def reference_sampled_bounds(eps, params, sampler, chunk_rows=8192):
+    """_sampled_bounds on rows: project the whole cloud, score it in chunks, polish.
+
+    The cloud is ConeSampler.points as it was: the projected draw with the
+    extras appended, then masked.
+    """
+    n = params.n
+    if 1.0 - n * eps < 1e-12:
+        pts = np.full((1, n), 1.0 / math.sqrt(n))
+    else:
+        base = sampler._base.T
+        extras = sampler._deterministic_extras(eps)
+        pts = np.empty((base.shape[0] + extras.shape[0], n))
+        reference_project_to_cone(base, eps, out=pts[: base.shape[0]])
+        pts[base.shape[0] :] = extras
+        keep = reference_on_cone(pts, eps)
+        pts = pts if keep.all() else pts[keep]
+    chunks = range(0, pts.shape[0], chunk_rows)
+    vals = np.concatenate([reference_bound_values(pts[i : i + chunk_rows], params) for i in chunks])
+
+    def floor(lam):
+        return np.min(reference_speed_derivatives(lam, params, False)[0], axis=-1)
+
+    def ceiling(lam):
+        return reference_bound_values(lam, params)[:, 1]
+
+    def polish(objective, values, minimize):
+        k = int(np.argmin(values)) if minimize else int(np.argmax(values))
+        if 1.0 - n * eps < 1e-12:
+            return float(values[k])
+        return reference_coordinate_descent(objective, pts[k], float(values[k]), eps, minimize)[1]
+
+    return polish(floor, vals[:, 0], True), polish(ceiling, vals[:, 1], False)
+
+
 def kernel_rows(rng, n):
     """Cone rows, the umbilic row, coalescing and nearly coalescing rows, and their scalings."""
-    cone = project_to_cone(np.abs(rng.standard_normal((400, n))), 0.4 / n)
+    cone = project_to_cone(np.abs(rng.standard_normal((400, n))).T, 0.4 / n).T
     umbilic = np.full((1, n), 1.0 / math.sqrt(n))
     equal = np.abs(rng.standard_normal((200, n))) + 0.05
     equal[:100, 1] = equal[:100, 0]
@@ -598,26 +696,26 @@ def signed_rows(rng, n):
 def test_row_reductions_are_numpy_reductions(rng, n):
     y = np.concatenate([kernel_rows(rng, n), signed_rows(rng, n)])
     if n <= 7:
-        assert curvalg._row_sum(y).tobytes() == y.sum(axis=-1).tobytes()
-        assert curvalg._row_norm(y).tobytes() == np.linalg.norm(y, axis=-1).tobytes()
+        assert curvalg._row_sum(y.T).tobytes() == y.sum(axis=-1).tobytes()
+        assert curvalg._row_norm(y.T).tobytes() == np.linalg.norm(y, axis=-1).tobytes()
     else:
         # numpy sums a last axis of 8 or more pairwise, which may round differently.
-        assert np.allclose(curvalg._row_sum(y), y.sum(axis=-1), rtol=1e-14, atol=1e-14)
-        assert np.allclose(curvalg._row_norm(y), np.linalg.norm(y, axis=-1), rtol=1e-14)
-    assert curvalg._row_min(y).tobytes() == y.min(axis=-1).tobytes()
+        assert np.allclose(curvalg._row_sum(y.T), y.sum(axis=-1), rtol=1e-14, atol=1e-14)
+        assert np.allclose(curvalg._row_norm(y.T), np.linalg.norm(y, axis=-1), rtol=1e-14)
+    assert curvalg._row_min(y.T).tobytes() == y.min(axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cone_kernels_match_the_reductions(rng, n):
     rows = np.concatenate([kernel_rows(rng, n), signed_rows(rng, n)])
     for eps in (0.01, 0.5 / n, 0.99 / n):
-        got = project_to_cone(rows, eps)
+        got = project_to_cone(rows.T, eps).T
         assert got.tobytes() == reference_project_to_cone(rows, eps).tobytes()
         for pts in (rows, got):
-            assert curvalg._on_cone(pts, eps).tobytes() == reference_on_cone(pts, eps).tobytes()
+            assert curvalg._on_cone(pts.T, eps).tobytes() == reference_on_cone(pts, eps).tobytes()
         sampler = ConeSampler(n, n_samples=500, seed=n)
         cloud = np.concatenate(
-            [reference_project_to_cone(sampler._base, eps), sampler._deterministic_extras(eps)]
+            [reference_project_to_cone(sampler._base.T, eps), sampler._deterministic_extras(eps)]
         )
         want = cloud[reference_on_cone(cloud, eps)]
         assert sampler.points(eps).tobytes() == want.tobytes()
@@ -635,12 +733,12 @@ def test_speed_derivatives_match_the_per_row_reference(rng, n, m, beta):
     params = make_params(n, m, beta)
     lam = parabolic_kernel_rows(rng, params)
     grad_ref, second_ref = reference_speed_derivatives(lam, params, hessian=True)
-    grad, second = _speed_derivatives(lam, params, hessian=True)
-    assert grad.tobytes() == grad_ref.tobytes()
-    assert _speed_derivatives(lam, params, hessian=False)[0].tobytes() == grad_ref.tobytes()
+    grad, second = _speed_derivatives(lam.T, params, hessian=True)
+    assert grad.T.tobytes() == grad_ref.tobytes()
+    assert _speed_derivatives(lam.T, params, hessian=False)[0].T.tobytes() == grad_ref.tobytes()
     quadratic = beta == 1.0 and m <= 2
-    assert second.shape == ((1, n, n) if quadratic else lam.shape + (n,))
-    assert np.broadcast_to(second, second_ref.shape).tobytes() == second_ref.tobytes()
+    assert second.shape == ((n, n) if quadratic else (n, n, lam.shape[0]))
+    assert hessian_rows(lam, params).tobytes() == second_ref.tobytes()
     # One spectrum: an (n, n) Hessian, and a 0-d second derivative of F.
     one = lam[0]
     second_one = _speed_derivatives(one, params, hessian=True)[1]
@@ -654,36 +752,71 @@ def test_speed_derivatives_match_the_per_row_reference(rng, n, m, beta):
 def test_quotient_kernels_match_the_blocks(rng, n, m, beta):
     params = make_params(n, m, beta)
     lam = parabolic_kernel_rows(rng, params)
-    grad, second = _speed_derivatives(lam, params, hessian=True)
-    got = curvalg._difference_quotients(lam, grad, second)
+    grad, second = _speed_derivatives(lam.T, params, hessian=True)
+    got = curvalg._difference_quotients(lam.T, grad, second)
     want = reference_difference_quotients(lam, *reference_speed_derivatives(lam, params, True))
     assert got.tobytes() == want.tobytes()
-    assert _bound_values(lam, params).tobytes() == reference_bound_values(lam, params).tobytes()
-    assert _gradient_floor_values(lam, params).tobytes() == np.min(grad, axis=-1).tobytes()
+    floor, ceiling = _bound_values(lam.T, params)
+    assert np.stack([floor, ceiling], axis=-1).tobytes() == reference_bound_values(lam, params).tobytes()
+    assert _gradient_floor_values(lam.T, params).tobytes() == np.min(grad, axis=0).tobytes()
     # The near branch ran, and for beta != 1 and m >= 2 the limits of Q_01 and
     # Q_10 differ in rounding on some rows, so both must reach the maximum.
     assert np.any(np.isin(lam[:, 0], lam[:, 1]))
     if beta != 1.0 and m >= 2:
-        assert np.any(second[:, 0, 1] != second[:, 1, 0])
+        assert np.any(second[0, 1] != second[1, 0])
+
+
+@pytest.mark.parametrize("n, m, beta", [s for s in KERNEL_SPEEDS if s[2] == 1.0] + [(3, 3, 1.0)])
+def test_beta_one_quotients_are_symmetric(rng, n, m, beta):
+    # The premise of scoring one quotient per unordered pair when beta = 1.
+    params = make_params(n, m, beta)
+    lam = kernel_rows(rng, n)
+    second = hessian_rows(lam, params)
+    assert second.tobytes() == np.swapaxes(second, -1, -2).tobytes()
+    grad, second = _speed_derivatives(lam.T, params, hessian=True)
+    q = curvalg._difference_quotients(lam.T, grad, second)
+    # Equal values; the bytes differ only where a zero quotient keeps the sign
+    # of its own gap, which the ceiling's absolute value drops.
+    assert np.array_equal(q, np.swapaxes(q, -1, -2))
+    assert np.abs(q).tobytes() == np.abs(np.swapaxes(q, -1, -2)).tobytes()
+
+
+# n5m5 beta=1/4 is left out: its ceiling descent at eps = 0.99/n runs for
+# minutes, in the reference as in the solve.
+@pytest.mark.parametrize("n, m, beta", [s for s in KERNEL_SPEEDS if s != (5, 5, 0.25)])
+def test_sampled_bounds_match_the_row_major_reference(monkeypatch, n, m, beta):
+    # 20000 points are two full blocks and a partial one holding the extras.
+    params = make_params(n, m, beta)
+    sampler = ConeSampler(n, n_samples=20000, seed=n)
+    chunk_sizes = (curvalg.CHUNK_ROWS, 1024)
+    for eps in (0.01, 0.5 / n, 0.99 / n, 1.0 / n):
+        want = reference_sampled_bounds(eps, params, sampler)
+        for chunk_rows in chunk_sizes:
+            monkeypatch.setattr(curvalg, "CHUNK_ROWS", chunk_rows)
+            got = _sampled_bounds(eps, params, sampler)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (eps, chunk_rows)
+
+
+def test_dropped_points_are_never_scored(params_n3m2):
+    # A NaN point fails the cone mask; scoring it would raise ParabolicityLostError.
+    sampler = ConeSampler(3, n_samples=20000, seed=4)
+    sampler._base[:, [7, 9000, 19990]] = np.nan
+    eps = 0.1
+    got = _sampled_bounds(eps, params_n3m2, sampler)
+    assert got == reference_sampled_bounds(eps, params_n3m2, sampler)
+    extras = sampler._deterministic_extras(eps).shape[0]
+    assert sampler.points(eps).shape == (20000 + extras - 3, 3)
 
 
 @pytest.mark.parametrize("n, m, beta", [(2, 2, 1.0), (3, 2, 1.0), (3, 3, 1.0 / 3.0), (3, 1, 2.0)])
 def test_solve_with_reference_kernels_is_bitwise_equal(monkeypatch, n, m, beta):
     params = make_params(n, m, beta)
     new = solve_pinching_constants(params, n_samples=2000, seed=1)
-    monkeypatch.setattr(curvalg, "project_to_cone", reference_project_to_cone)
-    monkeypatch.setattr(curvalg, "_on_cone", reference_on_cone)
-    monkeypatch.setattr(curvalg, "_bound_values", reference_bound_values)
-    monkeypatch.setattr(
-        curvalg,
-        "_gradient_floor_values",
-        lambda lam, params: np.min(speed_gradient(lam, params), axis=-1),
-    )
+    monkeypatch.setattr(curvalg, "_sampled_bounds", reference_sampled_bounds)
     old = solve_pinching_constants(params, n_samples=2000, seed=1)
-    fields = ("epsilon0", "c_star", "eps_grid", "gap_table", "grad_floor_table", "hess_ceiling_table")
-    for name in fields:
-        assert np.asarray(getattr(new, name)).tobytes() == np.asarray(getattr(old, name)).tobytes()
-    assert (new.degenerate, new.n_samples, new.seed) == (old.degenerate, old.n_samples, old.seed)
+    for field in dataclasses.fields(curvalg.PinchingConstants):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -693,7 +826,7 @@ def test_solve_with_the_per_row_reference_is_bitwise_equal(monkeypatch, referenc
     params = make_params(n, m, beta)
     new = solve_pinching_constants(params, n_samples=2000, seed=seed)
     if reference == "derivatives":
-        monkeypatch.setattr(curvalg, "_speed_derivatives", reference_speed_derivatives)
+        monkeypatch.setattr(curvalg, "_speed_derivatives", column_reference_speed_derivatives)
     else:
         monkeypatch.setattr(curvalg, "_polish", reference_polish)
     old = solve_pinching_constants(params, n_samples=2000, seed=seed)
@@ -713,6 +846,20 @@ def test_slice_constant_known_values():
     assert slice_constant(1.0 / 3.0, 3) == pytest.approx(1.0 / 27.0, rel=1e-14)
     with pytest.raises(DomainError):
         slice_constant(0.6, 2)
+
+
+def slice_constant_bruteforce(eps, n, n_samples=1_000_000, seed=0):
+    """Brute-force the slice maximum by sampling the constrained simplex."""
+    if not 0.0 < eps <= 1.0 / n:
+        raise DomainError(f"slice constant defined for eps in (0, 1/{n}]")
+    rng = np.random.default_rng(seed)
+    rest = rng.dirichlet(np.ones(n - 1), size=n_samples)
+    # Column by column in index order after the fixed coordinate eps/(1-eps);
+    # a product over a short last axis runs in that order too.
+    first = np.full(n_samples, eps / (1.0 - eps))
+    htilde = functools.reduce(np.add, rest.T, first)
+    qtilde = functools.reduce(np.multiply, rest.T, first) / htilde**n
+    return float(np.max(qtilde))
 
 
 def test_slice_constant_matches_bruteforce():

@@ -102,7 +102,6 @@ TRACED_NAMES = [
     "flow.support_offset",
     "flow.save_snapshot",
     "DiagnosticsRecorder.write_csv",
-    "curvalg.map_rows",
 ]
 
 
