@@ -45,10 +45,6 @@ from .hypergeom import AmbientCurvature
 
 logger = logging.getLogger(__name__)
 
-# Difference quotients of the gradient switch to their coalescence limit
-# below this relative eigenvalue gap.
-EIGEN_COALESCE_RTOL = 1.0e-8
-
 # Fallback pinching parameter when the balance function has no sign change
 # (linear speed: the Hessian ceiling vanishes identically).
 DEGENERATE_EPSILON_FLOOR = 1.0e-2
@@ -220,14 +216,31 @@ class PairSpectrum:
         return lam
 
 
-def _speed_derivatives(cols, params: FlowParams, hessian: bool):
-    """Return dF/dlambda and, if hessian, d^2F/dlambda^2 of n columns from one set of tables.
+def _constant_hessian(params: FlowParams):
+    """Return (block, offdiag) of a quadratic speed (beta = 1, m <= 2), else None.
 
-    The gradient is (n, ...): row i is dF/dlambda_i.  The Hessian is
-    (n, n, ...), one matrix per spectrum, except for a quadratic speed
-    (beta = 1, m <= 2): its Hessian is the constant (J - I)/C(n, 2), or zero
-    for m = 1, and comes back as one (n, n) block whose entries broadcast
-    against the columns.
+    Its Hessian is the (n, n) block (J - I)/C(n, 2), or zero for m = 1, at
+    every spectrum; offdiag is its val_ij (see _speed_derivatives).
+    """
+    n, m = params.n, params.m
+    if params.beta != 1.0 or m > 2:
+        return None
+    # The prefactor is 1.0 / C(n, m) and the twice-reduced E_0 is 1.0.
+    value = 1.0 / params.binom if m == 2 else 0.0
+    block = np.full((n, n), value)
+    np.fill_diagonal(block, 0.0)
+    return block, [value] * (n * (n - 1) // 2) if m == 2 else []
+
+
+def _speed_derivatives(cols, params: FlowParams, hessian: bool):
+    """Return dF/dlambda and, if hessian, d^2F/dlambda^2 and val_ij of n columns.
+
+    The gradient is (n, ...): row i is dF/dlambda_i.  The Hessian is (n, n, ...),
+    one matrix per spectrum, or a quadratic speed's one (n, n) block
+    (_constant_hessian), which broadcasts against the columns.  offdiag holds
+    the H_m part of s_ij, val_ij = beta H_m^(beta - 1) E_{m-2}(lambda without
+    i, j)/C(n, m), for i < j in combinations order (none for m = 1, where
+    every val_ij is 0).  Without hessian the last two are None.
     """
     n, m, beta = params.n, params.m, params.beta
     e = _esym_table(cols)
@@ -242,14 +255,11 @@ def _speed_derivatives(cols, params: FlowParams, hessian: bool):
     for i in range(n):
         grad[i] = prefactor * reduced[i][m - 1]
     if not hessian:
-        return grad, None
+        return grad, None, None
 
-    if beta == 1.0 and m <= 2:
-        # The prefactor is 1.0 / C(n, m) and the twice-reduced E_0 is 1.0:
-        # the per-spectrum matrices are all this block.
-        block = np.full((n, n), 1.0 / params.binom if m == 2 else 0.0)
-        np.fill_diagonal(block, 0.0)
-        return grad, block
+    constant = _constant_hessian(params)
+    if constant is not None:
+        return (grad, *constant)
     out = np.zeros((n, n) + np.shape(hm), dtype=float)
     # Rank-one part from the outer power; vanishes identically when beta = 1.
     if beta != 1.0:
@@ -257,14 +267,14 @@ def _speed_derivatives(cols, params: FlowParams, hessian: bool):
         coef = beta * (beta - 1.0) * hm ** (beta - 2.0)
         out += (coef * dhm)[:, None] * dhm[None, :]
     # Mixed second derivatives of H_m itself: remove two distinct roots.
+    offdiag = []
     if m >= 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                twice_reduced = _esym_drop(reduced[i], cols[j], m - 2)
-                val = prefactor * twice_reduced[m - 2]
-                out[i, j] += val
-                out[j, i] += val
-    return grad, out
+        for i, j in itertools.combinations(range(n), 2):
+            val = prefactor * _esym_drop(reduced[i], cols[j], m - 2)[m - 2]
+            out[i, j] += val
+            out[j, i] += val
+            offdiag.append(val)
+    return grad, out, offdiag
 
 
 def speed_gradient(lam, params: FlowParams, trace: bool = False):
@@ -287,32 +297,17 @@ def speed_gradient(lam, params: FlowParams, trace: bool = False):
     return grad.sum(axis=-1) if trace else grad
 
 
-def _pair_quotients(cols, grad, second, pairs):
-    """Yield (i, j, Q_ij), a new array, for each pair (i, j) of distinct indices.
+def _difference_quotients(offdiag, n: int, shape) -> np.ndarray:
+    """Return the (*shape, n, n) matrix of Q_ij = (dF_i - dF_j)/(lambda_i - lambda_j).
 
-    Q_ij = (dF_i - dF_j)/(lambda_i - lambda_j), or its coalescence limit
-    0.5 (s_ii + s_jj) - s_ij below a relative gap of EIGEN_COALESCE_RTOL.
-    Q_ij and Q_ji can differ: a zero quotient keeps the sign of its own gap,
-    and for beta != 1 the limits differ when the rank-one part of the
-    Hessian s rounds differently in s_ij and s_ji.  s may be the one block
-    of a quadratic speed; its limit then broadcasts.
+    dE_m/dlambda_i - dE_m/dlambda_j = (lambda_j - lambda_i) E_{m-2}(lambda
+    without i, j), so Q_ij = -val_ij exactly, and its coalescence limit is
+    the same value: Q needs no division, is symmetric by construction and
+    has a zero diagonal.  offdiag is _speed_derivatives' val_ij.
     """
-    threshold = EIGEN_COALESCE_RTOL * np.maximum(_row_norm(cols), 1e-300)
-    for i, j in pairs:
-        gap = cols[i] - cols[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = np.asarray((grad[i] - grad[j]) / gap)
-        limit = 0.5 * (second[i, i] + second[j, j]) - second[i, j]
-        np.copyto(quotient, limit, where=np.abs(gap) < threshold)
-        yield i, j, quotient
-
-
-def _difference_quotients(cols, grad, second):
-    """Return the (..., n, n) matrix Q_ij of _pair_quotients, with a zero diagonal."""
-    n = len(cols)
-    q = np.zeros(np.shape(cols[0]) + (n, n))
-    for i, j, q_ij in _pair_quotients(cols, grad, second, itertools.permutations(range(n), 2)):
-        q[..., i, j] = q_ij
+    q = np.zeros(tuple(shape) + (n, n))
+    for (i, j), val in zip(itertools.combinations(range(n), 2), offdiag):
+        q[..., i, j] = q[..., j, i] = -val
     return q
 
 
@@ -320,13 +315,14 @@ def speed_hessian_quadform(lam, params: FlowParams, B):
     """Return the second derivative of F at W = diag(lambda) in direction B.
 
     B must be symmetric (..., n, n).  The value combines the Hessian in the
-    eigenvalues on the diagonal of B with difference quotients of the
-    gradient against the off-diagonal entries.
+    eigenvalues on the diagonal of B with the difference quotients Q_ij of
+    the gradient against the off-diagonal entries, Q_ij taken from its
+    closed form -val_ij (see _difference_quotients).
     """
     cols = _columns(_as_batch(lam))
     B = np.asarray(B, dtype=float)
-    grad, second = _speed_derivatives(cols, params, hessian=True)
-    q = _difference_quotients(cols, grad, second)
+    _, second, offdiag = _speed_derivatives(cols, params, hessian=True)
+    q = _difference_quotients(offdiag, params.n, np.shape(cols[0]))
     second = np.ascontiguousarray(np.moveaxis(second, (0, 1), (-2, -1)))
     d = np.diagonal(B, axis1=-2, axis2=-1)
     term_diag = np.einsum("...ij,...i,...j->...", second, d, d)
@@ -553,27 +549,21 @@ def _bound_values(cols, params: FlowParams) -> tuple[np.ndarray, np.ndarray]:
     The floor is the smallest gradient component.  The ceiling is the sup
     over unit-Frobenius symmetric B of |quadform(B, B)|.  The quadratic form
     block-diagonalizes: an n x n block of second partials acting on
-    diag(B), plus independent 1-D blocks with the difference quotients on
-    each off-diagonal entry.  Its operator norm is therefore the max of the
-    spectral radius of the small block and the largest absolute quotient;
-    no sampling over B is needed.  For beta = 1 the Hessian is exactly
-    symmetric, so |Q_ij| and |Q_ji| are bitwise equal and one unordered
-    pair each is enough.
+    diag(B), plus independent 1-D blocks with the difference quotients
+    Q_ij = -val_ij on each off-diagonal entry.  Its operator norm is
+    therefore max(max_{i<j} |val_ij|, spectral radius of the small block);
+    no sampling over B is needed.
     """
-    grad, second = _speed_derivatives(cols, params, hessian=True)
-    n = params.n
-    if params.beta == 1.0:
-        pairs = itertools.combinations(range(n), 2)
-    else:
-        pairs = itertools.permutations(range(n), 2)
-    # The zero diagonal of the quotient matrix cannot raise the max.
-    ceiling = None
-    for _, _, q in _pair_quotients(cols, grad, second, pairs):
-        np.abs(q, out=q)
-        ceiling = q if ceiling is None else np.maximum(ceiling, q, out=ceiling)
-    for v in _symmetric_eigenvalues(second):
-        np.maximum(ceiling, np.abs(v), out=ceiling)
-    return _row_min(grad), ceiling
+    grad, second, offdiag = _speed_derivatives(cols, params, hessian=True)
+    floor = _row_min(grad)
+    # A quadratic speed's one block gives one ceiling; spread it over the spectra.
+    return floor, np.broadcast_to(_hessian_ceiling(second, offdiag), floor.shape)
+
+
+def _hessian_ceiling(second, offdiag):
+    """Return max(max_{i<j} |val_ij|, spectral radius of second) per spectrum."""
+    ceiling = functools.reduce(np.maximum, [np.abs(v) for v in _symmetric_eigenvalues(second)])
+    return functools.reduce(np.maximum, [np.abs(v) for v in offdiag], ceiling)
 
 
 def _quadform_operator_norm(cols, params: FlowParams) -> np.ndarray:
@@ -645,21 +635,29 @@ def _sampled_bounds(
     shares the speed derivatives between the two objectives.  A block keeps
     only its first extremum of each objective, so the descents start from
     the cloud's first extrema, as np.argmin/np.argmax over it would pick.
+    A quadratic speed's ceiling is that of its one Hessian block, computed
+    once, so its pass scores only the floor.
     """
     if sampler.n != params.n:
         raise DomainError("sampler dimension does not match params.n")
+    constant = _constant_hessian(params)
     candidates = []
     for block in sampler.blocks(eps):
-        floor, ceiling = _bound_values(block, params)
-        lo, hi = int(np.argmin(floor)), int(np.argmax(ceiling))
-        candidates.append((block[:, lo].copy(), floor[lo], block[:, hi].copy(), ceiling[hi]))
-    floor_pts, floor_vals, ceiling_pts, ceiling_vals = map(np.array, zip(*candidates))
+        if constant is None:
+            floor, ceiling = _bound_values(block, params)
+            hi = int(np.argmax(ceiling))
+            ceiling_extremum = [block[:, hi].copy(), ceiling[hi]]
+        else:
+            floor, ceiling_extremum = _gradient_floor_values(block, params), []
+        lo = int(np.argmin(floor))
+        candidates.append([block[:, lo].copy(), floor[lo], *ceiling_extremum])
+    floor_pts, floor_vals, *ceiling_extrema = map(np.array, zip(*candidates))
     floor = functools.partial(_gradient_floor_values, params=params)
+    floor = _polish(floor, floor_pts, floor_vals, eps, minimize=True)
+    if constant is not None:
+        return floor, float(_hessian_ceiling(*constant))
     ceiling = functools.partial(_quadform_operator_norm, params=params)
-    return (
-        _polish(floor, floor_pts, floor_vals, eps, minimize=True),
-        _polish(ceiling, ceiling_pts, ceiling_vals, eps, minimize=False),
-    )
+    return floor, _polish(ceiling, *ceiling_extrema, eps, minimize=False)
 
 
 def slice_constant(eps: float, n: int) -> float:

@@ -422,10 +422,11 @@ def run(config: RunConfig) -> FlowResult:
     constants = pinching_constants_cached(params, config.constants_samples, config.constants_seed)
     weights = state.grid.weights
     v0 = float(np.sum(weights * enclosed_volume_integrand(state.r_flat, params)))
-    zeta = support_offset(v0, params)
     # The flow's limit is the geodesic sphere of the initial volume; its
     # slowest mode sets rkc's step and the decay rate f_max should show.
-    mu_2 = linearized_rate(params, psi_inverse(v0, params), 2)
+    radius = psi_inverse(v0, params)
+    zeta = support_offset(radius, params)
+    mu_2 = linearized_rate(params, radius, 2)
     dt_accurate = RKC_ACCURACY / mu_2
 
     recorder = DiagnosticsRecorder(params, zeta_epsilon=zeta)

@@ -221,14 +221,14 @@ def xi_comparison(s_target: float, params: FlowParams) -> float:
     return root
 
 
-def support_offset(volume0: float, params: FlowParams) -> float:
+def support_offset(radius0: float, params: FlowParams) -> float:
     """Offset below the support function used by the speed-bound ratio.
 
     The comparison argument guarantees Phi > zeta along the flow, with
-    zeta = a s(D1) ta(D1) / 2 at the half inner-radius bound
-    D1 = xi(psi(V0)) / 2; the ratio F / (Phi - zeta) then stays finite.
+    zeta = a s(D1) ta(D1) / 2 at the half inner-radius bound D1 = xi(radius0) / 2,
+    radius0 = psi(V0); the ratio F / (Phi - zeta) then stays finite.
     """
-    d1 = xi_comparison(psi_inverse(volume0, params), params) / 2.0
+    d1 = xi_comparison(radius0, params) / 2.0
     s = float(generalized_sine(d1, params.ac))
     ta = float(generalized_tangent(d1, params.ac))
     return 0.5 * params.a * s * ta

@@ -8,6 +8,7 @@ import itertools
 import math
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -213,7 +214,7 @@ def test_shared_tables_match_separate_derivatives(rng):
     for n, m, beta in TRIPLES:
         params = make_params(n, m, beta)
         lam = cone_samples(rng, n, 300)
-        grad, second = _speed_derivatives(lam.T, params, hessian=True)
+        grad = _speed_derivatives(lam.T, params, hessian=True)[0]
         assert grad.T.tobytes() == speed_gradient(lam, params).tobytes()
         # the one-pass floor equals the objective its descent polishes
         floor = _bound_values(lam.T, params)[0]
@@ -392,6 +393,30 @@ def test_linear_speed_has_exact_floor_and_zero_ceiling(params_n2m1):
     assert w2 == pytest.approx(0.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 2), (4, 2)])
+def test_quadratic_speeds_never_score_the_ceiling(monkeypatch, n, m):
+    # For beta = 1 and m <= 2 the Hessian is (J - I)/C(n, 2), or zero for
+    # m = 1, at every spectrum; the ceiling is its spectral radius 2/n (or 0).
+    params = make_params(n, m, 1.0)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_bound_values", "_quadform_operator_norm"):
+        monkeypatch.setattr(curvalg, name, counted(getattr(curvalg, name)))
+    constants = solve_pinching_constants(params, n_samples=2000, seed=1)
+    assert calls == []
+    block = (np.ones((n, n)) - np.eye(n)) / math.comb(n, 2) if m == 2 else np.zeros((n, n))
+    radius = np.max(np.abs(np.linalg.eigvalsh(block)))
+    assert np.all(constants.hess_ceiling_table == (2.0 / n if m == 2 else 0.0))
+    assert np.allclose(constants.hess_ceiling_table, radius, rtol=1e-15, atol=0.0)
+
+
 def use_small_chunks(monkeypatch):
     """Split clouds into 1024-point blocks instead of the default 8192."""
     monkeypatch.setattr(curvalg, "CHUNK_ROWS", 1024)
@@ -460,19 +485,14 @@ def reference_on_cone(pts, eps):
     return (pts.min(axis=1) >= eps * total - 1e-12) & (total > 0.0)
 
 
-def reference_difference_quotients(lam, grad, second):
-    gap = lam[..., :, None] - lam[..., None, :]
-    scale = np.linalg.norm(lam, axis=-1)[..., None, None]
-    near = np.abs(gap) < curvalg.EIGEN_COALESCE_RTOL * np.maximum(scale, 1e-300)
-    diff = grad[..., :, None] - grad[..., None, :]
-    sec_diag = np.diagonal(second, axis1=-2, axis2=-1)
-    limit = 0.5 * (sec_diag[..., :, None] + sec_diag[..., None, :]) - second
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.where(near, 0.0, diff) / np.where(near, 1.0, gap)
-    q = np.where(near, limit, quotient)
+def reference_difference_quotients(lam, offdiag):
+    """The (..., n, n) quotients Q_ij = Q_ji = -val_ij of the rows of lam."""
     n = lam.shape[-1]
-    eye = np.eye(n, dtype=bool)
-    return np.where(eye, 0.0, q)
+    q = np.zeros(lam.shape + (n,))
+    for (i, j), val in zip(itertools.combinations(range(n), 2), offdiag):
+        q[..., i, j] = -val
+        q[..., j, i] = -val
+    return q
 
 
 def reference_symmetric_eigenvalues(mats):
@@ -554,7 +574,7 @@ def reference_speed_derivatives(lam, params, hessian):
     for i in range(n):
         grad[..., i] = prefactor * reduced[i][..., m - 1]
     if not hessian:
-        return grad, None
+        return grad, None, None
 
     dhm = np.empty_like(lam)
     for i in range(n):
@@ -565,6 +585,7 @@ def reference_speed_derivatives(lam, params, hessian):
         coef = beta * (beta - 1.0) * hm ** (beta - 2.0)
         out += coef[..., None, None] * dhm[..., :, None] * dhm[..., None, :]
     # Mixed second derivatives of H_m itself: remove two distinct roots.
+    offdiag = []
     if m >= 2:
         for i in range(n):
             for j in range(i + 1, n):
@@ -572,15 +593,16 @@ def reference_speed_derivatives(lam, params, hessian):
                 val = prefactor * twice_reduced[..., m - 2]
                 out[..., i, j] += val
                 out[..., j, i] += val
-    return grad, out
+                offdiag.append(val)
+    return grad, out, offdiag
 
 
 def column_reference_speed_derivatives(cols, params, hessian):
     """reference_speed_derivatives behind the column kernel's (n, ...) interface."""
-    grad, second = reference_speed_derivatives(np.moveaxis(cols, 0, -1), params, hessian)
+    grad, second, offdiag = reference_speed_derivatives(np.moveaxis(cols, 0, -1), params, hessian)
     if second is not None:
         second = np.moveaxis(second, (-2, -1), (0, 1))
-    return np.moveaxis(grad, -1, 0), second
+    return np.moveaxis(grad, -1, 0), second, offdiag
 
 
 def reference_polish(objective, pts, vals, eps, minimize):
@@ -596,8 +618,8 @@ def reference_polish(objective, pts, vals, eps, minimize):
 
 
 def reference_bound_values(lam, params):
-    grad, second = reference_speed_derivatives(curvalg._as_batch(lam), params, hessian=True)
-    q = reference_difference_quotients(lam, grad, second)
+    grad, second, offdiag = reference_speed_derivatives(curvalg._as_batch(lam), params, hessian=True)
+    q = reference_difference_quotients(lam, offdiag)
     q_max = np.max(np.abs(q), axis=(-2, -1))
     eig_max = np.max(np.abs(reference_symmetric_eigenvalues(second)), axis=-1)
     return np.stack([np.min(grad, axis=-1), np.maximum(eig_max, q_max)], axis=-1)
@@ -668,18 +690,29 @@ def reference_sampled_bounds(eps, params, sampler, chunk_rows=8192):
     return polish(floor, vals[:, 0], True), polish(ceiling, vals[:, 1], False)
 
 
-def kernel_rows(rng, n):
-    """Cone rows, the umbilic row, coalescing and nearly coalescing rows, and their scalings."""
-    cone = project_to_cone(np.abs(rng.standard_normal((400, n))).T, 0.4 / n).T
-    umbilic = np.full((1, n), 1.0 / math.sqrt(n))
+def equal_pair_rows(rng, n):
+    """Rows whose entries 0 and 1, or 0 and n - 1, are equal."""
     equal = np.abs(rng.standard_normal((200, n))) + 0.05
     equal[:100, 1] = equal[:100, 0]
     equal[100:, -1] = equal[100:, 0]
-    # Relative gaps below, at and above EIGEN_COALESCE_RTOL.
+    return equal
+
+
+def near_coalescent_rows(rng, n):
+    """Rows whose entries 0 and 1 are 1e-10, 0.5e-8 and 3e-8 apart relative to the row norm."""
     close = np.abs(rng.standard_normal((300, n))) + 0.05
     for k, rel in enumerate((1e-10, 0.5e-8, 3e-8)):
         rows = close[100 * k : 100 * (k + 1)]
         rows[:, 1] = rows[:, 0] * (1.0 + rel * math.sqrt(n))
+    return close
+
+
+def kernel_rows(rng, n):
+    """Cone rows, the umbilic row, coalescing and nearly coalescing rows, and their scalings."""
+    cone = project_to_cone(np.abs(rng.standard_normal((400, n))).T, 0.4 / n).T
+    umbilic = np.full((1, n), 1.0 / math.sqrt(n))
+    equal = equal_pair_rows(rng, n)
+    close = near_coalescent_rows(rng, n)
     scaled = np.concatenate([cone, equal, close]) * np.exp(rng.uniform(-3.0, 3.0, (900, 1)))
     return np.concatenate([cone, umbilic, equal, close, scaled])
 
@@ -732,13 +765,16 @@ def parabolic_kernel_rows(rng, params):
 def test_speed_derivatives_match_the_per_row_reference(rng, n, m, beta):
     params = make_params(n, m, beta)
     lam = parabolic_kernel_rows(rng, params)
-    grad_ref, second_ref = reference_speed_derivatives(lam, params, hessian=True)
-    grad, second = _speed_derivatives(lam.T, params, hessian=True)
+    grad_ref, second_ref, offdiag_ref = reference_speed_derivatives(lam, params, hessian=True)
+    grad, second, offdiag = _speed_derivatives(lam.T, params, hessian=True)
     assert grad.T.tobytes() == grad_ref.tobytes()
     assert _speed_derivatives(lam.T, params, hessian=False)[0].T.tobytes() == grad_ref.tobytes()
     quadratic = beta == 1.0 and m <= 2
     assert second.shape == ((n, n) if quadratic else (n, n, lam.shape[0]))
     assert hessian_rows(lam, params).tobytes() == second_ref.tobytes()
+    assert len(offdiag) == len(offdiag_ref) == (n * (n - 1) // 2 if m >= 2 else 0)
+    for val, val_ref in zip(offdiag, offdiag_ref):
+        assert np.broadcast_to(val, lam.shape[:1]).tobytes() == val_ref.tobytes()
     # One spectrum: an (n, n) Hessian, and a 0-d second derivative of F.
     one = lam[0]
     second_one = _speed_derivatives(one, params, hessian=True)[1]
@@ -752,33 +788,79 @@ def test_speed_derivatives_match_the_per_row_reference(rng, n, m, beta):
 def test_quotient_kernels_match_the_blocks(rng, n, m, beta):
     params = make_params(n, m, beta)
     lam = parabolic_kernel_rows(rng, params)
-    grad, second = _speed_derivatives(lam.T, params, hessian=True)
-    got = curvalg._difference_quotients(lam.T, grad, second)
-    want = reference_difference_quotients(lam, *reference_speed_derivatives(lam, params, True))
+    grad, _, offdiag = _speed_derivatives(lam.T, params, hessian=True)
+    got = curvalg._difference_quotients(offdiag, n, lam.shape[:1])
+    want = reference_difference_quotients(lam, reference_speed_derivatives(lam, params, True)[2])
     assert got.tobytes() == want.tobytes()
     floor, ceiling = _bound_values(lam.T, params)
     assert np.stack([floor, ceiling], axis=-1).tobytes() == reference_bound_values(lam, params).tobytes()
     assert _gradient_floor_values(lam.T, params).tobytes() == np.min(grad, axis=0).tobytes()
-    # The near branch ran, and for beta != 1 and m >= 2 the limits of Q_01 and
-    # Q_10 differ in rounding on some rows, so both must reach the maximum.
+    # The rows include exactly coalescent pairs.
     assert np.any(np.isin(lam[:, 0], lam[:, 1]))
+
+
+@pytest.mark.parametrize("n, m, beta", KERNEL_SPEEDS + [(3, 3, 1.0)])
+def test_quotients_are_bitwise_symmetric(rng, n, m, beta):
+    params = make_params(n, m, beta)
+    lam = kernel_rows(rng, n)
+    _, second, offdiag = _speed_derivatives(lam.T, params, hessian=True)
+    q = curvalg._difference_quotients(offdiag, n, lam.shape[:1])
+    assert q.tobytes() == np.swapaxes(q, -1, -2).tobytes()
+    # For beta != 1 and m >= 2 the Hessian itself is not: its rank-one part
+    # rounds differently in s_01 and s_10 on some rows.
     if beta != 1.0 and m >= 2:
         assert np.any(second[0, 1] != second[1, 0])
 
 
-@pytest.mark.parametrize("n, m, beta", [s for s in KERNEL_SPEEDS if s[2] == 1.0] + [(3, 3, 1.0)])
-def test_beta_one_quotients_are_symmetric(rng, n, m, beta):
-    # The premise of scoring one quotient per unordered pair when beta = 1.
+def mp_difference_quotient(row, params, i, j):
+    """(F_i - F_j)/(lambda_i - lambda_j) at 50 digits; at lambda_i = lambda_j, its limit.
+
+    The limit is the quotient at lambda_i moved by 1e-30 relative, which
+    differs from it by about 1e-30 relative.
+    """
+    n, m = params.n, params.m
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(float(x)) for x in row]
+        if lam[i] == lam[j]:
+            lam[i] *= 1 + mpmath.mpf("1e-30")
+
+        def esym(values, k):
+            e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+            for x in values:
+                for q in range(k, 0, -1):
+                    e[q] += x * e[q - 1]
+            return e[k]
+
+        def dF(k):
+            rest = lam[:k] + lam[k + 1 :]
+            hm = esym(lam, m) / math.comb(n, m)
+            beta = mpmath.mpf(params.beta)
+            return beta * hm ** (beta - 1) * esym(rest, m - 1) / math.comb(n, m)
+
+        return (dF(i) - dF(j)) / (lam[i] - lam[j])
+
+
+@pytest.mark.parametrize("n, m, beta", KERNEL_SPEEDS)
+def test_quotients_match_a_50_digit_divided_difference(rng, n, m, beta):
+    # Q_ij = -beta H_m^(beta - 1) E_{m-2}(lambda without i, j)/C(n, m) against
+    # the divided difference it replaces, on well-separated spectra, spectra
+    # with two equal entries and nearly coalescent ones.  The entries stay
+    # within a factor of 4 of each other: the leave-one-out recurrence loses
+    # about (max/min)^(m - 2) ulps, and at a factor of 10 n5m5 beta=1/4 is
+    # off by up to 2e-13.
     params = make_params(n, m, beta)
-    lam = kernel_rows(rng, n)
-    second = hessian_rows(lam, params)
-    assert second.tobytes() == np.swapaxes(second, -1, -2).tobytes()
-    grad, second = _speed_derivatives(lam.T, params, hessian=True)
-    q = curvalg._difference_quotients(lam.T, grad, second)
-    # Equal values; the bytes differ only where a zero quotient keeps the sign
-    # of its own gap, which the ceiling's absolute value drops.
-    assert np.array_equal(q, np.swapaxes(q, -1, -2))
-    assert np.abs(q).tobytes() == np.abs(np.swapaxes(q, -1, -2)).tobytes()
+    separated = np.sort(rng.uniform(1.0, 2.0, (20, n)), axis=1) + 0.5 * np.arange(n)
+    close = near_coalescent_rows(rng, n)
+    kinds = [separated, equal_pair_rows(rng, n), close[:100], close[100:200], close[200:]]
+    for rows in kinds:
+        rows = rows[rows.max(axis=1) <= 4.0 * rows.min(axis=1)][:12]
+        assert rows.shape[0] >= 5
+        offdiag = _speed_derivatives(rows.T, params, hessian=True)[2]
+        q = curvalg._difference_quotients(offdiag, n, rows.shape[:1])
+        for r, row in enumerate(rows):
+            for i, j in itertools.permutations(range(n), 2):
+                want = mp_difference_quotient(row, params, i, j)
+                assert abs(q[r, i, j] - want) <= 1e-13 * abs(want), (row, i, j)
 
 
 # n5m5 beta=1/4 is left out: its ceiling descent at eps = 0.99/n runs for

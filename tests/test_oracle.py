@@ -152,10 +152,12 @@ def test_xi_comparison_inverts_forward_map(params_n2m1):
 
 
 def test_support_offset_frozen_value(params_n2m1):
+    # The offset takes the volume radius psi(V0), here of the unit ball.
     v0 = float(ball_volume(1.0, params_n2m1))
-    zeta = support_offset(v0, params_n2m1)
+    zeta = support_offset(psi_inverse(v0, params_n2m1), params_n2m1)
     # reproducible to the bisection stopping width, not machine precision
     assert zeta == pytest.approx(0.023340717450369478, abs=1e-9)
+    assert support_offset(1.0, params_n2m1) == pytest.approx(zeta, abs=1e-9)
     # the offset stays below the sphere's support value sinh(r0)
     assert 0.0 < zeta < math.sinh(1.0)
 
