@@ -11,8 +11,9 @@ C*, live in monitors.shifted_minima.
 The kernels work on spectra held as n columns, an (n, ...) array whose
 entry i is lambda_i of every spectrum; the public evaluators take (..., n)
 arrays and hand the kernels the column views lam[..., i].  So the same code
-serves single spectra, whole grids, and the 1e5-point sample cloud, which
-is stored column-major and scored one contiguous block at a time.
+serves single spectra, whole grids, the seeded sample cloud, which is
+stored column-major and scored one contiguous block at a time, and the
+few-value spectra on which the floor and the ceiling take their extrema.
 
 Conventions.  Spectra are length-n vectors in the positive cone; shifted
 quantities subtract the ambient constant a = sqrt(-kappa) componentwise.
@@ -20,9 +21,11 @@ The pinching cone at parameter eps is
 
     {lambda : min_i lambda_i >= eps * (lambda_1 + ... + lambda_n) > 0},
 
-a genuine cone, intersected with the unit sphere for sampling.  Shifted
-spectra with min lambda_tilde >= eps * sum lambda_tilde automatically land
-in it, which is what makes the sampled bounds valid along the flow.
+a genuine cone, intersected with the unit sphere where the bounds are
+scored.  Shifted spectra with min lambda_tilde >= eps * sum lambda_tilde
+automatically land in it, which is what makes the bounds valid along the
+flow.  The bounds are extrema over the cloud and over curves of spectra
+with at most three distinct values (see _family_bounds).
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ ROOT_TOL = 1.0e-8
 # and scored while it is in cache, and the (n, n, CHUNK_ROWS) Hessians of a
 # speed that is not quadratic stay bounded.
 CHUNK_ROWS = 8192
+# Log-spaced points per few-value curve, ends included, and golden-section
+# steps that refine an extremum inside a curve (_family_bounds): 32 leave
+# 2e-7 of the bracket, and a smooth extremum's value exact to rounding.
+FAMILY_POINTS = 129
+REFINE_ITERATIONS = 32
 
 
 @dataclass(frozen=True)
@@ -331,8 +339,9 @@ def speed_hessian_quadform(lam, params: FlowParams, B):
 
 
 # ---------------------------------------------------------------------------
-# Pinching constants: gap bound, sampled gradient floor / Hessian ceiling,
-# and the balance point epsilon0 with its preserved-ratio constant C*.
+# Pinching constants: gap bound, gradient floor / Hessian ceiling over the
+# cloud and the few-value curves, and the balance point epsilon0 with its
+# preserved-ratio constant C*.
 # ---------------------------------------------------------------------------
 
 
@@ -378,30 +387,11 @@ class ConeSampler:
         rng = np.random.default_rng(self.seed)
         self._base = np.abs(rng.standard_normal((self.n_samples, n))).T.copy()
 
-    def _deterministic_extras(self, eps: float) -> np.ndarray:
-        """Boundary vertices where one or all-but-one coordinates sit on the constraint."""
-        n = self.n
-        rows = [np.full(n, 1.0 / math.sqrt(n))]
-        if eps < 1.0 / n:
-            lo_single = eps * (n - 1) / (1.0 - eps)
-            for i in range(n):
-                v = np.ones(n)
-                v[i] = lo_single
-                rows.append(v / np.linalg.norm(v))
-            if n > 2 and eps < 1.0 / (n - 1):
-                hi = eps / (1.0 - (n - 1) * eps)
-                for i in range(n):
-                    v = np.full(n, hi)
-                    v[i] = 1.0
-                    rows.append(v / np.linalg.norm(v))
-        return np.array(rows)
-
     def blocks(self, eps: float):
         """Yield the feasible points for eps as (n, k) column blocks, in index order.
 
         Each block of CHUNK_ROWS cloud points is projected into one buffer
-        and masked there; the deterministic extras ride in the last block.
-        A block is overwritten by the next one.
+        and masked there.  A block is overwritten by the next one.
         """
         n = self.n
         if not 0.0 < eps <= 1.0 / n + 1e-15:
@@ -410,16 +400,10 @@ class ConeSampler:
             # The cross-section degenerates to the umbilic point.
             yield np.full((n, 1), 1.0 / math.sqrt(n))
             return
-        extras = self._deterministic_extras(eps).T
-        size = self.n_samples
-        buffer = np.empty((n, min(size, CHUNK_ROWS) + extras.shape[1]))
-        for start in range(0, size, CHUNK_ROWS):
-            width = min(CHUNK_ROWS, size - start)
-            last = start + width == size
-            block = buffer[:, : width + (extras.shape[1] if last else 0)]
-            project_to_cone(self._base[:, start : start + width], eps, out=block[:, :width])
-            if last:
-                block[:, width:] = extras
+        buffer = np.empty((n, min(self.n_samples, CHUNK_ROWS)))
+        for start in range(0, self.n_samples, CHUNK_ROWS):
+            chunk = self._base[:, start : start + CHUNK_ROWS]
+            block = project_to_cone(chunk, eps, out=buffer[:, : chunk.shape[1]])
             keep = _on_cone(block, eps)
             yield block if keep.all() else block[:, keep]
 
@@ -472,72 +456,6 @@ def _row_norm(cols) -> np.ndarray:
     return np.sqrt(functools.reduce(np.add, (c * c for c in cols)))
 
 
-def _coordinate_descent(
-    objective, y0: np.ndarray, best: float, eps: float, minimize: bool
-) -> tuple[np.ndarray, float]:
-    """Polish a sampled extremum by projected coordinate descent on the cone.
-
-    best is objective's value at y0, which the caller already has.  A sweep
-    tries coordinate j ascending, +step before -step, projects each trial
-    onto the cone and accepts it when it beats the best value by more than
-    1e-15.  A sweep that accepted a move repeats at the same step; one
-    that did not halves the step, from 0.25 while it stays above 1e-9.
-
-    The trials are scored speculatively: every trial the sweeps would make
-    from the current point if none improved is projected with one
-    project_to_cone call and scored with one objective call on their
-    columns.  The first improving trial in sweep order is exactly the move
-    the one-at-a-time loop accepts, since the trials before it are the same
-    points scored against the same best value.  The later trials are
-    dropped and rebuilt from the new point.  The projection and the
-    objectives act point by point, so the result is bitwise that of the
-    one-at-a-time loop.
-    """
-    y = np.array(y0, dtype=float)
-    sign = 1.0 if minimize else -1.0
-    n = y.shape[0]
-    steps = []
-    step = 0.25
-    while step > 1e-9:
-        steps.append(step)
-        step *= 0.5
-    steps = np.array(steps)
-    # Trial k of a sweep moves coordinate k // 2, by +step if k is even.
-    # Pending trials are numbered level * width + k: the rest of the current
-    # sweep, its repeat once it accepted a move, then every smaller step.
-    width = 2 * n
-    level, start, repeat = 0, 0, False
-    while True:
-        head = np.arange(level * width + start, (level + 1) * width)
-        tail = np.arange((level if repeat else level + 1) * width, steps.size * width)
-        trial_level, move = np.divmod(np.concatenate([head, tail]), width)
-        delta = np.where(move % 2 == 0, 1.0, -1.0) * steps[trial_level]
-        trials = np.repeat(y[:, None], move.size, axis=1)
-        trials[move // 2, np.arange(move.size)] += delta
-        project_to_cone(trials, eps, out=trials)
-        vals = objective(trials)
-        hits = np.flatnonzero(sign * vals < sign * best - 1e-15)
-        if hits.size == 0:
-            return y, best
-        k = hits[0]
-        y, best = trials[:, k].copy(), float(vals[k])
-        level, start, repeat = int(trial_level[k]), int(move[k]) + 1, True
-
-
-def _polish(objective, pts, vals, eps: float, minimize: bool) -> float:
-    """Refine the extremum of vals over the rows of pts by coordinate descent from it.
-
-    vals must be objective's values at pts.  The objectives act point by
-    point, so the descent starts from vals[k] and scores no point twice.
-    """
-    k = int(np.argmin(vals)) if minimize else int(np.argmax(vals))
-    if 1.0 - pts.shape[1] * eps < 1e-12:
-        # The cone is the umbilic ray alone (see ConeSampler.blocks): there is
-        # nothing to descend on, and project_to_cone would divide by 1 - n eps = 0.
-        return float(vals[k])
-    return _coordinate_descent(objective, pts[k], float(vals[k]), eps, minimize)[1]
-
-
 def _gradient_floor_values(cols, params: FlowParams) -> np.ndarray:
     """Return the smallest component of the speed gradient per spectrum."""
     return _row_min(_speed_derivatives(cols, params, hessian=False)[0])
@@ -564,11 +482,6 @@ def _hessian_ceiling(second, offdiag):
     """Return max(max_{i<j} |val_ij|, spectral radius of second) per spectrum."""
     ceiling = functools.reduce(np.maximum, [np.abs(v) for v in _symmetric_eigenvalues(second)])
     return functools.reduce(np.maximum, [np.abs(v) for v in offdiag], ceiling)
-
-
-def _quadform_operator_norm(cols, params: FlowParams) -> np.ndarray:
-    """Return the Hessian-ceiling objective per spectrum (see _bound_values)."""
-    return _bound_values(cols, params)[1]
 
 
 def _symmetric_eigenvalues(mats: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -620,44 +533,119 @@ def _sym_eig3(mats: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.where(spread, e, q) for e in (e3, e2, e1))
 
 
+@functools.lru_cache(maxsize=None)
+def _family_patterns(n: int) -> tuple[np.ndarray, ...]:
+    """Return the (k0, k1) of every few-value curve, as two (curves, 1) columns.
+
+    A curve holds k0 entries on the cone floor p = eps * sum, k1 at 1 and
+    the other k2 = n - k0 - k1 at t; k0 = 0 gives the two-value curves.
+    Swapping k1 and k2 traces the same unit spectra, so k1 <= k2.
+    """
+    pairs = [(k0, k1) for k0 in range(n - 1) for k1 in range(1, n - k0) if 2 * k1 <= n - k0]
+    return tuple(np.array(pairs).T[:, :, None])
+
+
+def _family_grid(eps: float, n: int, k0, k1) -> np.ndarray:
+    """Return log t on FAMILY_POINTS points of each curve, even on either side of its middle.
+
+    The ends are where the k2, and where the k1, entries reach the floor p;
+    the middle is the umbilic t = 1 on a two-value curve, else the
+    geometric mean of the ends.
+    """
+    k2 = n - k0 - k1
+    lo = np.log(eps * k1 / (1.0 - eps * (k0 + k2)))
+    hi = np.log((1.0 - eps * (k0 + k1)) / (eps * k2))
+    mid = np.where(k0 == 0, 0.0, 0.5 * (lo + hi))
+    steps = np.linspace(-1.0, 1.0, FAMILY_POINTS)  # from the middle (0) to the ends (-1, 1)
+    return mid + steps * np.where(steps < 0.0, mid - lo, hi - mid)
+
+
+def _family_spectra(eps: float, n: int, k0, k1, log_t) -> np.ndarray:
+    """Unit-norm columns (n, ...) of the spectra with k0 entries at p, k1 at 1 and the rest at t."""
+    t = np.exp(log_t)
+    p = eps * (k1 + (n - k0 - k1) * t) / (1.0 - eps * k0)
+    index = np.arange(n).reshape((n,) + (1,) * t.ndim)
+    cols = np.where(index < k0, p, np.where(index < k0 + k1, 1.0, t))
+    return cols / _row_norm(cols)
+
+
+def _golden_section(score, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Return the least value of score seen in REFINE_ITERATIONS steps on each [a, b].
+
+    score maps one abscissa per bracket to their values, so every bracket
+    takes its step in the same call.
+    """
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = score(c), score(d)
+    best = np.minimum(fc, fd)
+    for _ in range(REFINE_ITERATIONS):
+        left = fc < fd  # a minimum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - shrink * (b - a), a + shrink * (b - a))
+        fx = score(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        best = np.minimum(best, fx)
+    return best
+
+
+def _family_bounds(eps: float, n: int, objectives) -> np.ndarray:
+    """Return the least value of each objective over the few-value curves at eps.
+
+    objectives maps n columns to an (R, ...) array of values to minimize.
+    A curve's least grid value is refined by golden section in log t
+    between its grid neighbours when it lies inside the curve; at an end,
+    a boundary vertex of the cone, it is kept.
+    """
+    k0, k1 = _family_patterns(n)
+    log_t = _family_grid(eps, n, k0, k1)
+    values = objectives(_family_spectra(eps, n, k0, k1, log_t))
+    best = values.min(axis=(1, 2))
+    j = values.argmin(axis=2)
+    row, curve = np.nonzero((j > 0) & (j < FAMILY_POINTS - 1))
+    if row.size:
+        j, columns = j[row, curve], np.arange(row.size)
+
+        def score(u):
+            return objectives(_family_spectra(eps, n, k0[curve], k1[curve], u[:, None]))[row, columns, 0]
+
+        np.minimum.at(best, row, _golden_section(score, log_t[curve, j - 1], log_t[curve, j + 1]))
+    return best
+
+
 def _sampled_bounds(
     eps: float, params: FlowParams, sampler: ConeSampler
 ) -> tuple[float, float]:
     """Return the gradient floor and the Hessian ceiling at eps.
 
-    The floor is the sampled minimum of the speed gradient's components on
-    the cone: the constructive constant in dF_i(lambda) >= floor *
-    |lambda|^{m beta - 1} on pinched spectra, increasing in eps and exactly
-    1/n for the linear speed (m = beta = 1).  The ceiling is the sampled
-    supremum of the quadform operator norm: decreasing in eps, identically
-    zero for the linear speed.  Both come from one pass over the cloud's
-    column blocks, each projected and scored while it is in cache, which
-    shares the speed derivatives between the two objectives.  A block keeps
-    only its first extremum of each objective, so the descents start from
-    the cloud's first extrema, as np.argmin/np.argmax over it would pick.
-    A quadratic speed's ceiling is that of its one Hessian block, computed
-    once, so its pass scores only the floor.
+    The floor is the least of the speed gradient's components on the cone:
+    the constructive constant in dF_i(lambda) >= floor * |lambda|^{m beta - 1}
+    on pinched spectra, increasing in eps and exactly 1/n for the linear
+    speed (m = beta = 1).  The ceiling is the greatest quadform operator
+    norm: decreasing in eps, identically zero for the linear speed.  Both
+    are extrema over the cloud's column blocks and _family_bounds' curves;
+    a quadratic speed's ceiling is its one Hessian block's, computed once.
     """
-    if sampler.n != params.n:
+    n = params.n
+    if sampler.n != n:
         raise DomainError("sampler dimension does not match params.n")
     constant = _constant_hessian(params)
-    candidates = []
+
+    def objectives(cols):
+        if constant is not None:
+            return _gradient_floor_values(cols, params)[None]
+        floor, ceiling = _bound_values(cols, params)
+        return np.stack([floor, -ceiling])
+
+    best = np.full(1 if constant is not None else 2, np.inf)
     for block in sampler.blocks(eps):
-        if constant is None:
-            floor, ceiling = _bound_values(block, params)
-            hi = int(np.argmax(ceiling))
-            ceiling_extremum = [block[:, hi].copy(), ceiling[hi]]
-        else:
-            floor, ceiling_extremum = _gradient_floor_values(block, params), []
-        lo = int(np.argmin(floor))
-        candidates.append([block[:, lo].copy(), floor[lo], *ceiling_extremum])
-    floor_pts, floor_vals, *ceiling_extrema = map(np.array, zip(*candidates))
-    floor = functools.partial(_gradient_floor_values, params=params)
-    floor = _polish(floor, floor_pts, floor_vals, eps, minimize=True)
+        best = np.minimum(best, objectives(block).min(axis=1, initial=np.inf))
+    if 1.0 - n * eps >= 1e-12:  # else the cone is the umbilic ray alone
+        best = np.minimum(best, _family_bounds(eps, n, objectives))
     if constant is not None:
-        return floor, float(_hessian_ceiling(*constant))
-    ceiling = functools.partial(_quadform_operator_norm, params=params)
-    return floor, _polish(ceiling, *ceiling_extrema, eps, minimize=False)
+        return float(best[0]), float(_hessian_ceiling(*constant))
+    return float(best[0]), -float(best[1])
 
 
 def slice_constant(eps: float, n: int) -> float:

@@ -115,7 +115,7 @@ class RunConfig:
     The defaults are the config file's defaults.  Diagnostics rows are taken
     every record_interval of flow time; snapshots (every snapshot_interval)
     and the output files are written only when output_dir is set.  The
-    pinching constants are solved at constants_samples cone samples.
+    constants' bounds also take a cloud of constants_samples cone points.
     scheme is no config key: Heun steps at stable_dt and is the reference
     that tests compare rkc against; rkc steps at RKC_ACCURACY / mu_2, or less
     where t_end asks for it, with the stages that stable_dt asks for.

@@ -256,12 +256,22 @@ def perturbed_sphere_state(
         if grid.mode == "full2d":
             profile = np.repeat(profile[:, None], grid.n_phi, axis=1)
     else:
-        from scipy.special import lpmv
-
-        leg = lpmv(mode_phi, mode_l, np.cos(grid.theta))
+        leg = _associated_legendre(mode_phi, mode_l, np.cos(grid.theta))
         leg = leg / np.max(np.abs(leg))
         profile = leg[:, None] * np.cos(mode_phi * grid.phi)[None, :]
     return GraphState(t=0.0, grid=grid, r=r0 + amplitude * profile)
+
+
+def _associated_legendre(m: int, l: int, x: np.ndarray) -> np.ndarray:
+    """Return P_l^m(x) as scipy.special.lpmv does: Condon-Shortley phase, upward in l,
+    and P_l^-m = (-1)^m (l - m)!/(l + m)! P_l^m."""
+    mu = abs(m)
+    below, current = 0.0, (-1.0) ** mu * math.prod(range(1, 2 * mu, 2)) * (1.0 - x * x) ** (0.5 * mu)
+    for k in range(mu + 1, l + 1):
+        below, current = current, ((2 * k - 1) * x * current - (k + mu - 1) * below) / (k - mu)
+    if m < 0:
+        current = current * ((-1.0) ** mu * math.factorial(l - mu) / math.factorial(l + mu))
+    return current
 
 
 # ---------------------------------------------------------------------------

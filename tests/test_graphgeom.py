@@ -296,6 +296,19 @@ def test_mean_curvature_dual_route_on_perturbed_spheres():
         assert np.max(np.abs(direct - fields.spectrum.esym(1))) < 1e-9
 
 
+def test_associated_legendre_matches_scipy():
+    from scipy.special import lpmv
+
+    from horoflow.graphgeom import _associated_legendre
+
+    x = np.concatenate([[-1.0, 1.0, 0.0], np.cos(np.linspace(0.0, math.pi, 97))])
+    for ell in range(9):
+        for m in range(-ell, ell + 1):
+            want = lpmv(m, ell, x)
+            got = _associated_legendre(m, ell, x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (ell, m)
+
+
 def test_full2d_dual_route_and_finiteness(params_n2m1):
     grid = make_grid("full2d", 2, 96, 32)
     state = perturbed_sphere_state(grid, 1.0, 3, 0.04, mode_phi=2)

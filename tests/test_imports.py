@@ -1,4 +1,4 @@
-"""Import graph: importing horoflow, solving constants and running a flow load no scipy."""
+"""Import graph: importing horoflow, solving constants and running flows load no scipy."""
 
 from __future__ import annotations
 
@@ -26,6 +26,9 @@ assert not scipy_modules(), ("horoflow constants", scipy_modules()[:3])
 assert cli.main(["run", sys.argv[1]]) == cli.EXIT_OK
 assert not scipy_modules(), ("horoflow run", scipy_modules()[:3])
 
+assert cli.main(["run", sys.argv[2]]) == cli.EXIT_OK
+assert not scipy_modules(), ("horoflow run, full2d mode_phi = 2", scipy_modules()[:3])
+
 import numpy as np
 
 params = horoflow.FlowParams(n=2, m=1, beta=1.0, ac=horoflow.AmbientCurvature(kappa=-1.0))
@@ -35,7 +38,26 @@ assert "scipy.integrate" in sys.modules
 """
 
 
+FULL2D = """params.n = 2
+params.m = 2
+params.beta = 1.0
+params.kappa = -1.0
+grid.mode = full2d
+grid.n_theta = 16
+grid.n_phi = 16
+initial.shape = perturbed_sphere
+initial.r0 = 1.0
+initial.mode_l = 2
+initial.mode_phi = 2
+initial.amplitude = 0.02
+flow.t_end = 0.002
+constants.n_samples = 500
+"""
+
+
 def test_run_and_constants_never_import_scipy(tmp_path):
+    full2d = tmp_path / "full2d.cfg"
+    full2d.write_text(FULL2D)
     out_dir = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -60,7 +82,7 @@ def test_run_and_constants_never_import_scipy(tmp_path):
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(cfg)],
+        [sys.executable, "-c", SCRIPT, str(cfg), str(full2d)],
         env=env,
         capture_output=True,
         text=True,
