@@ -125,28 +125,25 @@ def _columns(lam: np.ndarray) -> np.ndarray:
     return np.moveaxis(lam, -1, 0)
 
 
-def _esym_table(cols) -> np.ndarray:
-    """Return the elementary symmetric values E_0..E_n of n columns, shape (n + 1, ...).
+def _esym_table(cols, upto: int) -> list:
+    """Return the elementary symmetric values E_0..E_upto of the columns cols, as a list.
 
-    One-root-at-a-time recurrence: exact in exact arithmetic, stable in
-    floating point for the small n used here.
+    One column li at a time, E_k <- E_k + li * E_{k-1} from the top order
+    down, with E_0 = 1.0 and no order above upto, so a shorter table is the
+    head of a longer one bit for bit.  Each E_k is a sum of products of the
+    columns, so on the positive cone nothing cancels, however much one
+    entry dominates: every value, and every leave-out value taken as the
+    table of the other columns, is exact to a few ulps.  No columns give
+    [1.0].
     """
-    n = len(cols)
-    e = np.zeros((n + 1,) + np.shape(cols[0]), dtype=float)
-    e[0] = 1.0
-    for i in range(n):
-        li = cols[i]
-        for k in range(i + 1, 0, -1):
-            e[k] += li * e[k - 1]
+    e = [1.0]
+    for li in cols:
+        top = len(e) - 1
+        if top < upto:
+            e.append(li * e[top] if top else li)
+        for k in range(top, 0, -1):
+            e[k] = e[k] + (li * e[k - 1] if k > 1 else li)
     return e
-
-
-def _esym_drop(e, li, upto: int) -> list:
-    """Synthetic division: E_0..E_upto of the set without the root li."""
-    out = [e[0]]
-    for k in range(1, upto + 1):
-        out.append(e[k] - li * out[k - 1])
-    return out
 
 
 def elementary_symmetric(lam, k: int):
@@ -155,7 +152,7 @@ def elementary_symmetric(lam, k: int):
     n = lam.shape[-1]
     if not 0 <= k <= n:
         raise DomainError(f"elementary symmetric order k={k} outside [0, {n}]")
-    return _esym_table(_columns(lam))[k, ...]
+    return np.ones(lam.shape[:-1]) if k == 0 else np.asarray(_esym_table(_columns(lam), k)[k])
 
 
 def mean_curvature_m(lam, params: FlowParams):
@@ -251,17 +248,18 @@ def _speed_derivatives(cols, params: FlowParams, hessian: bool):
     every val_ij is 0).  Without hessian the last two are None.
     """
     n, m, beta = params.n, params.m, params.beta
-    e = _esym_table(cols)
-    hm = e[m] / params.binom
+    hm = _esym_table(cols, m)[m] / params.binom
     if np.any(~(hm > 0.0)):
         what = "Hessian" if hessian else "gradient"
         raise ParabolicityLostError(f"H_m <= 0 (min {np.min(hm):.6g}); {what} undefined")
-    reduced = [_esym_drop(e, cols[i], m - 1) for i in range(n)]
+    columns = list(cols)
+    # dE_m/dlambda_i = E_{m-1} of the other n - 1 columns.
+    reduced = np.empty((n,) + np.shape(hm))
+    for i in range(n):
+        reduced[i] = _esym_table(columns[:i] + columns[i + 1 :], m - 1)[m - 1]
     # beta * hm ** 0.0 == 1.0 for every spectrum, so beta = 1 skips the power.
     prefactor = (beta if beta == 1.0 else beta * hm ** (beta - 1.0)) / params.binom
-    grad = np.empty((n,) + np.shape(hm))
-    for i in range(n):
-        grad[i] = prefactor * reduced[i][m - 1]
+    grad = prefactor * reduced
     if not hessian:
         return grad, None, None
 
@@ -271,14 +269,15 @@ def _speed_derivatives(cols, params: FlowParams, hessian: bool):
     out = np.zeros((n, n) + np.shape(hm), dtype=float)
     # Rank-one part from the outer power; vanishes identically when beta = 1.
     if beta != 1.0:
-        dhm = np.array([r[m - 1] for r in reduced]) / params.binom
+        dhm = reduced / params.binom
         coef = beta * (beta - 1.0) * hm ** (beta - 2.0)
         out += (coef * dhm)[:, None] * dhm[None, :]
-    # Mixed second derivatives of H_m itself: remove two distinct roots.
+    # Mixed second derivatives of H_m itself: E_{m-2} of the other n - 2 columns.
     offdiag = []
     if m >= 2:
         for i, j in itertools.combinations(range(n), 2):
-            val = prefactor * _esym_drop(reduced[i], cols[j], m - 2)[m - 2]
+            rest = columns[:i] + columns[i + 1 : j] + columns[j + 1 :]
+            val = prefactor * _esym_table(rest, m - 2)[m - 2]
             out[i, j] += val
             out[j, i] += val
             offdiag.append(val)

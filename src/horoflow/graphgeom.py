@@ -33,7 +33,6 @@ of the coordinate metric live entirely in the quadrature weights.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import re
 from dataclasses import dataclass, field
@@ -44,8 +43,6 @@ import numpy as np
 from .curvalg import FlowParams, PairSpectrum, speed
 from .errors import ConfigurationError, DomainError, HoroflowError
 from .hypergeom import AmbientCurvature, generalized_sine_cosine
-
-logger = logging.getLogger(__name__)
 
 MODES = ("axisymmetric", "full2d")
 MIN_NODES_THETA = 16

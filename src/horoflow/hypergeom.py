@@ -16,15 +16,12 @@ All evaluators broadcast over numpy arrays.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ and contraction_residual), so importing horoflow never loads it.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -28,8 +27,6 @@ from .curvalg import FlowParams
 from .errors import DomainError, RootFindingError
 from .graphgeom import GraphState, _sphere_area
 from .hypergeom import generalized_cotangent, generalized_sine, generalized_tangent
-
-logger = logging.getLogger(__name__)
 
 BISECTION_TOL = 1.0e-12
 EXTINCTION_RADIUS_FACTOR = 1.0e-3
