@@ -24,8 +24,10 @@ The pinching cone at parameter eps is
 a genuine cone, intersected with the unit sphere where the bounds are
 scored.  Shifted spectra with min lambda_tilde >= eps * sum lambda_tilde
 automatically land in it, which is what makes the bounds valid along the
-flow.  The bounds are extrema over the cloud and over curves of spectra
-with at most three distinct values (see _family_bounds).
+flow.  The gradient floor is the least value over the cloud and over curves
+of spectra with at most three distinct values (see _family_bounds); the
+Hessian ceiling is the greatest over those curves alone, so the cloud is
+scored for the floor only.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ TABLE_POINTS = 17
 ROOT_TOL = 1.0e-8
 # Points per column block of the sample cloud (ConeSampler.blocks): each
 # (CHUNK_ROWS,) column temporary is 64 KB, so a block is projected, masked
-# and scored while it is in cache, and the (n, n, CHUNK_ROWS) Hessians of a
-# speed that is not quadratic stay bounded.
+# and its gradient floor scored while it is in cache.
 CHUNK_ROWS = 8192
 # Log-spaced points per few-value curve, ends included, and golden-section
 # steps that refine an extremum inside a curve (_family_bounds): 32 leave
@@ -125,25 +126,28 @@ def _columns(lam: np.ndarray) -> np.ndarray:
     return np.moveaxis(lam, -1, 0)
 
 
-def _esym_table(cols, upto: int) -> list:
-    """Return the elementary symmetric values E_0..E_upto of the columns cols, as a list.
+def _esym(cols, k: int):
+    """Return the elementary symmetric value E_k of the columns cols.
 
-    One column li at a time, E_k <- E_k + li * E_{k-1} from the top order
-    down, with E_0 = 1.0 and no order above upto, so a shorter table is the
-    head of a longer one bit for bit.  Each E_k is a sum of products of the
-    columns, so on the positive cone nothing cancels, however much one
-    entry dominates: every value, and every leave-out value taken as the
-    table of the other columns, is exact to a few ulps.  No columns give
-    [1.0].
+    One column li at a time, E_j <- E_j + li * E_{j-1} from the top order
+    down, with E_0 = 1.0 and no order above k.  An order j that cannot
+    reach k any more, j plus the columns still to come being below k, is
+    not updated, so for k = len(cols) E_k is the plain product.  E_k is a
+    sum of products of the columns, so on the positive cone nothing
+    cancels, however much one entry dominates: every value, and every
+    leave-out value taken from the other columns, is exact to a few ulps.
+    E_0 is 1.0.
     """
     e = [1.0]
-    for li in cols:
+    n = len(cols)
+    for c, li in enumerate(cols):
         top = len(e) - 1
-        if top < upto:
+        if top < k:
             e.append(li * e[top] if top else li)
-        for k in range(top, 0, -1):
-            e[k] = e[k] + (li * e[k - 1] if k > 1 else li)
-    return e
+        # n - 1 - c columns are still to come.
+        for j in range(top, max(k - (n - 1 - c), 1) - 1, -1):
+            e[j] = e[j] + (li * e[j - 1] if j > 1 else li)
+    return e[k]
 
 
 def elementary_symmetric(lam, k: int):
@@ -152,7 +156,7 @@ def elementary_symmetric(lam, k: int):
     n = lam.shape[-1]
     if not 0 <= k <= n:
         raise DomainError(f"elementary symmetric order k={k} outside [0, {n}]")
-    return np.ones(lam.shape[:-1]) if k == 0 else np.asarray(_esym_table(_columns(lam), k)[k])
+    return np.ones(lam.shape[:-1]) if k == 0 else np.asarray(_esym(_columns(lam), k))
 
 
 def mean_curvature_m(lam, params: FlowParams):
@@ -221,11 +225,16 @@ class PairSpectrum:
         return lam
 
 
+@functools.lru_cache(maxsize=None)
 def _constant_hessian(params: FlowParams):
-    """Return (block, offdiag) of a quadratic speed (beta = 1, m <= 2), else None.
+    """Return (block, offdiag, ceiling) of a quadratic speed (beta = 1, m <= 2), else None.
 
-    Its Hessian is the (n, n) block (J - I)/C(n, 2), or zero for m = 1, at
-    every spectrum; offdiag is its val_ij (see _speed_derivatives).
+    Its Hessian is the read-only (n, n) block (J - I)/C(n, 2), or zero for
+    m = 1, at every spectrum; offdiag is its val_ij (see
+    _speed_derivatives).  The ceiling (see _bound_values) is the block's
+    spectral radius (n - 1)/C(n, 2) = 2/n, which exceeds every
+    |val_ij| = 1/C(n, 2), or 0 for m = 1: exact, where an eigen-solve reads
+    0.6666666666666667 for n = 3.
     """
     n, m = params.n, params.m
     if params.beta != 1.0 or m > 2:
@@ -234,7 +243,10 @@ def _constant_hessian(params: FlowParams):
     value = 1.0 / params.binom if m == 2 else 0.0
     block = np.full((n, n), value)
     np.fill_diagonal(block, 0.0)
-    return block, [value] * (n * (n - 1) // 2) if m == 2 else []
+    block.setflags(write=False)
+    if m == 1:
+        return block, (), 0.0
+    return block, (value,) * (n * (n - 1) // 2), 2.0 / n
 
 
 def _speed_derivatives(cols, params: FlowParams, hessian: bool):
@@ -248,7 +260,7 @@ def _speed_derivatives(cols, params: FlowParams, hessian: bool):
     every val_ij is 0).  Without hessian the last two are None.
     """
     n, m, beta = params.n, params.m, params.beta
-    hm = _esym_table(cols, m)[m] / params.binom
+    hm = _esym(cols, m) / params.binom
     if np.any(~(hm > 0.0)):
         what = "Hessian" if hessian else "gradient"
         raise ParabolicityLostError(f"H_m <= 0 (min {np.min(hm):.6g}); {what} undefined")
@@ -256,7 +268,7 @@ def _speed_derivatives(cols, params: FlowParams, hessian: bool):
     # dE_m/dlambda_i = E_{m-1} of the other n - 1 columns.
     reduced = np.empty((n,) + np.shape(hm))
     for i in range(n):
-        reduced[i] = _esym_table(columns[:i] + columns[i + 1 :], m - 1)[m - 1]
+        reduced[i] = _esym(columns[:i] + columns[i + 1 :], m - 1)
     # beta * hm ** 0.0 == 1.0 for every spectrum, so beta = 1 skips the power.
     prefactor = (beta if beta == 1.0 else beta * hm ** (beta - 1.0)) / params.binom
     grad = prefactor * reduced
@@ -265,7 +277,7 @@ def _speed_derivatives(cols, params: FlowParams, hessian: bool):
 
     constant = _constant_hessian(params)
     if constant is not None:
-        return (grad, *constant)
+        return grad, constant[0], constant[1]
     out = np.zeros((n, n) + np.shape(hm), dtype=float)
     # Rank-one part from the outer power; vanishes identically when beta = 1.
     if beta != 1.0:
@@ -277,7 +289,7 @@ def _speed_derivatives(cols, params: FlowParams, hessian: bool):
     if m >= 2:
         for i, j in itertools.combinations(range(n), 2):
             rest = columns[:i] + columns[i + 1 : j] + columns[j + 1 :]
-            val = prefactor * _esym_table(rest, m - 2)[m - 2]
+            val = prefactor * _esym(rest, m - 2)
             out[i, j] += val
             out[j, i] += val
             offdiag.append(val)
@@ -338,9 +350,9 @@ def speed_hessian_quadform(lam, params: FlowParams, B):
 
 
 # ---------------------------------------------------------------------------
-# Pinching constants: gap bound, gradient floor / Hessian ceiling over the
-# cloud and the few-value curves, and the balance point epsilon0 with its
-# preserved-ratio constant C*.
+# Pinching constants: gap bound, gradient floor over the cloud and the
+# few-value curves, Hessian ceiling over the curves, and the balance point
+# epsilon0 with its preserved-ratio constant C*.
 # ---------------------------------------------------------------------------
 
 
@@ -469,67 +481,24 @@ def _bound_values(cols, params: FlowParams) -> tuple[np.ndarray, np.ndarray]:
     diag(B), plus independent 1-D blocks with the difference quotients
     Q_ij = -val_ij on each off-diagonal entry.  Its operator norm is
     therefore max(max_{i<j} |val_ij|, spectral radius of the small block);
-    no sampling over B is needed.
+    no sampling over B is needed.  A quadratic speed's ceiling is its
+    constant (_constant_hessian), with no Hessian and no eigen-solve.
     """
+    constant = _constant_hessian(params)
+    if constant is not None:
+        floor = _gradient_floor_values(cols, params)
+        return floor, np.full(floor.shape, constant[2])
     grad, second, offdiag = _speed_derivatives(cols, params, hessian=True)
-    floor = _row_min(grad)
-    # A quadratic speed's one block gives one ceiling; spread it over the spectra.
-    return floor, np.broadcast_to(_hessian_ceiling(second, offdiag), floor.shape)
+    return _row_min(grad), _hessian_ceiling(second, offdiag)
 
 
 def _hessian_ceiling(second, offdiag):
-    """Return max(max_{i<j} |val_ij|, spectral radius of second) per spectrum."""
-    ceiling = functools.reduce(np.maximum, [np.abs(v) for v in _symmetric_eigenvalues(second)])
-    return functools.reduce(np.maximum, [np.abs(v) for v in offdiag], ceiling)
+    """Return max(max_{i<j} |val_ij|, spectral radius of second) per (n, n, ...) Hessian.
 
-
-def _symmetric_eigenvalues(mats: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Ascending eigenvalue columns of (n, n, ...) symmetric matrices, closed form for n = 2, 3."""
-    n = len(mats)
-    if n == 2:
-        a = mats[0, 0]
-        d = mats[1, 1]
-        b = mats[0, 1]
-        half_tr = 0.5 * (a + d)
-        disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
-        return half_tr - disc, half_tr + disc
-    if n == 3:
-        return _sym_eig3(mats)
-    return tuple(_columns(np.linalg.eigvalsh(np.moveaxis(mats, (0, 1), (-2, -1)))))
-
-
-def _sym_eig3(mats: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Trigonometric closed form for symmetric 3x3 eigenvalues, as three columns."""
-    a00 = mats[0, 0]
-    a11 = mats[1, 1]
-    a22 = mats[2, 2]
-    a01 = mats[0, 1]
-    a02 = mats[0, 2]
-    a12 = mats[1, 2]
-    p1 = a01**2 + a02**2 + a12**2
-    q = (a00 + a11 + a22) / 3.0
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    safe_p = np.where(p > 0.0, p, 1.0)
-    b00 = (a00 - q) / safe_p
-    b11 = (a11 - q) / safe_p
-    b22 = (a22 - q) / safe_p
-    b01 = a01 / safe_p
-    b02 = a02 / safe_p
-    b12 = a12 / safe_p
-    det_b = (
-        b00 * (b11 * b22 - b12 * b12)
-        - b01 * (b01 * b22 - b12 * b02)
-        + b02 * (b01 * b12 - b11 * b02)
-    )
-    r = np.clip(det_b / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    e1 = q + 2.0 * p * np.cos(phi)
-    e3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    # An umbilic block (p = 0) has the triple eigenvalue q.
-    spread = p > 0.0
-    return tuple(np.where(spread, e, q) for e in (e3, e2, e1))
+    The eigenvalues are numpy.linalg.eigvalsh's, for every n.
+    """
+    radius = np.abs(np.linalg.eigvalsh(np.moveaxis(second, (0, 1), (-2, -1)))).max(axis=-1)
+    return functools.reduce(np.maximum, [np.abs(v) for v in offdiag], radius)
 
 
 @functools.lru_cache(maxsize=None)
@@ -622,29 +591,28 @@ def _sampled_bounds(
     the constructive constant in dF_i(lambda) >= floor * |lambda|^{m beta - 1}
     on pinched spectra, increasing in eps and exactly 1/n for the linear
     speed (m = beta = 1).  The ceiling is the greatest quadform operator
-    norm: decreasing in eps, identically zero for the linear speed.  Both
-    are extrema over the cloud's column blocks and _family_bounds' curves;
-    a quadratic speed's ceiling is its one Hessian block's, computed once.
+    norm: decreasing in eps, identically zero for the linear speed.  The
+    floor is the least over the cloud's column blocks and _family_bounds'
+    curves; the ceiling is the greatest over the curves alone, or at the
+    umbilic point where the cone is the umbilic ray, so no cloud point is
+    scored with a Hessian.
     """
     n = params.n
     if sampler.n != n:
         raise DomainError("sampler dimension does not match params.n")
-    constant = _constant_hessian(params)
+    cloud = min(
+        _gradient_floor_values(block, params).min(initial=np.inf) for block in sampler.blocks(eps)
+    )
 
     def objectives(cols):
-        if constant is not None:
-            return _gradient_floor_values(cols, params)[None]
         floor, ceiling = _bound_values(cols, params)
         return np.stack([floor, -ceiling])
 
-    best = np.full(1 if constant is not None else 2, np.inf)
-    for block in sampler.blocks(eps):
-        best = np.minimum(best, objectives(block).min(axis=1, initial=np.inf))
-    if 1.0 - n * eps >= 1e-12:  # else the cone is the umbilic ray alone
-        best = np.minimum(best, _family_bounds(eps, n, objectives))
-    if constant is not None:
-        return float(best[0]), float(_hessian_ceiling(*constant))
-    return float(best[0]), -float(best[1])
+    if 1.0 - n * eps < 1e-12:  # the cone is the umbilic ray alone
+        best = objectives(np.full((n, 1), 1.0 / math.sqrt(n)))[:, 0]
+    else:
+        best = _family_bounds(eps, n, objectives)
+    return float(min(cloud, best[0])), -float(best[1])
 
 
 def slice_constant(eps: float, n: int) -> float:

@@ -42,6 +42,7 @@ from horoflow.curvalg import (
 )
 
 TRIPLES = [(2, 1, 1.0), (2, 2, 1.0), (3, 2, 1.0), (3, 3, 1.0 / 3.0), (3, 1, 2.0)]
+KERNEL_SPEEDS = TRIPLES + [(2, 2, 1.5), (4, 2, 1.0), (4, 3, 0.5), (5, 2, 1.5), (5, 5, 0.25)]
 
 
 def make_params(n, m, beta, kappa=-1.0):
@@ -337,27 +338,51 @@ def test_linear_speed_has_exact_floor_and_zero_ceiling(params_n2m1):
     assert w2 == pytest.approx(0.0, abs=1e-13)
 
 
-@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 2), (4, 2)])
-def test_quadratic_speeds_never_score_the_ceiling(monkeypatch, n, m):
-    # For beta = 1 and m <= 2 the Hessian is (J - I)/C(n, 2), or zero for
-    # m = 1, at every spectrum; the ceiling is its spectral radius 2/n (or 0).
-    params = make_params(n, m, 1.0)
-    calls = []
+@pytest.mark.parametrize("n, m, beta", KERNEL_SPEEDS)
+def test_no_cloud_block_is_scored_with_a_hessian(monkeypatch, n, m, beta):
+    # The cloud is scored for the gradient floor only.  A Hessian is built
+    # only on few-value curves, whose grid and refine columns are 2-D, and
+    # at the umbilic point where the cone is the umbilic ray; a quadratic
+    # speed builds none.
+    params = make_params(n, m, beta)
+    quadratic = beta == 1.0 and m <= 2
+    curves = curvalg._family_patterns(n)[0].shape[0]
+    hessians, cloud_rows, scored_eps = [], [], []
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+    def counted(cols, params, hessian):
+        if hessian:
+            hessians.append(np.moveaxis(np.asarray(cols), 0, -1))
+        elif np.ndim(cols[0]) == 1:
+            cloud_rows.append(np.shape(cols[0])[0])
+        return _speed_derivatives(cols, params, hessian)
 
-        return wrapper
+    def recorded(eps, params, sampler):
+        scored_eps.append(eps)
+        return _sampled_bounds(eps, params, sampler)
 
-    monkeypatch.setattr(curvalg, "_bound_values", counted(curvalg._bound_values))
+    monkeypatch.setattr(curvalg, "_speed_derivatives", counted)
+    monkeypatch.setattr(curvalg, "_sampled_bounds", recorded)
     constants = solve_pinching_constants(params, n_samples=2000, seed=1)
-    assert calls == []
-    block = (np.ones((n, n)) - np.eye(n)) / math.comb(n, 2) if m == 2 else np.zeros((n, n))
-    radius = np.max(np.abs(np.linalg.eigvalsh(block)))
-    assert np.all(constants.hess_ceiling_table == (2.0 / n if m == 2 else 0.0))
-    assert np.allclose(constants.hess_ceiling_table, radius, rtol=1e-15, atol=0.0)
+    sampler = ConeSampler(n, n_samples=2000, seed=1)
+    assert sum(cloud_rows) == sum(sampler.points(eps).shape[0] for eps in scored_eps)
+    per_eps = 1 + 2 + curvalg.REFINE_ITERATIONS  # the grid, then the refine
+    assert len(hessians) <= (0 if quadratic else per_eps * len(scored_eps))
+    for rows in hessians:
+        assert rows.ndim == 3 and rows.shape[0] * rows.shape[1] <= curves * curvalg.FAMILY_POINTS
+        for row in rows.reshape(-1, n):
+            assert np.unique(row).size <= 3
+    hessians.clear()
+    umbilic = np.full((n, 1), 1.0 / math.sqrt(n))
+    got = _sampled_bounds(1.0 / n, params, sampler)
+    assert [rows.shape for rows in hessians] == ([] if quadratic else [(1, n)])
+    assert got == tuple(float(v[0]) for v in _bound_values(umbilic, params))
+    if quadratic:
+        # For beta = 1 and m <= 2 the Hessian is (J - I)/C(n, 2), or zero for
+        # m = 1, at every spectrum; the ceiling is its spectral radius 2/n (or 0).
+        block = (np.ones((n, n)) - np.eye(n)) / math.comb(n, 2) if m == 2 else np.zeros((n, n))
+        radius = np.max(np.abs(np.linalg.eigvalsh(block)))
+        assert np.all(constants.hess_ceiling_table == (2.0 / n if m == 2 else 0.0))
+        assert np.allclose(constants.hess_ceiling_table, radius, rtol=1e-15, atol=0.0)
 
 
 def use_small_chunks(monkeypatch):
@@ -400,11 +425,9 @@ def test_constants_solve_starts_no_thread(monkeypatch, params_n3m2):
 # ---------------------------------------------------------------------------
 # The reference_* functions are the constants solve's kernels as they were
 # written on (..., n) rows: reductions over the short last axis, (..., n, n)
-# quotient blocks, stacked (..., n) eigenvalues, and a row-major cloud that
-# is projected and scored whole.  The column kernels must give the same bytes
-# for n <= 7.
-
-KERNEL_SPEEDS = TRIPLES + [(2, 2, 1.5), (4, 2, 1.0), (4, 3, 0.5), (5, 2, 1.5), (5, 5, 0.25)]
+# quotient blocks, eigvalsh of (..., n, n) Hessians, and a row-major cloud
+# that is projected whole and scored for its floor.  The column kernels must
+# give the same bytes for n <= 7.
 
 
 def reference_project_to_cone(x, eps, out=None):
@@ -436,52 +459,6 @@ def reference_difference_quotients(lam, offdiag):
         q[..., i, j] = -val
         q[..., j, i] = -val
     return q
-
-
-def reference_symmetric_eigenvalues(mats):
-    n = mats.shape[-1]
-    if n == 2:
-        a = mats[..., 0, 0]
-        d = mats[..., 1, 1]
-        b = mats[..., 0, 1]
-        half_tr = 0.5 * (a + d)
-        disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
-        return np.stack([half_tr - disc, half_tr + disc], axis=-1)
-    if n == 3:
-        return reference_sym_eig3(mats)
-    return np.linalg.eigvalsh(mats)
-
-
-def reference_sym_eig3(mats):
-    a00 = mats[..., 0, 0]
-    a11 = mats[..., 1, 1]
-    a22 = mats[..., 2, 2]
-    a01 = mats[..., 0, 1]
-    a02 = mats[..., 0, 2]
-    a12 = mats[..., 1, 2]
-    p1 = a01**2 + a02**2 + a12**2
-    q = (a00 + a11 + a22) / 3.0
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    safe_p = np.where(p > 0.0, p, 1.0)
-    b00 = (a00 - q) / safe_p
-    b11 = (a11 - q) / safe_p
-    b22 = (a22 - q) / safe_p
-    b01 = a01 / safe_p
-    b02 = a02 / safe_p
-    b12 = a12 / safe_p
-    det_b = (
-        b00 * (b11 * b22 - b12 * b12)
-        - b01 * (b01 * b22 - b12 * b02)
-        + b02 * (b01 * b12 - b11 * b02)
-    )
-    r = np.clip(det_b / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    e1 = q + 2.0 * p * np.cos(phi)
-    e3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    out = np.stack([e3, e2, e1], axis=-1)
-    return np.where(p[..., None] > 0.0, out, np.stack([q, q, q], axis=-1))
 
 
 def reference_esym_table(lam, upto):
@@ -578,8 +555,13 @@ def reference_bound_values(lam, params):
     grad, second, offdiag = reference_speed_derivatives(curvalg._as_batch(lam), params, hessian=True)
     q = reference_difference_quotients(lam, offdiag)
     q_max = np.max(np.abs(q), axis=(-2, -1))
-    eig_max = np.max(np.abs(reference_symmetric_eigenvalues(second)), axis=-1)
-    return np.stack([np.min(grad, axis=-1), np.maximum(eig_max, q_max)], axis=-1)
+    eig_max = np.max(np.abs(np.linalg.eigvalsh(second)), axis=-1)
+    ceiling = np.maximum(eig_max, q_max)
+    if params.beta == 1.0 and params.m <= 2:
+        # The spectral radius of the constant Hessian (J - I)/C(n, 2) is
+        # (n - 1)/C(n, 2) = 2/n exactly, and 0 for m = 1.
+        ceiling = np.full(ceiling.shape, 2.0 / params.n if params.m == 2 else 0.0)
+    return np.stack([np.min(grad, axis=-1), ceiling], axis=-1)
 
 
 def reference_coordinate_descent(objective, y0, best, eps, minimize, max_moves):
@@ -631,24 +613,22 @@ def row_objectives(bound_values, params):
 
 
 def reference_sampled_bounds(eps, params, sampler):
-    """_sampled_bounds on rows: project the whole cloud, score it, and fold in the families.
+    """_sampled_bounds on rows: the whole cloud's gradient floor, then the families' bounds.
 
     The cloud is ConeSampler.points as it was before the column blocks:
-    the projected draw, then masked.
+    the projected draw, then masked.  The ceiling is the families' alone,
+    or the umbilic point's where the cone is the umbilic ray.
     """
     n = params.n
     if 1.0 - n * eps < 1e-12:
-        pts = np.full((1, n), 1.0 / math.sqrt(n))
-    else:
-        pts = reference_project_to_cone(sampler._base.T, eps)
-        keep = reference_on_cone(pts, eps)
-        pts = pts if keep.all() else pts[keep]
-    vals = reference_bound_values(pts, params)
-    floor, ceiling = np.min(vals[:, 0]), np.max(vals[:, 1])
-    if 1.0 - n * eps >= 1e-12:
-        family = curvalg._family_bounds(eps, n, row_objectives(reference_bound_values, params))
-        floor, ceiling = min(floor, family[0]), max(ceiling, -family[1])
-    return float(floor), float(ceiling)
+        floor, ceiling = reference_bound_values(np.full((1, n), 1.0 / math.sqrt(n)), params)[0]
+        return float(floor), float(ceiling)
+    pts = reference_project_to_cone(sampler._base.T, eps)
+    keep = reference_on_cone(pts, eps)
+    pts = pts if keep.all() else pts[keep]
+    floor = np.min(reference_speed_derivatives(pts, params, hessian=False)[0])
+    family = curvalg._family_bounds(eps, n, row_objectives(reference_bound_values, params))
+    return float(min(floor, family[0])), -float(family[1])
 
 
 def equal_pair_rows(rng, n):
@@ -718,6 +698,17 @@ def parabolic_kernel_rows(rng, params):
     signed = signed_rows(rng, params.n)
     signed = signed[np.ravel(mean_curvature_m(signed, params) > 0.0)]
     return np.concatenate([kernel_rows(rng, params.n), signed])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_esym_matches_the_full_table(rng, n):
+    # _esym skips the orders that cannot reach E_k; the value is the full
+    # table's bit for bit.
+    lam = parabolic_kernel_rows(rng, make_params(n, 1, 1.0))
+    table = reference_esym_table(lam, n)
+    for k in range(n + 1):
+        got = np.broadcast_to(curvalg._esym(lam.T, k), lam.shape[:1])
+        assert got.tobytes() == table[:, k].tobytes(), k
 
 
 @pytest.mark.parametrize("n, m, beta", KERNEL_SPEEDS)
@@ -962,26 +953,24 @@ def test_the_ceiling_reaches_the_coalescence_edge():
     assert ceiling > 2.583
 
 
-def accurate_bound_values(lam, params):
-    """_bound_values on rows, with the Hessian's eigenvalues from eigvalsh.
-
-    Next to a repeated eigenvalue the kernels' closed-form 3 x 3 eigenvalues
-    jitter by about 1e-9 relative.
-    """
-    grad, second, offdiag = _speed_derivatives(np.moveaxis(lam, -1, 0), params, hessian=True)
-    eigenvalues = np.linalg.eigvalsh(np.moveaxis(second, (0, 1), (-2, -1)))
-    ceiling = functools.reduce(np.maximum, [np.abs(v) for v in offdiag], np.abs(eigenvalues).max(axis=-1))
-    floor = grad.min(axis=0)
-    return np.stack([floor, np.broadcast_to(ceiling, floor.shape)], axis=-1)
+def test_the_ceiling_next_to_a_triple_eigenvalue_matches_40_digits():
+    # At eps = (1 - 1e-9)/3 every spectrum of the n3m3 beta=1/3 curves is
+    # within 1e-9 of the umbilic, where the Hessian's eigenvalues nearly
+    # coalesce.  A closed-form trigonometric 3 x 3 eigensolver jittered by
+    # about 1e-8 relative there.
+    params = make_params(3, 3, 1.0 / 3.0)
+    rows = family_points(float(table_eps(3)[-1]), 3).reshape(-1, 3)
+    ceiling = _bound_values(rows.T, params)[1]
+    for row, got in zip(rows, ceiling):
+        want = mp_bound_values(row, params)[1]
+        assert abs(got - want) <= 1e-13 * want, row
 
 
 @pytest.mark.parametrize("n, m, beta", [(3, 3, 1.0 / 3.0), (5, 5, 0.25)])
 def test_the_refine_reaches_a_dense_scan_of_every_curve(n, m, beta):
     # Both speeds' ceilings peak inside a curve, where the 129-point grid
-    # alone falls short by up to 3e-5 and 5e-6.  accurate_bound_values scores
-    # them: near the umbilic the closed-form 3 x 3 eigenvalues of the
-    # kernels jitter by about 1e-9, which a dense scan would pick up.
-    objectives = row_objectives(accurate_bound_values, make_params(n, m, beta))
+    # alone falls short by up to 3e-5 and 5e-6.
+    objectives = column_objectives(make_params(n, m, beta))
     k0, k1 = curvalg._family_patterns(n)
     shortfall = 0.0
     for eps in table_eps(n)[::4]:
@@ -998,20 +987,18 @@ def test_the_refine_reaches_a_dense_scan_of_every_curve(n, m, beta):
 @pytest.mark.parametrize("n, m, beta", FAMILY_SPEEDS)
 def test_no_polished_dense_cloud_is_more_extreme_than_the_families(n, m, beta):
     # The cloud's best points, polished by a capped coordinate descent,
-    # never beat the few-value curves.  Both sides score with
-    # accurate_bound_values, so this holds the families, not the kernels'
-    # rounding, against the cone.
+    # never beat the few-value curves.
     params = make_params(n, m, beta)
     sampler = ConeSampler(n, n_samples=20000, seed=n)
-    objectives = row_objectives(accurate_bound_values, params)
+    objectives = column_objectives(params)
     for eps in table_eps(n)[::8]:
         pts = sampler.points(eps)
-        vals = accurate_bound_values(pts, params)
+        vals = np.stack(_bound_values(pts.T, params), axis=-1)
         family = curvalg._family_bounds(eps, n, objectives) * np.array([1.0, -1.0])
         for col, minimize in ((0, True), (1, False)):
             k = int(np.argmin(vals[:, col]) if minimize else np.argmax(vals[:, col]))
             cloud = reference_coordinate_descent(
-                lambda lam: accurate_bound_values(lam, params)[:, col],
+                lambda lam: _bound_values(lam.T, params)[col],
                 pts[k], float(vals[k, col]), eps, minimize, 100,
             )[1]
             excess = family[col] - cloud if minimize else cloud - family[col]

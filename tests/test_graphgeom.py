@@ -533,7 +533,7 @@ def test_stable_dt_takes_the_trace_from_the_pair_spectrum(mode, params_n2m2, mon
         raise AssertionError("stable_dt ran the (N, n) recurrence")
 
     monkeypatch.setattr(curvalg, "_speed_derivatives", generic_recurrence)
-    monkeypatch.setattr(curvalg, "_esym_table", generic_recurrence)
+    monkeypatch.setattr(curvalg, "_esym", generic_recurrence)
     assert stable_dt(fields, params_n2m2) > 0.0
 
 
