@@ -361,8 +361,16 @@ def _cmd_constants(args: list[str]) -> int:
     parser.add_argument("--n", type=int, default=2)
     parser.add_argument("--m", type=int, default=1)
     parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--samples", type=int, default=curvalg.DEFAULT_SAMPLES)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--samples",
+        type=int,
+        default=curvalg.DEFAULT_SAMPLES,
+        help="cone-cloud points (>= 100); the cloud sharpens only a non-quadratic speed's "
+        "gradient floor: a quadratic one (beta = 1, m <= 2) has it at a cone vertex",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of the cone cloud (>= 0); see --samples"
+    )
     parser.add_argument("--csv", default=None, help="write the epsilon tables as CSV")
     ns = parser.parse_args(args)
     # The solve never reads kappa: its cone lives on the shifted spectrum lambda - a.

@@ -28,6 +28,17 @@ flow.  The gradient floor is the least value over the cloud and over curves
 of spectra with at most three distinct values (see _family_bounds); the
 Hessian ceiling is the greatest over those curves alone, so the cloud is
 scored for the floor only.
+
+A quadratic speed (beta = 1, m <= 2) scores no cloud at all.  Its ceiling
+is the constant 2/n (0 for m = 1), and its floor is a cone vertex's.  For
+m = 2 the floor at the unit spectrum lambda/|lambda| is
+(sum lambda - max lambda)/(C(n, 2) |lambda|).  On the slice sum lambda = 1
+that is a concave function over a convex one, so it is quasiconcave, and a
+quasiconcave function takes its least value over the simplex
+{lambda_i >= eps, sum lambda = 1} at a vertex (eps, ..., eps,
+1 - (n - 1) eps) (Boyd and Vandenberghe, Convex Optimization, 2004,
+section 3.4).  The two-value curves end there.  For m = 1 every gradient
+component is 1/n.
 """
 
 from __future__ import annotations
@@ -388,15 +399,24 @@ class ConeSampler:
     def __init__(self, n: int, n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
         if n < 2:
             raise DomainError("sampler needs n >= 2")
-        if n_samples < MIN_SAMPLES:
-            raise DomainError(f"sampler needs at least {MIN_SAMPLES} points")
-        if seed < 0:
-            raise DomainError(f"sampler needs a seed >= 0, got {seed}")
+        self.check(n_samples, seed)
         self.n = n
         self.n_samples = int(n_samples)
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
         self._base = np.abs(rng.standard_normal((self.n_samples, n))).T.copy()
+
+    @staticmethod
+    def check(n_samples: int, seed: int) -> None:
+        """Raise DomainError unless n_samples >= MIN_SAMPLES and seed >= 0.
+
+        The constants solve checks both for every speed, also where it
+        builds no sampler.
+        """
+        if n_samples < MIN_SAMPLES:
+            raise DomainError(f"sampler needs at least {MIN_SAMPLES} points")
+        if seed < 0:
+            raise DomainError(f"sampler needs a seed >= 0, got {seed}")
 
     def blocks(self, eps: float):
         """Yield the feasible points for eps as (n, k) column blocks, in index order.
@@ -583,7 +603,7 @@ def _family_bounds(eps: float, n: int, objectives) -> np.ndarray:
 
 
 def _sampled_bounds(
-    eps: float, params: FlowParams, sampler: ConeSampler
+    eps: float, params: FlowParams, sampler: ConeSampler | None
 ) -> tuple[float, float]:
     """Return the gradient floor and the Hessian ceiling at eps.
 
@@ -596,13 +616,22 @@ def _sampled_bounds(
     curves; the ceiling is the greatest over the curves alone, or at the
     umbilic point where the cone is the umbilic ray, so no cloud point is
     scored with a Hessian.
+
+    A quadratic speed (_constant_hessian) scores no cloud block, and its
+    sampler may be None: its floor is quasiconcave on the cone's
+    cross-section, so it is least at a vertex (eps, ..., eps,
+    1 - (n - 1) eps), which ends a two-value curve (see the module
+    docstring).
     """
     n = params.n
-    if sampler.n != n:
+    if sampler is not None and sampler.n != n:
         raise DomainError("sampler dimension does not match params.n")
-    cloud = min(
-        _gradient_floor_values(block, params).min(initial=np.inf) for block in sampler.blocks(eps)
-    )
+    cloud = np.inf
+    if _constant_hessian(params) is None:
+        cloud = min(
+            _gradient_floor_values(block, params).min(initial=np.inf)
+            for block in sampler.blocks(eps)
+        )
 
     def objectives(cols):
         floor, ceiling = _bound_values(cols, params)
@@ -655,7 +684,7 @@ class PinchingConstants:
         }
 
 
-def _balance_terms(eps: float, params: FlowParams, sampler: ConeSampler):
+def _balance_terms(eps: float, params: FlowParams, sampler: ConeSampler | None):
     """Return the gradient floor, the Hessian ceiling and their balance at eps."""
     n = params.n
     w1, w2 = _sampled_bounds(eps, params, sampler)
@@ -663,8 +692,11 @@ def _balance_terms(eps: float, params: FlowParams, sampler: ConeSampler):
     return w1, w2, coef * w1 * eps**2 - w2 * float(gap_bound(eps, n))
 
 
-def balance_function(eps: float, params: FlowParams, sampler: ConeSampler) -> float:
-    """Return the pinching balance (n-1)/(2 sqrt n) * floor * eps^2 - ceiling * gap."""
+def balance_function(eps: float, params: FlowParams, sampler: ConeSampler | None) -> float:
+    """Return the pinching balance (n-1)/(2 sqrt n) * floor * eps^2 - ceiling * gap.
+
+    sampler may be None for a quadratic speed, which scores no cloud.
+    """
     return _balance_terms(eps, params, sampler)[2]
 
 
@@ -735,7 +767,11 @@ def solve_pinching_constants(
     DEGENERATE_EPSILON_FLOOR.
     """
     n = params.n
-    sampler = ConeSampler(n, n_samples=n_samples, seed=seed)
+    ConeSampler.check(n_samples, seed)
+    # A quadratic speed's floor and ceiling come from the few-value curves alone.
+    sampler = None
+    if _constant_hessian(params) is None:
+        sampler = ConeSampler(n, n_samples=n_samples, seed=seed)
     eps_hi = 1.0 / n
     eps_grid = np.linspace(eps_hi / 64.0, eps_hi * (1.0 - 1e-9), TABLE_POINTS)
     gap_table = gap_bound(eps_grid, n)

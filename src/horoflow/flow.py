@@ -115,8 +115,10 @@ class RunConfig:
     The defaults are the config file's defaults.  Diagnostics rows are taken
     every record_interval of flow time; snapshots (every snapshot_interval)
     and the output files are written only when output_dir is set.  The
-    constants' gradient floor also takes a cloud of constants_samples cone
-    points; their Hessian ceiling comes from the few-value curves alone.
+    constants' Hessian ceiling comes from the few-value curves alone, and so
+    does the gradient floor of a quadratic speed (beta = 1, m <= 2), which
+    lies on a cone vertex; a non-quadratic speed's floor also takes a cloud
+    of constants_samples cone points seeded by constants_seed.
     scheme is no config key: Heun steps at stable_dt and is the reference
     that tests compare rkc against; rkc steps at RKC_ACCURACY / mu_2, or less
     where t_end asks for it, with the stages that stable_dt asks for.

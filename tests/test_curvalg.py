@@ -43,6 +43,8 @@ from horoflow.curvalg import (
 
 TRIPLES = [(2, 1, 1.0), (2, 2, 1.0), (3, 2, 1.0), (3, 3, 1.0 / 3.0), (3, 1, 2.0)]
 KERNEL_SPEEDS = TRIPLES + [(2, 2, 1.5), (4, 2, 1.0), (4, 3, 0.5), (5, 2, 1.5), (5, 5, 0.25)]
+# A non-quadratic speed: its floor scores the cloud, which a quadratic one skips.
+CLOUD_SPEED = (3, 1, 2.0)
 
 
 def make_params(n, m, beta, kappa=-1.0):
@@ -304,10 +306,15 @@ def test_cone_sampler_degenerates_to_umbilic_point():
 
 
 def test_cone_sampler_rejects_a_negative_seed(params_n2m2):
+    # The solve of a quadratic speed builds no sampler, and checks both anyway.
     with pytest.raises(DomainError, match="seed >= 0"):
         ConeSampler(2, n_samples=100, seed=-1)
     with pytest.raises(DomainError, match="seed >= 0"):
         solve_pinching_constants(params_n2m2, n_samples=100, seed=-1)
+    with pytest.raises(DomainError, match=f"at least {curvalg.MIN_SAMPLES} points"):
+        ConeSampler(2, n_samples=99, seed=0)
+    with pytest.raises(DomainError, match=f"at least {curvalg.MIN_SAMPLES} points"):
+        solve_pinching_constants(params_n2m2, n_samples=99, seed=0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -343,11 +350,16 @@ def test_no_cloud_block_is_scored_with_a_hessian(monkeypatch, n, m, beta):
     # The cloud is scored for the gradient floor only.  A Hessian is built
     # only on few-value curves, whose grid and refine columns are 2-D, and
     # at the umbilic point where the cone is the umbilic ray; a quadratic
-    # speed builds none.
+    # speed builds none, and builds no sampler and scores no cloud at all.
     params = make_params(n, m, beta)
     quadratic = beta == 1.0 and m <= 2
     curves = curvalg._family_patterns(n)[0].shape[0]
-    hessians, cloud_rows, scored_eps = [], [], []
+    hessians, cloud_rows, scored_eps, built = [], [], [], []
+
+    class CountedSampler(ConeSampler):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
 
     def counted(cols, params, hessian):
         if hessian:
@@ -362,9 +374,12 @@ def test_no_cloud_block_is_scored_with_a_hessian(monkeypatch, n, m, beta):
 
     monkeypatch.setattr(curvalg, "_speed_derivatives", counted)
     monkeypatch.setattr(curvalg, "_sampled_bounds", recorded)
+    monkeypatch.setattr(curvalg, "ConeSampler", CountedSampler)
     constants = solve_pinching_constants(params, n_samples=2000, seed=1)
+    assert len(built) == (0 if quadratic else 1)
     sampler = ConeSampler(n, n_samples=2000, seed=1)
-    assert sum(cloud_rows) == sum(sampler.points(eps).shape[0] for eps in scored_eps)
+    cloud = 0 if quadratic else sum(sampler.points(eps).shape[0] for eps in scored_eps)
+    assert sum(cloud_rows) == cloud
     per_eps = 1 + 2 + curvalg.REFINE_ITERATIONS  # the grid, then the refine
     assert len(hessians) <= (0 if quadratic else per_eps * len(scored_eps))
     for rows in hessians:
@@ -395,29 +410,33 @@ def sampled_bounds(params):
     return _sampled_bounds(0.1, params, sampler)
 
 
-def test_sampled_bounds_chunk_invariant(monkeypatch, params_n3m2):
-    default = sampled_bounds(params_n3m2)
+def test_sampled_bounds_chunk_invariant(monkeypatch):
+    params = make_params(*CLOUD_SPEED)
+    default = sampled_bounds(params)
     use_small_chunks(monkeypatch)
-    assert sampled_bounds(params_n3m2) == default
+    assert sampled_bounds(params) == default
 
 
-def test_solved_constants_chunk_invariant(monkeypatch, params_n3m2):
-    a = solve_pinching_constants(params_n3m2, n_samples=20000, seed=2)
+def test_solved_constants_chunk_invariant(monkeypatch):
+    params = make_params(*CLOUD_SPEED)
+    a = solve_pinching_constants(params, n_samples=20000, seed=2)
     use_small_chunks(monkeypatch)
-    b = solve_pinching_constants(params_n3m2, n_samples=20000, seed=2)
+    b = solve_pinching_constants(params, n_samples=20000, seed=2)
     assert (a.epsilon0, a.c_star, a.degenerate) == (b.epsilon0, b.c_star, b.degenerate)
     for name in ("eps_grid", "gap_table", "grad_floor_table", "hess_ceiling_table"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
-def test_constants_solve_starts_no_thread(monkeypatch, params_n3m2):
+def test_constants_solve_starts_no_thread(monkeypatch):
     def refuse(thread):
         raise AssertionError(f"thread {thread.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    # 20000 samples are three column blocks of at most 8192 points.
-    constants = solve_pinching_constants(params_n3m2, n_samples=20000, seed=2)
-    assert 0.0 < constants.c_star < 1.0 / 27.0
+    # For the cloud's speed 20000 samples are three column blocks of at most
+    # 8192 points; n3m2 scores none.
+    for n, m, beta in ((3, 2, 1.0), CLOUD_SPEED):
+        constants = solve_pinching_constants(make_params(n, m, beta), n_samples=20000, seed=2)
+        assert 0.0 < constants.c_star < 1.0 / 27.0
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +635,21 @@ def reference_sampled_bounds(eps, params, sampler):
     """_sampled_bounds on rows: the whole cloud's gradient floor, then the families' bounds.
 
     The cloud is ConeSampler.points as it was before the column blocks:
-    the projected draw, then masked.  The ceiling is the families' alone,
-    or the umbilic point's where the cone is the umbilic ray.
+    the projected draw, then masked.  A quadratic speed (beta = 1, m <= 2)
+    scores no cloud: its floor lies on a cone vertex, which ends a
+    two-value curve.  The ceiling is the families' alone, or the umbilic
+    point's where the cone is the umbilic ray.
     """
     n = params.n
     if 1.0 - n * eps < 1e-12:
         floor, ceiling = reference_bound_values(np.full((1, n), 1.0 / math.sqrt(n)), params)[0]
         return float(floor), float(ceiling)
-    pts = reference_project_to_cone(sampler._base.T, eps)
-    keep = reference_on_cone(pts, eps)
-    pts = pts if keep.all() else pts[keep]
-    floor = np.min(reference_speed_derivatives(pts, params, hessian=False)[0])
+    floor = np.inf
+    if not (params.beta == 1.0 and params.m <= 2):
+        pts = reference_project_to_cone(sampler._base.T, eps)
+        keep = reference_on_cone(pts, eps)
+        pts = pts if keep.all() else pts[keep]
+        floor = np.min(reference_speed_derivatives(pts, params, hessian=False)[0])
     family = curvalg._family_bounds(eps, n, row_objectives(reference_bound_values, params))
     return float(min(floor, family[0])), -float(family[1])
 
@@ -1005,13 +1028,47 @@ def test_no_polished_dense_cloud_is_more_extreme_than_the_families(n, m, beta):
             assert excess <= 1e-12 * abs(family[col]), (eps, col, cloud, family[col])
 
 
-def test_dropped_points_are_never_scored(params_n3m2):
+def mp_vertex_floor(eps, n, m):
+    """A quadratic speed's floor at the cone vertex (eps, ..., eps, 1 - (n - 1) eps), at 40 digits.
+
+    For m = 2 it is (sum - max)/(C(n, 2) |lambda|) = (2 eps/n)/|lambda| of
+    the vertex; for m = 1 every gradient component is 1/n.
+    """
+    with mpmath.workdps(40):
+        if m == 1:
+            return mpmath.mpf(1) / n
+        e = mpmath.mpf(float(eps))
+        return (2 * e / n) / mpmath.sqrt((n - 1) * e**2 + (1 - (n - 1) * e) ** 2)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_quadratic_floor_is_its_cone_vertex_value(n, m):
+    # A quadratic speed's floor is quasiconcave on the cone's cross-section,
+    # so it is least at a cone vertex, which ends a two-value curve: the
+    # solve, which scores no cloud for it, reads the vertex value, and a
+    # dense seeded cloud never goes below it.
+    params = make_params(n, m, 1.0)
+    constants = solve_pinching_constants(params, n_samples=100_000, seed=0)
+    sampler = ConeSampler(n, n_samples=100_000, seed=0)
+    for eps, floor in zip(constants.eps_grid, constants.grad_floor_table):
+        want = mp_vertex_floor(eps, n, m)
+        cloud = min(
+            _gradient_floor_values(block, params).min() for block in sampler.blocks(float(eps))
+        )
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(float(floor)) - want) <= 1e-15 * want, eps
+            assert mpmath.mpf(float(cloud)) >= want * (1 - mpmath.mpf(1e-15)), eps
+
+
+def test_dropped_points_are_never_scored():
     # A NaN point fails the cone mask; scoring it would raise ParabolicityLostError.
+    params = make_params(*CLOUD_SPEED)
     sampler = ConeSampler(3, n_samples=20000, seed=4)
     sampler._base[:, [7, 9000, 19990]] = np.nan
     eps = 0.1
-    got = _sampled_bounds(eps, params_n3m2, sampler)
-    assert got == reference_sampled_bounds(eps, params_n3m2, sampler)
+    got = _sampled_bounds(eps, params, sampler)
+    assert got == reference_sampled_bounds(eps, params, sampler)
     assert sampler.points(eps).shape == (20000 - 3, 3)
 
 
@@ -1259,9 +1316,10 @@ def test_solve_matches_the_bisection_reference(monkeypatch, n, m, beta, seed):
         assert not constants.degenerate and 1 <= len(calls) <= 8
 
 
-def test_constants_are_seed_deterministic(params_n3m2):
-    a = solve_pinching_constants(params_n3m2, n_samples=2000, seed=11)
-    b = solve_pinching_constants(params_n3m2, n_samples=2000, seed=11)
+def test_constants_are_seed_deterministic():
+    params = make_params(*CLOUD_SPEED)
+    a = solve_pinching_constants(params, n_samples=2000, seed=11)
+    b = solve_pinching_constants(params, n_samples=2000, seed=11)
     assert a.epsilon0 == b.epsilon0
     assert a.c_star == b.c_star
     assert np.array_equal(a.grad_floor_table, b.grad_floor_table)
